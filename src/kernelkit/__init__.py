@@ -11,8 +11,7 @@ from .digraph import (
 )
 from .cycles import (
     Chord,
-    Circuit,
-    Cycle,
+    ClosedWalk,
     CycleHypothesisVariant,
     HypothesisReport,
     are_consecutive,
@@ -51,6 +50,7 @@ from .substitution import (
     check_unique_short_chord,
     find_road,
     intermediate_sets,
+    roads_of,
     run_substitution_method,
     validate_road,
 )

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterator
 
 from .cycles import (
@@ -21,7 +22,7 @@ from .cycles import (
     check_cycle_hypothesis,
     every_cycle_has_symmetric_arc,
 )
-from .digraph import Digraph, directed_cycle
+from .digraph import Digraph, as_vertex_set, directed_cycle
 from .errors import BudgetExceededError, NoBaseKernelError, SubkernelMissingError
 from .generators import (
     SplitMix64,
@@ -42,18 +43,17 @@ from .kernels import (
     k_closure,
 )
 from .substitution import (
+    Road,
     SubstitutionTrace,
+    _kernel_of_induced,
     build_substitution_sequence,
     check_additive_inverse_property,
     check_pre_kernel_properties,
     check_unique_short_chord,
-    find_road,
+    roads_of,
     run_substitution_method,
     validate_road,
-    _kernel_of_induced,
 )
-from .digraph import as_vertex_set
-from .errors import NoRoadFoundError
 from .textio import format_digraph_text
 
 
@@ -68,19 +68,6 @@ class CampaignParams:
     min_cycle_len: int = 2
     arc_prob: float = 0.3
     extra_arc_prob: float = 0.15
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "exhaustive": self.exhaustive,
-            "max_failures": self.max_failures,
-            "budget": self.budget,
-            "min_cycle_len": self.min_cycle_len,
-            "arc_prob": self.arc_prob,
-            "extra_arc_prob": self.extra_arc_prob,
-        }
 
 
 @dataclass
@@ -140,11 +127,6 @@ class _Failures:
             )
 
 
-def _random_stream(params: CampaignParams) -> Iterator[Digraph]:
-    for trial in range(params.trials):
-        yield random_digraph(params.n, params.arc_prob, derive_trial_seed(params.seed, trial))
-
-
 def _sc_stream(params: CampaignParams) -> Iterator[Digraph]:
     if params.exhaustive:
         for d in enumerate_labeled_digraphs(params.n):
@@ -161,11 +143,8 @@ def _plain_stream(params: CampaignParams) -> Iterator[Digraph]:
     if params.exhaustive:
         yield from enumerate_labeled_digraphs(params.n)
     else:
-        yield from _random_stream(params)
-
-
-def _all_subsets(n: int) -> Iterator[tuple[int, ...]]:
-    yield from _subsets_lex(n)
+        for trial in range(params.trials):
+            yield random_digraph(params.n, params.arc_prob, derive_trial_seed(params.seed, trial))
 
 
 # -- individual campaigns ---------------------------------------------------
@@ -176,7 +155,7 @@ def _closure_lemma(params: CampaignParams, failures: _Failures) -> dict:
     for d in _plain_stream(params):
         checked += 1
         closed = k_closure(d, 2)
-        for subset in _all_subsets(d.vertex_count):
+        for subset in _subsets_lex(d.vertex_count):
             left = is_kl_kernel(d, subset, THREE_KERNEL)
             right = is_kl_kernel(closed, subset, KERNEL)
             if left != right:
@@ -275,19 +254,24 @@ def _trace_stream(
         yield d, x0, trace, None
 
 
-def _roads_of(trace: SubstitutionTrace):
-    for s in range(3 * trace.p + 1):
-        for v in trace.set_at(s):
-            yield s, v
+def _found_roads(
+    d: Digraph, x0: int, trace: SubstitutionTrace, failures: _Failures
+) -> Iterator[Road]:
+    """The roads of the trace; a vertex without a road is a failure."""
+    for s, v, road in roads_of(trace):
+        if road is None:
+            failures.add(d, f"x0={x0}: no road of length {s} from {v}")
+        else:
+            yield road
 
 
 def _pre_kernel_props(params: CampaignParams, failures: _Failures) -> dict:
     tried = built = 0
-    skips: dict[str, int] = {}
+    skips: Counter = Counter()
     for d, x0, trace, reason in _trace_stream(params):
         tried += 1
         if trace is None:
-            skips[reason] = skips.get(reason, 0) + 1
+            skips[reason] += 1
             continue
         built += 1
         report = check_pre_kernel_properties(trace)
@@ -304,19 +288,14 @@ def _pre_kernel_props(params: CampaignParams, failures: _Failures) -> dict:
 
 def _roads(params: CampaignParams, failures: _Failures) -> dict:
     tried = built = roads_checked = 0
-    skips: dict[str, int] = {}
+    skips: Counter = Counter()
     for d, x0, trace, reason in _trace_stream(params):
         tried += 1
         if trace is None:
-            skips[reason] = skips.get(reason, 0) + 1
+            skips[reason] += 1
             continue
         built += 1
-        for s, v in _roads_of(trace):
-            try:
-                road = find_road(trace, v, s)
-            except NoRoadFoundError:
-                failures.add(d, f"x0={x0}: no road of length {s} from {v}")
-                continue
+        for road in _found_roads(d, x0, trace, failures):
             roads_checked += 1
             validation = validate_road(trace, road.path)
             if not validation.passed:
@@ -336,19 +315,14 @@ def _roads(params: CampaignParams, failures: _Failures) -> dict:
 
 def _unique_chord(params: CampaignParams, failures: _Failures) -> dict:
     tried = built = roads_checked = roads_with_skip = 0
-    skips: dict[str, int] = {}
+    skips: Counter = Counter()
     for d, x0, trace, reason in _trace_stream(params):
         tried += 1
         if trace is None:
-            skips[reason] = skips.get(reason, 0) + 1
+            skips[reason] += 1
             continue
         built += 1
-        for s, v in _roads_of(trace):
-            try:
-                road = find_road(trace, v, s)
-            except NoRoadFoundError:
-                failures.add(d, f"x0={x0}: no road of length {s} from {v}")
-                continue
+        for road in _found_roads(d, x0, trace, failures):
             roads_checked += 1
             report = check_unique_short_chord(trace, road)
             if report.inner_positions:
@@ -368,32 +342,30 @@ def _unique_chord(params: CampaignParams, failures: _Failures) -> dict:
     }
 
 
+def _outside_circuit_class(d: Digraph, params: CampaignParams) -> str | None:
+    """Why d fails the circuit hypothesis ("budget" when undecided), or None."""
+    try:
+        hypothesis = check_circuit_hypothesis(d, max_len=len(d.arcs), budget=params.budget)
+    except BudgetExceededError:
+        return "budget"
+    return None if hypothesis.satisfied else "circuit hypothesis"
+
+
 def _additive_inverse(params: CampaignParams, failures: _Failures) -> dict:
     tried = accepted = built = roads_checked = 0
-    skips: dict[str, int] = {}
+    skips: Counter = Counter()
     for d, x0, trace, reason in _trace_stream(params):
         tried += 1
-        try:
-            hypothesis = check_circuit_hypothesis(
-                d, max_len=len(d.arcs), budget=params.budget
-            )
-        except BudgetExceededError:
-            skips["budget"] = skips.get("budget", 0) + 1
-            continue
-        if not hypothesis.satisfied:
-            skips["circuit hypothesis"] = skips.get("circuit hypothesis", 0) + 1
+        outside = _outside_circuit_class(d, params)
+        if outside:
+            skips[outside] += 1
             continue
         accepted += 1
         if trace is None:
-            skips[reason] = skips.get(reason, 0) + 1
+            skips[reason] += 1
             continue
         built += 1
-        for s, v in _roads_of(trace):
-            try:
-                road = find_road(trace, v, s)
-            except NoRoadFoundError:
-                failures.add(d, f"x0={x0}: no road of length {s} from {v}")
-                continue
+        for road in _found_roads(d, x0, trace, failures):
             roads_checked += 1
             report = check_additive_inverse_property(trace, road)
             for pos, dist in report.violations:
@@ -419,7 +391,7 @@ def _theorem4(params: CampaignParams, failures: _Failures) -> dict:
     # The canonical directed n-cycle is checked first so the class, when
     # occupied at all, deterministically contains it.
     tried = accepted = 0
-    skips: dict[str, int] = {}
+    skips: Counter = Counter()
     canonical_accepted = False
 
     def instances() -> Iterator[tuple[bool, Digraph]]:
@@ -432,20 +404,14 @@ def _theorem4(params: CampaignParams, failures: _Failures) -> dict:
     for is_canonical, d in instances():
         tried += 1
         if not d.is_strongly_connected():
-            skips["not strongly connected"] = skips.get("not strongly connected", 0) + 1
+            skips["not strongly connected"] += 1
             continue
-        try:
-            hypothesis = check_circuit_hypothesis(
-                d, max_len=len(d.arcs), budget=params.budget
-            )
-        except BudgetExceededError:
-            skips["budget"] = skips.get("budget", 0) + 1
-            continue
-        if not hypothesis.satisfied:
-            skips["circuit hypothesis"] = skips.get("circuit hypothesis", 0) + 1
+        outside = _outside_circuit_class(d, params)
+        if outside:
+            skips[outside] += 1
             continue
         if not is_quasi_3_kernel_perfect(d)[0]:
-            skips["not quasi-3-kernel-perfect"] = skips.get("not quasi-3-kernel-perfect", 0) + 1
+            skips["not quasi-3-kernel-perfect"] += 1
             continue
         accepted += 1
         if is_canonical:
@@ -466,12 +432,7 @@ def _theorem4(params: CampaignParams, failures: _Failures) -> dict:
                     f"x0={x0}: pre-3-kernel {list(outcome.pre_3_kernel)} is not a "
                     f"3-kernel (witness {outcome.failure_witness})",
                 )
-            for s, v in _roads_of(outcome.trace):
-                try:
-                    road = find_road(outcome.trace, v, s)
-                except NoRoadFoundError:
-                    failures.add(d, f"x0={x0}: no road of length {s} from {v}")
-                    continue
+            for road in _found_roads(d, x0, outcome.trace, failures):
                 report = check_additive_inverse_property(outcome.trace, road)
                 if not report.passed:
                     failures.add(
@@ -511,7 +472,7 @@ def run_campaign(property_id: str, params: CampaignParams) -> VerificationReport
     elapsed = time.perf_counter() - start
     return VerificationReport(
         property_id=property_id,
-        parameters=params.as_dict(),
+        parameters=asdict(params),
         instances_checked=summary["instances_checked"],
         failures=failures.items,
         failures_total=failures.total,

@@ -38,11 +38,10 @@ from .substitution import (
     check_additive_inverse_property,
     check_pre_kernel_properties,
     check_unique_short_chord,
-    find_road,
     intermediate_sets,
+    roads_of,
     run_substitution_method,
 )
-from .errors import NoRoadFoundError
 from .textio import format_digraph_text, parse_digraph_text
 
 EXIT_PASS = 0
@@ -53,6 +52,14 @@ EXIT_RESOURCE = 3
 
 def _load(path: str) -> Digraph:
     return parse_digraph_text(Path(path).read_text(encoding="utf-8"))
+
+
+def _write(text: str, out: str | Path | None) -> None:
+    """Write to the file `out`, or to stdout when it is not given."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 def _emit(payload: dict, fmt: str, out: str | None) -> None:
@@ -70,10 +77,7 @@ def _emit(payload: dict, fmt: str, out: str | None) -> None:
 
         walk("", payload)
         text = "\n".join(lines) + "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write(text, out)
 
 
 def _hypothesis_summary(report) -> dict:
@@ -123,9 +127,7 @@ def _cmd_kernel(args) -> int:
     if args.via_closure:
         result = find_kernel_via_closure(d, args.k)
         if args.emit_closure:
-            Path(args.emit_closure).write_text(
-                format_digraph_text(k_closure(d, args.k - 1)), encoding="utf-8"
-            )
+            _write(format_digraph_text(k_closure(d, args.k - 1)), args.emit_closure)
     else:
         result = find_kl_kernel(d, KernelQuery(args.k, ell))
     payload = {
@@ -141,12 +143,7 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    d = _load(args.file)
-    text = format_digraph_text(k_closure(d, args.k))
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write(format_digraph_text(k_closure(_load(args.file), args.k)), args.out)
     return EXIT_PASS
 
 
@@ -169,20 +166,15 @@ def _trace_document(outcome) -> dict:
     ]
     roads = []
     road_checks = {"unique_chord": True, "additive_inverse": True}
-    for s in range(3 * trace.p + 1):
-        for v in trace.set_at(s):
-            try:
-                road = find_road(trace, v, s)
-            except NoRoadFoundError:
-                roads.append({"s": s, "v": v, "path": None, "labels": None})
-                continue
-            roads.append(
-                {"s": s, "v": v, "path": list(road.path), "labels": list(road.labels)}
-            )
-            if not check_unique_short_chord(trace, road).passed:
-                road_checks["unique_chord"] = False
-            if not check_additive_inverse_property(trace, road).passed:
-                road_checks["additive_inverse"] = False
+    for s, v, road in roads_of(trace):
+        if road is None:
+            roads.append({"s": s, "v": v, "path": None, "labels": None})
+            continue
+        roads.append({"s": s, "v": v, "path": list(road.path), "labels": list(road.labels)})
+        if not check_unique_short_chord(trace, road).passed:
+            road_checks["unique_chord"] = False
+        if not check_additive_inverse_property(trace, road).passed:
+            road_checks["additive_inverse"] = False
     pre_report = check_pre_kernel_properties(trace)
     return {
         "x0": trace.x0,
@@ -214,15 +206,14 @@ def _cmd_substitute(args) -> int:
         "p": outcome.trace.p,
     }
     if args.trace:
-        Path(args.trace).write_text(
-            json.dumps(_trace_document(outcome), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        _write(json.dumps(_trace_document(outcome), sort_keys=True, indent=2) + "\n", args.trace)
     _emit(payload, args.format, args.out)
     return EXIT_PASS
 
 
 def _cmd_verify(args) -> int:
+    # without --p the campaign keeps CampaignParams' own probabilities
+    probabilities = {} if args.p is None else {"arc_prob": args.p, "extra_arc_prob": args.p}
     params = CampaignParams(
         n=args.n,
         trials=args.trials,
@@ -231,38 +222,27 @@ def _cmd_verify(args) -> int:
         max_failures=args.max_failures,
         budget=args.budget,
         min_cycle_len=args.min_cycle_len,
-        arc_prob=args.p,
-        extra_arc_prob=args.p,
+        **probabilities,
     )
     report = run_campaign(args.property_id, params)
-    text = report.to_json() + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write(report.to_json() + "\n", args.out)
     return EXIT_PASS if report.passed else EXIT_FAILURE
 
 
 def _cmd_generate(args) -> int:
-    out = Path(args.out)
-    if args.kind == "cycle":
-        out.write_text(format_digraph_text(directed_cycle(args.n)), encoding="utf-8")
-    elif args.kind == "random":
-        out.write_text(
-            format_digraph_text(random_digraph(args.n, args.p, args.seed)),
-            encoding="utf-8",
-        )
-    elif args.kind == "random-sc":
-        out.write_text(
-            format_digraph_text(random_strongly_connected(args.n, args.p, args.seed)),
-            encoding="utf-8",
-        )
-    elif args.kind == "exhaustive":
+    if args.kind == "exhaustive":
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         for index, d in enumerate(enumerate_labeled_digraphs(args.n)):
-            (out / f"digraph_{index:06d}.txt").write_text(
-                format_digraph_text(d), encoding="utf-8"
-            )
+            _write(format_digraph_text(d), out / f"digraph_{index:06d}.txt")
+        return EXIT_PASS
+    if args.kind == "cycle":
+        d = directed_cycle(args.n)
+    elif args.kind == "random":
+        d = random_digraph(args.n, args.p, args.seed)
+    else:
+        d = random_strongly_connected(args.n, args.p, args.seed)
+    _write(format_digraph_text(d), args.out)
     return EXIT_PASS
 
 
@@ -315,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--min-cycle-len", type=int, default=2)
-    p.add_argument("--p", type=float, default=0.15, help="arc probability")
+    p.add_argument("--p", type=float, default=None,
+                   help="arc probability (default: the campaign parameters' own)")
     p.add_argument("--max-failures", type=int, default=10)
     common(p)
     p.set_defaults(func=_cmd_verify)
@@ -345,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NoBaseKernelError, SubkernelMissingError) as exc:
         print(f"substitution cannot run: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    except (KernelKitError, OSError) as exc:
+    except (KernelKitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,17 +1,17 @@
 """Cycle and circuit enumeration, chords, and chord-condition predicates.
 
-Cycles are simple directed cycles stored with their smallest vertex first.
-Circuits are closed trails (arcs pairwise distinct, vertices may repeat)
-stored in their lexicographically least rotation; every cycle is also a
-circuit.  Chords are position-indexed so repeated vertices on a circuit
-contribute separately.
+Both are `ClosedWalk`s.  Cycles are simple directed cycles stored with their
+smallest vertex first.  Circuits are closed trails (arcs pairwise distinct,
+vertices may repeat) stored in their lexicographically least rotation;
+every cycle is also a circuit.  Chords are position-indexed so repeated
+vertices on a circuit contribute separately.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterator
 
 from .digraph import Digraph
 from .errors import BudgetExceededError
@@ -20,8 +20,8 @@ DEFAULT_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
-class Cycle:
-    """A simple directed cycle, canonical rotation: smallest vertex id first."""
+class ClosedWalk:
+    """A simple cycle or closed trail, stored in its canonical rotation."""
 
     vertices: tuple[int, ...]
 
@@ -33,25 +33,6 @@ class Cycle:
         return frozenset(
             (self.vertices[i], self.vertices[(i + 1) % n]) for i in range(n)
         )
-
-
-@dataclass(frozen=True)
-class Circuit:
-    """A closed directed trail, canonical rotation: lexicographically least."""
-
-    vertices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def arcs(self) -> frozenset:
-        n = len(self.vertices)
-        return frozenset(
-            (self.vertices[i], self.vertices[(i + 1) % n]) for i in range(n)
-        )
-
-
-ClosedWalk = Union[Cycle, Circuit]
 
 
 @dataclass(frozen=True)
@@ -86,7 +67,9 @@ class CycleHypothesisVariant(enum.Enum):
     THREE_WITH_CROSSING = "three-with-crossing"
 
 
-def enumerate_cycles(d: Digraph, min_len: int = 2, max_len: int | None = None) -> Iterator[Cycle]:
+def enumerate_cycles(
+    d: Digraph, min_len: int = 2, max_len: int | None = None
+) -> Iterator[ClosedWalk]:
     """Yield every simple directed cycle with min_len <= length <= max_len,
     sorted by length then lexicographically, each in canonical rotation."""
     if max_len is None:
@@ -115,7 +98,7 @@ def enumerate_cycles(d: Digraph, min_len: int = 2, max_len: int | None = None) -
         extend(root, root)
     found.sort(key=lambda seq: (len(seq), seq))
     for seq in found:
-        yield Cycle(seq)
+        yield ClosedWalk(seq)
 
 
 def _canonical_rotation(seq: tuple[int, ...]) -> tuple[int, ...]:
@@ -128,7 +111,7 @@ def enumerate_circuits(
     max_len: int,
     min_len: int = 2,
     budget: int = DEFAULT_BUDGET,
-) -> Iterator[Circuit]:
+) -> Iterator[ClosedWalk]:
     """Yield every closed trail up to max_len arcs, once per canonical
     rotation, sorted by length then lexicographically.
 
@@ -160,7 +143,7 @@ def enumerate_circuits(
     for root in d.vertices():
         extend(root, root, [root], set())
     for seq in sorted(found, key=lambda s: (len(s), s)):
-        yield Circuit(seq)
+        yield ClosedWalk(seq)
 
 
 def chords_of(d: Digraph, c: ClosedWalk) -> list[Chord]:
@@ -184,7 +167,7 @@ def is_short_chord(ch: Chord) -> bool:
     return ch.length == 2
 
 
-def are_consecutive(a: Chord, b: Chord, c: ClosedWalk) -> bool:
+def are_consecutive(a: Chord, b: Chord) -> bool:
     """True iff b starts where a ends (directional; test both orders for the
     unordered notion)."""
     return a.head_pos == b.tail_pos
@@ -198,14 +181,6 @@ def are_crossed(a: Chord, b: Chord, c: ClosedWalk) -> bool:
     return 0 < gap_tail < a.length and 0 < gap_head < b.length
 
 
-def _has_consecutive_pair(shorts: Sequence[Chord], c: ClosedWalk):
-    for a in shorts:
-        for b in shorts:
-            if a is not b and are_consecutive(a, b, c):
-                return a, b
-    return None
-
-
 def _cycle_ok(
     d: Digraph, cyc: ClosedWalk, variant: CycleHypothesisVariant
 ) -> Violation | None:
@@ -214,8 +189,8 @@ def _cycle_ok(
         if shorts:
             return None
         return Violation(cyc.vertices, "length = 0 mod 3 but no short chord")
-    pair = _has_consecutive_pair(shorts, cyc)
-    if pair is None:
+    pairs = [(a, b) for a in shorts for b in shorts if a is not b and are_consecutive(a, b)]
+    if not pairs:
         return Violation(
             cyc.vertices,
             "length != 0 mod 3 but no two consecutive short chords",
@@ -224,20 +199,17 @@ def _cycle_ok(
     if variant is CycleHypothesisVariant.TWO_CONSECUTIVE:
         return None
     # need, for some consecutive pair, a third short chord crossing either member
-    for a in shorts:
-        for b in shorts:
-            if a is b or not are_consecutive(a, b, cyc):
+    for a, b in pairs:
+        for third in shorts:
+            if third is a or third is b:
                 continue
-            for third in shorts:
-                if third is a or third is b:
-                    continue
-                if (
-                    are_crossed(third, a, cyc)
-                    or are_crossed(a, third, cyc)
-                    or are_crossed(third, b, cyc)
-                    or are_crossed(b, third, cyc)
-                ):
-                    return None
+            if (
+                are_crossed(third, a, cyc)
+                or are_crossed(a, third, cyc)
+                or are_crossed(third, b, cyc)
+                or are_crossed(b, third, cyc)
+            ):
+                return None
     return Violation(
         cyc.vertices,
         "length != 0 mod 3 but no third short chord crossing the consecutive pair",

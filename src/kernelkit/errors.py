@@ -45,6 +45,10 @@ class NoRoadFoundError(KernelKitError):
     """No labeled path satisfying the road conditions exists for (v, s)."""
 
 
+class TraceInvariantError(KernelKitError):
+    """A substitution trace breaks the invariants of its set construction."""
+
+
 class DigraphSyntaxError(KernelKitError):
     """A digraph text document failed to parse."""
 

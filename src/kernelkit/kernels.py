@@ -24,6 +24,10 @@ class KernelQuery:
     k: int
     l: int
 
+    def __post_init__(self) -> None:
+        if self.k < 2 or self.l < 1:
+            raise ValueError(f"a (k,l)-kernel needs k >= 2 and l >= 1, got ({self.k},{self.l})")
+
     @classmethod
     def k_kernel(cls, k: int) -> "KernelQuery":
         return cls(k, k - 1)

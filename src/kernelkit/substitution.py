@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 from .digraph import Digraph, VertexSet, as_vertex_set
 from .errors import (
@@ -18,6 +19,7 @@ from .errors import (
     NoRoadFoundError,
     NotAKernelError,
     SubkernelMissingError,
+    TraceInvariantError,
 )
 from .kernels import (
     THREE_KERNEL,
@@ -169,19 +171,19 @@ def build_substitution_sequence(d: Digraph, x0: int, kernel: VertexSet) -> Subst
 
 
 def _check_trace_invariants(trace: SubstitutionTrace) -> None:
-    all_sets = []
-    for i in range(3 * trace.p + 3):
-        all_sets.append(trace.set_at(i))
-    flat = [v for vs in all_sets for v in vs]
-    assert len(flat) == len(set(flat)), "substitution sets must be disjoint"
-    assert trace.added[0] == (trace.x0,) == trace.m_sets[0]
+    flat = [v for i in range(3 * trace.p + 3) for v in trace.set_at(i)]
+    if len(flat) != len(set(flat)):
+        raise TraceInvariantError("substitution sets must be disjoint")
+    if not trace.added[0] == (trace.x0,) == trace.m_sets[0]:
+        raise TraceInvariantError("round 0 must add exactly x0")
     kernel_set = set(trace.base_kernel)
     for k in range(trace.p + 1):
-        assert set(trace.removed_one[k]) <= kernel_set
-        assert set(trace.removed_two[k]) <= kernel_set
-        if k >= 1:
-            assert not set(trace.added[k]) & kernel_set
-    assert trace.removed_one[trace.p] == () == trace.removed_two[trace.p]
+        if not set(trace.removed_one[k]) | set(trace.removed_two[k]) <= kernel_set:
+            raise TraceInvariantError(f"round {k} removes vertices outside the base kernel")
+        if k >= 1 and set(trace.added[k]) & kernel_set:
+            raise TraceInvariantError(f"round {k} adds base-kernel vertices")
+    if trace.removed_one[trace.p] or trace.removed_two[trace.p]:
+        raise TraceInvariantError(f"terminal round {trace.p} removes vertices")
 
 
 def assemble_pre_3_kernel(trace: SubstitutionTrace) -> VertexSet:
@@ -317,6 +319,18 @@ def find_road(trace: SubstitutionTrace, v: int, s: int) -> Road:
     if found is None:
         raise NoRoadFoundError(f"no road of length {s} from {v} to {trace.x0}")
     return Road(found, _make_labels(trace, found))
+
+
+def roads_of(trace: SubstitutionTrace) -> Iterator[tuple[int, int, Road | None]]:
+    """(s, v, road) for every v in N_s, s = 0..3p; road is None when
+    `find_road` finds none."""
+    for s in range(3 * trace.p + 1):
+        for v in trace.set_at(s):
+            try:
+                road = find_road(trace, v, s)
+            except NoRoadFoundError:
+                road = None
+            yield s, v, road
 
 
 # -- lemma checkers ---------------------------------------------------------

@@ -112,6 +112,24 @@ def test_usage_errors(capsys):
     assert run(capsys, "analyze", "/nonexistent/file.txt")[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "C6", "--k", "0"],
+        ["kernel", "C6", "--k", "1"],
+        ["kernel", "C6", "--k", "3", "--l", "0"],
+        ["kernel", "C6", "--k", "2", "--via-closure"],
+        ["closure", "C6", "--k", "0"],
+        ["verify", "roads", "--n", "0"],
+        ["verify", "roads", "--p", "1.5"],
+    ],
+)
+def test_out_of_range_arguments_are_usage_errors(argv, c6_file, capsys):
+    code, out, err = run(capsys, *(str(c6_file) if a == "C6" else a for a in argv))
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
 def test_parse_error_is_usage(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a digraph\n")

@@ -9,8 +9,7 @@ import pytest
 
 from kernelkit import (
     Chord,
-    Circuit,
-    Cycle,
+    ClosedWalk,
     CycleHypothesisVariant,
     are_consecutive,
     are_crossed,
@@ -57,15 +56,15 @@ def naive_circuits(d, max_len):
 
 def test_cycles_of_directed_cycle():
     cycles = list(enumerate_cycles(directed_cycle(6)))
-    assert cycles == [Cycle((0, 1, 2, 3, 4, 5))]
+    assert cycles == [ClosedWalk((0, 1, 2, 3, 4, 5))]
 
 
 def test_cycles_of_complete_symmetric_triangle():
     cycles = list(enumerate_cycles(complete_symmetric(3)))
     # three digons plus the two directed triangles
     assert [len(c) for c in cycles] == [2, 2, 2, 3, 3]
-    assert cycles[0] == Cycle((0, 1))
-    assert Cycle((0, 1, 2)) in cycles and Cycle((0, 2, 1)) in cycles
+    assert cycles[0] == ClosedWalk((0, 1))
+    assert ClosedWalk((0, 1, 2)) in cycles and ClosedWalk((0, 2, 1)) in cycles
 
 
 def test_cycles_min_max_len_bounds():
@@ -111,7 +110,7 @@ def test_circuits_match_naive_oracle(seed_arcs):
 def test_circuit_canonical_rotation_is_lex_least():
     d = directed_cycle(4)
     (only,) = enumerate_circuits(d, max_len=4)
-    assert only == Circuit((0, 1, 2, 3))
+    assert only == ClosedWalk((0, 1, 2, 3))
 
 
 def test_circuit_budget():
@@ -146,19 +145,19 @@ def test_cycle_arcs_are_not_chords():
 
 def test_consecutive_and_crossed():
     n = 9
-    cyc = Cycle(tuple(range(n)))
+    cyc = ClosedWalk(tuple(range(n)))
     a = Chord(0, 2, 2)
     b = Chord(2, 4, 2)
     c = Chord(1, 3, 2)
-    assert are_consecutive(a, b, cyc)
-    assert not are_consecutive(b, a, cyc)
+    assert are_consecutive(a, b)
+    assert not are_consecutive(b, a)
     assert are_crossed(a, c, cyc)
     assert are_crossed(c, b, cyc)
     assert not are_crossed(a, b, cyc)
 
 
 def test_crossed_wraps_around_rotation():
-    cyc = Cycle(tuple(range(6)))
+    cyc = ClosedWalk(tuple(range(6)))
     late = Chord(5, 1, 2)
     early = Chord(0, 2, 2)
     assert are_crossed(late, early, cyc)

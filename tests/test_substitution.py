@@ -9,8 +9,15 @@ method's claimed properties genuinely fails, and the checkers must *report*
 that rather than mask it.  See the README section on reported findings.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import kernelkit
 from kernelkit import (
     assemble_pre_3_kernel,
     build_digraph,
@@ -23,6 +30,7 @@ from kernelkit import (
     intermediate_sets,
     is_3_kernel_perfect,
     is_quasi_3_kernel_perfect,
+    roads_of,
     run_substitution_method,
     validate_road,
 )
@@ -220,6 +228,46 @@ def test_counterexample_b_road_gap_reported():
         report = validate_road(t, path)
         assert not report.conditions[1].ok
         assert report.conditions[0].ok and report.conditions[2].ok
+
+
+def test_roads_of_covers_every_set_member_and_marks_missing_roads():
+    t = run_substitution_method(DIGRAPH_B, 4).trace
+    triples = list(roads_of(t))
+    assert [(s, v) for s, v, _ in triples] == [
+        (s, v) for s in range(3 * t.p + 1) for v in t.set_at(s)
+    ]
+    assert (3, 2, None) in triples
+    for s, v, road in triples:
+        if road is not None:
+            assert road == find_road(t, v, s)
+
+
+def test_trace_invariants_are_checked_under_python_O():
+    script = textwrap.dedent(
+        """
+        from kernelkit import SubstitutionTrace, directed_cycle
+        from kernelkit.errors import TraceInvariantError
+        from kernelkit.substitution import _check_trace_invariants
+
+        assert not __debug__, "expected to run under python -O"
+        overlapping = SubstitutionTrace(
+            digraph=directed_cycle(6), x0=0, base_kernel=(0, 3),
+            added=((0,),), removed_one=((3,),), removed_two=((3,),),
+            m_sets=((0,),), p=0,
+        )
+        try:
+            _check_trace_invariants(overlapping)
+        except TraceInvariantError as exc:
+            print(exc)
+        """
+    )
+    src = str(Path(kernelkit.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "substitution sets must be disjoint\n"
 
 
 def test_counterexample_c_method_fails_on_well_hypothesised_input():
