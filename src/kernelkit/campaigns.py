@@ -345,7 +345,9 @@ def _unique_chord(params: CampaignParams, failures: _Failures) -> dict:
 def _outside_circuit_class(d: Digraph, params: CampaignParams) -> str | None:
     """Why d fails the circuit hypothesis ("budget" when undecided), or None."""
     try:
-        hypothesis = check_circuit_hypothesis(d, max_len=len(d.arcs), budget=params.budget)
+        hypothesis = check_circuit_hypothesis(
+            d, max_len=len(d.arcs), budget=params.budget, stop_at_first=True
+        )
     except BudgetExceededError:
         return "budget"
     return None if hypothesis.satisfied else "circuit hypothesis"

@@ -91,6 +91,8 @@ def _hypothesis_summary(report) -> dict:
 
 
 def _cmd_analyze(args) -> int:
+    if args.max_circuit_len is not None and args.max_circuit_len < 2:
+        raise ValueError("--max-circuit-len must be >= 2")
     d = _load(args.file)
     cycles = list(enumerate_cycles(d))
     payload = {
@@ -112,7 +114,7 @@ def _cmd_analyze(args) -> int:
         "circuit_hypothesis": _hypothesis_summary(
             check_circuit_hypothesis(
                 d,
-                max_len=args.max_circuit_len if args.max_circuit_len else len(d.arcs),
+                max_len=len(d.arcs) if args.max_circuit_len is None else args.max_circuit_len,
                 budget=args.budget,
             )
         ),

@@ -130,7 +130,11 @@ def class_predicate(class_id: ClassId, d: Digraph, budget: int = DEFAULT_BUDGET)
         return check_cycle_hypothesis(d, class_id.variant, class_id.min_cycle_len).satisfied
     if isinstance(class_id, CircuitHypothesisPlusQuasi):
         report = check_circuit_hypothesis(
-            d, max_len=len(d.arcs), min_circuit_len=class_id.min_circuit_len, budget=budget
+            d,
+            max_len=len(d.arcs),
+            min_circuit_len=class_id.min_circuit_len,
+            budget=budget,
+            stop_at_first=True,
         )
         return report.satisfied and is_quasi_3_kernel_perfect(d)[0]
     if isinstance(class_id, DuchetHypothesis):

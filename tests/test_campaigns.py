@@ -5,8 +5,10 @@ import json
 
 import pytest
 
-from kernelkit import CampaignParams, run_campaign
+from kernelkit import CampaignParams, check_circuit_hypothesis, run_campaign
 from kernelkit.campaigns import CAMPAIGNS
+from kernelkit.errors import BudgetExceededError
+from kernelkit.generators import derive_trial_seed, random_strongly_connected
 
 
 def test_unknown_property_id():
@@ -81,6 +83,23 @@ def test_theorem4_accepts_canonical_cycle():
     report = run_campaign("theorem4", CampaignParams(n=6, trials=10, seed=0, extra_arc_prob=0.3))
     assert report.occupancy["canonical_cycle_accepted"] is True
     assert report.occupancy["accepted"] >= 1
+
+
+def test_criterion_10_budget_instance_is_decided_by_its_first_layer():
+    # trial 14 of criterion 10's theorem4 call: a full circuit search of this
+    # m=22 digraph exceeds even the default 10**6-step budget, but its digons
+    # already violate the circuit hypothesis
+    params = CampaignParams(n=6, trials=30, seed=20260823, extra_arc_prob=0.3)
+    d = random_strongly_connected(6, 0.3, derive_trial_seed(params.seed, 14))
+    assert len(d.arcs) == 22
+    report = check_circuit_hypothesis(d, 22, budget=1000, stop_at_first=True)
+    assert not report.satisfied
+    assert len(report.violations[0].subject) == 2
+    with pytest.raises(BudgetExceededError):
+        check_circuit_hypothesis(d, 22, budget=1000)
+    occupancy = run_campaign("theorem4", params).occupancy
+    assert occupancy["accepted"] == 2
+    assert occupancy["skipped"] == {"circuit hypothesis": 29}
 
 
 def test_all_campaigns_run_small():

@@ -122,6 +122,10 @@ def test_usage_errors(capsys):
         ["closure", "C6", "--k", "0"],
         ["verify", "roads", "--n", "0"],
         ["verify", "roads", "--p", "1.5"],
+        ["analyze", "C6", "--budget", "-5"],
+        ["verify", "theorem4", "--budget", "-1"],
+        ["analyze", "C6", "--max-circuit-len", "-1"],
+        ["analyze", "C6", "--max-circuit-len", "0"],
     ],
 )
 def test_out_of_range_arguments_are_usage_errors(argv, c6_file, capsys):

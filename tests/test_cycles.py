@@ -2,10 +2,14 @@
 
 The independent oracle here is a naive closed-trail enumerator written
 differently from the library's (it walks raw arc sequences and dedupes by
-rotation at the end).
+rotation at the end).  The length-layered circuit search is also compared
+with `single_pass_circuits`, the one-pass trail search it replaced, whose
+step count defines what fits a budget.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelkit import (
     Chord,
@@ -49,6 +53,40 @@ def naive_circuits(d, max_len):
     for s in d.vertices():
         walk(s, [s], frozenset())
     return found
+
+
+def single_pass_circuits(d, max_len, budget):
+    """Reference: one trail search to max_len arcs, then one sort by (length,
+    lex); raises BudgetExceededError past `budget` tried arcs."""
+    found, steps = set(), 0
+
+    def extend(root, u, trail, used):
+        nonlocal steps
+        for w in d.out_adj[u]:
+            if w < root or (u, w) in used:
+                continue
+            steps += 1
+            if steps > budget:
+                raise BudgetExceededError(f"reference search exceeded {budget} steps")
+            if w == root and len(trail) >= 2:
+                found.add(min(tuple(trail[i:] + trail[:i]) for i in range(len(trail))))
+            if len(trail) < max_len:
+                extend(root, w, trail + [w], used | {(u, w)})
+
+    for root in d.vertices():
+        extend(root, root, [root], frozenset())
+    return sorted(found, key=lambda seq: (len(seq), seq))
+
+
+digraphs = st.integers(1, 6).flatmap(
+    lambda n: st.builds(
+        lambda picks: build_digraph(n, [arc for arc, keep in picks if keep]),
+        st.tuples(*(
+            st.tuples(st.just((u, v)), st.booleans())
+            for u in range(n) for v in range(n) if u != v
+        )),
+    )
+)
 
 
 # -- cycles ------------------------------------------------------------------
@@ -116,6 +154,49 @@ def test_circuit_canonical_rotation_is_lex_least():
 def test_circuit_budget():
     with pytest.raises(BudgetExceededError):
         list(enumerate_circuits(complete_symmetric(5), max_len=20, budget=50))
+    with pytest.raises(ValueError):
+        list(enumerate_circuits(directed_cycle(3), max_len=3, budget=0))
+
+
+@given(digraphs, st.integers(2, 5))
+@settings(max_examples=80, deadline=None)
+def test_circuits_match_naive_oracle_in_length_lex_order(d, max_len):
+    mine = [c.vertices for c in enumerate_circuits(d, max_len)]
+    assert mine == sorted(naive_circuits(d, max_len), key=lambda seq: (len(seq), seq))
+
+
+@given(digraphs, st.integers(2, 30), st.sampled_from([1, 30, 300, 3000]))
+@settings(max_examples=150, deadline=None)
+def test_layered_search_decides_whatever_the_single_pass_decides(d, max_len, budget):
+    try:
+        expected = single_pass_circuits(d, max_len, budget)
+    except BudgetExceededError:
+        # the deepest pass tries the same arcs as the single pass
+        with pytest.raises(BudgetExceededError):
+            list(enumerate_circuits(d, max_len, budget=budget))
+        return
+    assert [c.vertices for c in enumerate_circuits(d, max_len, budget=budget)] == expected
+
+
+@given(digraphs, st.sampled_from([30, 300, 3000]))
+@settings(max_examples=150, deadline=None)
+def test_stop_at_first_returns_the_full_reports_first_violation(d, budget):
+    max_len = len(d.arcs)
+    try:
+        full = check_circuit_hypothesis(d, max_len, budget=budget)
+    except BudgetExceededError:
+        full = None
+    try:
+        first = check_circuit_hypothesis(d, max_len, budget=budget, stop_at_first=True)
+    except BudgetExceededError:
+        assert full is None  # an early stop never needs more budget
+        return
+    if full is None:
+        # undecided in full, so decided here only by a violation
+        assert not first.satisfied and len(first.violations) == 1
+        return
+    assert first.satisfied == full.satisfied
+    assert first.violations == full.violations[:1]
 
 
 def test_every_cycle_is_a_circuit():
