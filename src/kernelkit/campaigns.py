@@ -36,7 +36,6 @@ from .kernels import (
     THREE_KERNEL,
     _subsets_lex,
     find_kl_kernel,
-    is_3_kernel_perfect,
     is_kernel_perfect,
     is_kl_kernel,
     is_quasi_3_kernel_perfect,
@@ -45,7 +44,6 @@ from .kernels import (
 from .substitution import (
     Road,
     SubstitutionTrace,
-    _kernel_of_induced,
     build_substitution_sequence,
     check_additive_inverse_property,
     check_pre_kernel_properties,
@@ -68,6 +66,11 @@ class CampaignParams:
     min_cycle_len: int = 2
     arc_prob: float = 0.3
     extra_arc_prob: float = 0.15
+
+    def __post_init__(self) -> None:
+        for name, least in (("budget", 1), ("trials", 0), ("max_failures", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
 
 
 @dataclass
@@ -242,7 +245,7 @@ def _trace_stream(
         d = random_strongly_connected(params.n, params.extra_arc_prob, ts)
         x0 = SplitMix64(ts + 1).next_u64() % params.n
         rest = as_vertex_set(v for v in d.vertices() if v != x0)
-        base = _kernel_of_induced(d, rest)
+        base = find_kl_kernel(d, THREE_KERNEL, within=rest).witness
         if base is None:
             yield d, x0, None, "no base kernel"
             continue
@@ -419,9 +422,9 @@ def _theorem4(params: CampaignParams, failures: _Failures) -> dict:
         if is_canonical:
             canonical_accepted = True
 
-        ok, counterexample = is_3_kernel_perfect(d)
-        if not ok:
-            failures.add(d, f"not 3-kernel-perfect: subset {list(counterexample)}")
+        # D is quasi-3-kernel-perfect, so it is 3-kernel-perfect iff D has a 3-kernel
+        if not find_kl_kernel(d, THREE_KERNEL).found:
+            failures.add(d, f"not 3-kernel-perfect: subset {list(d.vertices())}")
         for x0 in d.vertices():
             try:
                 outcome = run_substitution_method(d, x0)

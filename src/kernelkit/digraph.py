@@ -174,19 +174,24 @@ class Digraph:
         return as_vertex_set(found)
 
 
+def add_arc(seen: set[Arc], vertex_count: int, u: int, v: int) -> None:
+    """Add arc (u, v) to `seen`; reject a loop, an out-of-range end or a repeat."""
+    if u == v:
+        raise LoopArcError(f"loop arc ({u}, {u})")
+    if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+        raise VertexOutOfRangeError(f"arc ({u}, {v}) outside 0..{vertex_count - 1}")
+    if (u, v) in seen:
+        raise DuplicateArcError(f"duplicate arc ({u}, {v})")
+    seen.add((u, v))
+
+
 def build_digraph(vertex_count: int, arcs: Iterable[Arc]) -> Digraph:
     """Validated constructor: rejects loops, duplicates, and out-of-range ids."""
     if vertex_count < 0:
         raise VertexOutOfRangeError("vertex_count must be non-negative")
     seen: set[Arc] = set()
     for u, v in arcs:
-        if u == v:
-            raise LoopArcError(f"loop arc ({u}, {u})")
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise VertexOutOfRangeError(f"arc ({u}, {v}) outside 0..{vertex_count - 1}")
-        if (u, v) in seen:
-            raise DuplicateArcError(f"duplicate arc ({u}, {v})")
-        seen.add((u, v))
+        add_arc(seen, vertex_count, u, v)
     return Digraph(vertex_count, frozenset(seen))
 
 

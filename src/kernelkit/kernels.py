@@ -1,8 +1,8 @@
-"""k-closures, (k,l)-kernel predicates, brute-force solvers, and
-kernel-perfection checkers.
+"""k-closures, (k,l)-kernel predicates, the kernel engine and perfection scans.
 
-The solver is the package's oracle: deterministic lexicographic subset
-search with independence pruning, tractable to roughly 24 vertices.
+One engine, `find_kl_kernel`, searches D or its induced subdigraph D[within]
+on int masks in lexicographic order with independence pruning, tractable to
+roughly 24 vertices, and reports its witness in D's labels.
 """
 
 from __future__ import annotations
@@ -106,54 +106,61 @@ def _subsets_lex(n: int) -> Iterator[tuple[int, ...]]:
     return rec(0)
 
 
+def _ball(adj: list[int], v: int, within: int, radius: int) -> int:
+    """Vertices reached from v in <= radius steps along `adj` without leaving `within`."""
+    ball = frontier = 1 << v
+    for _ in range(radius):
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & within & ~ball
+        ball |= frontier
+    return ball
+
+
 def find_kl_kernel(
-    d: Digraph, query: KernelQuery, size_bound: int = SUBSET_SEARCH_BOUND
+    d: Digraph,
+    query: KernelQuery,
+    size_bound: int = SUBSET_SEARCH_BOUND,
+    within: Iterable[int] | None = None,
 ) -> KernelResult:
-    """Lexicographically least (k,l)-kernel by pruned subset search."""
-    n = d.vertex_count
-    if n > size_bound:
-        raise SizeBoundError(f"{n} vertices exceeds subset-search bound {size_bound}")
-    raw = d._raw_matrix
+    """Lexicographically least (k,l)-kernel of D, or of D[within], by pruned
+    subset search; the witness is in D's labels."""
+    vs = as_vertex_set(d.vertices() if within is None else within)
+    for v in vs:
+        d.check_vertex(v)
+    if len(vs) > size_bound:
+        raise SizeBoundError(f"{len(vs)} vertices exceeds subset-search bound {size_bound}")
+    whole = sum(1 << v for v in vs)
+    out_masks = [sum(1 << w for w in ws) for ws in d.out_adj]
+    in_masks = [sum(1 << w for w in ws) for ws in d.in_adj]
     k, ell = query.k, query.l
+    conflict: dict[int, int] = {}  # v and the vertices at distance < k from or to v
+    absorbed_by: dict[int, int] = {}  # v and the vertices reaching it within l
+    for v in vs:
+        conflict[v] = _ball(out_masks, v, whole, k - 1) | _ball(in_masks, v, whole, k - 1)
+        absorbed_by[v] = _ball(in_masks, v, whole, ell)
     examined = 0
-
-    def compatible(members: list[int], v: int) -> bool:
-        for u in members:
-            duv = raw[u][v]
-            dvu = raw[v][u]
-            if duv is not None and duv < k:
-                return False
-            if dvu is not None and dvu < k:
-                return False
-        return True
-
-    def absorbent(members: list[int]) -> bool:
-        in_set = set(members)
-        for u in range(n):
-            if u in in_set:
-                continue
-            if not any(raw[u][v] is not None and raw[u][v] <= ell for v in members):
-                return False
-        return True
-
     members: list[int] = []
 
-    def search(start: int) -> tuple[int, ...] | None:
+    def search(start: int, blocked: int, absorbed: int) -> bool:
         nonlocal examined
         examined += 1
-        if absorbent(members):
-            return tuple(members)
-        for v in range(start, n):
-            if compatible(members, v):
+        if absorbed == whole:
+            return True
+        for i in range(start, len(vs)):
+            v = vs[i]
+            if not blocked >> v & 1:
                 members.append(v)
-                hit = search(v + 1)
-                if hit is not None:
-                    return hit
+                if search(i + 1, blocked | conflict[v], absorbed | absorbed_by[v]):
+                    return True
                 members.pop()
-        return None
+        return False
 
-    witness = search(0)
-    return KernelResult(witness is not None, witness, examined)
+    found = search(0, 0, 0)
+    return KernelResult(found, tuple(members) if found else None, examined)
 
 
 def find_kernel_via_closure(
@@ -176,8 +183,7 @@ def _perfection_scan(
             continue
         if proper_only and len(subset) == n:
             continue
-        sub, _ = d.induced(subset)
-        if not find_kl_kernel(sub, query).found:
+        if not find_kl_kernel(d, query, within=subset).found:
             return False, subset
     return True, None
 

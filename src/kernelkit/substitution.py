@@ -30,16 +30,6 @@ from .kernels import (
 )
 
 
-def _kernel_of_induced(d: Digraph, subset: VertexSet) -> VertexSet | None:
-    """Lexicographically least 3-kernel of D[subset], in original labels."""
-    sub, mapping = d.induced(subset)
-    result = find_kl_kernel(sub, THREE_KERNEL)
-    if not result.found:
-        return None
-    inverse = {new: old for old, new in mapping.items()}
-    return as_vertex_set(inverse[v] for v in result.witness)
-
-
 @dataclass(frozen=True)
 class SubstitutionTrace:
     """Full record of one 3-substitution run.
@@ -147,7 +137,7 @@ def build_substitution_sequence(d: Digraph, x0: int, kernel: VertexSet) -> Subst
             if cone & kernel_set <= removed and not cone & added_union:
                 m_next.append(x)
         m_next = as_vertex_set(m_next)
-        n_next = _kernel_of_induced(d, m_next)
+        n_next = find_kl_kernel(d, THREE_KERNEL, within=m_next).witness
         if n_next is None:
             raise SubkernelMissingError(f"D[{m_next}] has no 3-kernel")
         m_sets.append(m_next)
@@ -468,7 +458,7 @@ def run_substitution_method(d: Digraph, x0: int) -> MethodOutcome:
     and the (3,2)-kernel verdict with a witness path on failure."""
     d.check_vertex(x0)
     rest = as_vertex_set(v for v in d.vertices() if v != x0)
-    base = _kernel_of_induced(d, rest)
+    base = find_kl_kernel(d, THREE_KERNEL, within=rest).witness
     if base is None:
         raise NoBaseKernelError(f"D - {x0} has no 3-kernel")
     trace = build_substitution_sequence(d, x0, base)

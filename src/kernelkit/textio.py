@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import Digraph, build_digraph, sorted_arcs
+from .digraph import Digraph, add_arc, sorted_arcs
 from .errors import (
     DigraphSyntaxError,
     DuplicateArcError,
@@ -27,7 +27,6 @@ class DigraphDocument:
 def parse_document(text: str) -> DigraphDocument:
     name: str | None = None
     vertex_count: int | None = None
-    arcs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline
@@ -50,17 +49,13 @@ def parse_document(text: str) -> DigraphDocument:
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise DigraphSyntaxError(f"non-integer arc {rawline!r}", lineno) from None
-        if u == v:
-            raise LoopArcError(f"loop arc ({u}, {u}) at line {lineno}")
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise VertexOutOfRangeError(f"arc ({u}, {v}) at line {lineno} out of range")
-        if (u, v) in seen:
-            raise DuplicateArcError(f"duplicate arc ({u}, {v}) at line {lineno}")
-        seen.add((u, v))
-        arcs.append((u, v))
+        try:
+            add_arc(seen, vertex_count, u, v)
+        except (LoopArcError, VertexOutOfRangeError, DuplicateArcError) as exc:
+            raise type(exc)(f"{exc} at line {lineno}") from None
     if vertex_count is None:
         raise DigraphSyntaxError("missing 'n <count>' header", 1)
-    return DigraphDocument(build_digraph(vertex_count, arcs), name)
+    return DigraphDocument(Digraph(vertex_count, frozenset(seen)), name)
 
 
 def parse_digraph_text(text: str) -> Digraph:

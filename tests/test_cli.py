@@ -126,6 +126,10 @@ def test_usage_errors(capsys):
         ["verify", "theorem4", "--budget", "-1"],
         ["analyze", "C6", "--max-circuit-len", "-1"],
         ["analyze", "C6", "--max-circuit-len", "0"],
+        ["verify", "roads", "--n", "4", "--trials", "3", "--budget", "-1"],
+        ["verify", "roads", "--n", "4", "--trials", "-3"],
+        ["verify", "theorem4", "--n", "6", "--trials", "30", "--p", "0.3",
+         "--seed", "20260823", "--max-failures", "-1"],
     ],
 )
 def test_out_of_range_arguments_are_usage_errors(argv, c6_file, capsys):

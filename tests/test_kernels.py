@@ -1,7 +1,8 @@
 """Closures, (k,l)-kernel predicates, subset-search solver, and perfection.
 
-The solver's lex-least claim is checked against a dumb itertools oracle, and
-the closure distance law against networkx shortest paths.
+The solver's lex-least claim is checked against a dumb itertools oracle, its
+`within` search against the relabel route (search D[S] relabelled, then map
+back), and the closure distance law against networkx shortest paths.
 """
 
 import math
@@ -9,13 +10,14 @@ from itertools import chain, combinations
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernelkit import (
     KERNEL,
     THREE_KERNEL,
     KernelQuery,
+    KernelResult,
     build_digraph,
     directed_cycle,
     find_kernel_via_closure,
@@ -121,6 +123,9 @@ def test_solver_finds_lex_least_exhaustively(n):
 def test_solver_size_bound():
     with pytest.raises(SizeBoundError):
         find_kl_kernel(directed_cycle(3), KERNEL, size_bound=2)
+    with pytest.raises(SizeBoundError):
+        find_kl_kernel(directed_cycle(5), KERNEL, size_bound=2, within=[0, 2, 4])
+    assert find_kl_kernel(directed_cycle(5), KERNEL, size_bound=2, within=[0, 2]).found
 
 
 def test_c4_has_no_three_kernel():
@@ -136,13 +141,64 @@ def test_closure_route_agrees_with_direct_search():
         find_kernel_via_closure(directed_cycle(4), 2)
 
 
-digraphs = st.integers(1, 5).flatmap(
-    lambda n: st.lists(
-        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda a: a[0] != a[1]),
-        unique=True,
-        max_size=n * (n - 1),
-    ).map(lambda arcs: build_digraph(n, arcs))
-)
+def digraphs_up_to(max_n):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda a: a[0] != a[1]),
+            unique=True,
+            max_size=n * (n - 1),
+        ).map(lambda arcs: build_digraph(n, arcs))
+    )
+
+
+digraphs = digraphs_up_to(5)
+
+
+def relabel_route(d, query, subset):
+    """Reference for `within`: search D[S] relabelled to 0..|S|-1 by scanning
+    its distance matrix, then map the witness back to D's labels."""
+    sub, mapping = d.induced(subset)
+    labels = sorted(mapping)
+    raw = sub._raw_matrix
+
+    def near(u, v, radius):
+        return raw[u][v] is not None and raw[u][v] <= radius
+
+    examined = 0
+    members = []
+
+    def search(start):
+        nonlocal examined
+        examined += 1
+        if all(u in members or any(near(u, v, query.l) for v in members) for u in sub.vertices()):
+            return tuple(labels[v] for v in members)
+        for v in range(start, sub.vertex_count):
+            if not any(near(u, v, query.k - 1) or near(v, u, query.k - 1) for u in members):
+                members.append(v)
+                hit = search(v + 1)
+                if hit is not None:
+                    return hit
+                members.pop()
+        return None
+
+    witness = search(0)
+    return KernelResult(witness is not None, witness, examined)
+
+
+@given(digraphs_up_to(7), st.data(), st.integers(2, 5), st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_within_search_matches_relabel_route_and_brute_force(d, data, k, ell):
+    subset = sorted(data.draw(st.sets(st.sampled_from(range(d.vertex_count)))))
+    query = KernelQuery(k, ell)
+    result = find_kl_kernel(d, query, within=subset)
+    assert result == relabel_route(d, query, subset)
+    sub, mapping = d.induced(subset)
+    expected = next(
+        (s for s in sorted(all_subsets(len(subset))) if is_kl_kernel(sub, s, query)), None
+    )
+    assert result.witness == (None if expected is None else tuple(subset[v] for v in expected))
+    if result.found:
+        assert is_kl_kernel(sub, [mapping[v] for v in result.witness], query)
 
 
 @given(digraphs)
@@ -175,6 +231,18 @@ def test_c4_three_kernel_perfection():
     assert is_quasi_3_kernel_perfect(d) == (True, None)
     ok, counterexample = is_3_kernel_perfect(d)
     assert not ok and counterexample == (0, 1, 2, 3)
+
+
+@given(digraphs_up_to(6))
+@example(directed_cycle(4))
+@settings(max_examples=120, deadline=None)
+def test_quasi_perfect_digraph_is_perfect_iff_it_has_a_three_kernel(d):
+    if not is_quasi_3_kernel_perfect(d)[0]:
+        return
+    if find_kl_kernel(d, THREE_KERNEL).found:
+        assert is_3_kernel_perfect(d) == (True, None)
+    else:
+        assert is_3_kernel_perfect(d) == (False, tuple(d.vertices()))
 
 
 def test_perfection_size_bound():
