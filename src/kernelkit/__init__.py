@@ -23,6 +23,7 @@ from .cycles import (
     enumerate_cycles,
     every_cycle_has_symmetric_arc,
     is_short_chord,
+    short_chords,
 )
 from .kernels import (
     KERNEL,

@@ -68,7 +68,9 @@ class CampaignParams:
     extra_arc_prob: float = 0.15
 
     def __post_init__(self) -> None:
-        for name, least in (("budget", 1), ("trials", 0), ("max_failures", 0)):
+        for name, least in (
+            ("budget", 1), ("trials", 0), ("max_failures", 0), ("min_cycle_len", 2)
+        ):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
 
@@ -170,7 +172,7 @@ def _duchet(params: CampaignParams, failures: _Failures) -> dict:
     tried = accepted = 0
     for d in _sc_stream(params):
         tried += 1
-        if not every_cycle_has_symmetric_arc(d).satisfied:
+        if not every_cycle_has_symmetric_arc(d, stop_at_first=True).satisfied:
             continue
         accepted += 1
         ok, counterexample = is_kernel_perfect(d)
@@ -184,20 +186,22 @@ def _duchet(params: CampaignParams, failures: _Failures) -> dict:
 
 
 def _reverse_path(params: CampaignParams, failures: _Failures) -> dict:
+    if params.min_cycle_len not in (2, 3):
+        raise ValueError("reverse-path needs min_cycle_len 2 or 3")
     tried = accepted = 0
     occupancy_by_len = {2: 0, 3: 0}
     for d in _sc_stream(params):
         tried += 1
         passing = {
             m: check_cycle_hypothesis(
-                d, CycleHypothesisVariant.TWO_CONSECUTIVE, m
+                d, CycleHypothesisVariant.TWO_CONSECUTIVE, m, stop_at_first=True
             ).satisfied
             for m in (2, 3)
         }
         for m in (2, 3):
             if passing[m]:
                 occupancy_by_len[m] += 1
-        if not passing.get(params.min_cycle_len, False):
+        if not passing[params.min_cycle_len]:
             continue
         accepted += 1
         raw = d._raw_matrix
@@ -222,7 +226,8 @@ def _theorem2(params: CampaignParams, failures: _Failures) -> dict:
     for d in _sc_stream(params):
         tried += 1
         if not check_cycle_hypothesis(
-            d, CycleHypothesisVariant.THREE_WITH_CROSSING, params.min_cycle_len
+            d, CycleHypothesisVariant.THREE_WITH_CROSSING, params.min_cycle_len,
+            stop_at_first=True,
         ).satisfied:
             continue
         accepted += 1

@@ -5,6 +5,12 @@ smallest vertex first.  Circuits are closed trails (arcs pairwise distinct,
 vertices may repeat) stored in their lexicographically least rotation;
 every cycle is also a circuit.  Chords are position-indexed so repeated
 vertices on a circuit contribute separately.
+
+Every chord condition concerns only short chords (length 2), so the
+hypothesis checks find them with `short_chords`, one arc test per position;
+`chords_of` builds every chord and is the reference.  All three hypothesis
+checks take `stop_at_first`, which ends the check at the first violation
+(the full report's first one) for callers that read only `.satisfied`.
 """
 
 from __future__ import annotations
@@ -187,6 +193,24 @@ def chords_of(d: Digraph, c: ClosedWalk) -> list[Chord]:
     return result
 
 
+def short_chords(d: Digraph, c: ClosedWalk) -> list[Chord]:
+    """The chords of length 2, sorted by position: one arc test per position
+    instead of `chords_of`'s all-pairs scan, with the same result as
+    `[ch for ch in chords_of(d, c) if is_short_chord(ch)]`.  The walk-arc
+    test matters on circuits, whose vertices can repeat."""
+    seq = c.vertices
+    n = len(seq)
+    if n < 3:
+        return []
+    walk_arcs = c.arcs()
+    result = []
+    for i in range(n):
+        arc = (seq[i], seq[(i + 2) % n])
+        if arc in d.arcs and arc not in walk_arcs:
+            result.append(Chord(i, (i + 2) % n, 2))
+    return result
+
+
 def is_short_chord(ch: Chord) -> bool:
     return ch.length == 2
 
@@ -208,7 +232,7 @@ def are_crossed(a: Chord, b: Chord, c: ClosedWalk) -> bool:
 def _cycle_ok(
     d: Digraph, cyc: ClosedWalk, variant: CycleHypothesisVariant
 ) -> Violation | None:
-    shorts = [ch for ch in chords_of(d, cyc) if is_short_chord(ch)]
+    shorts = short_chords(d, cyc)
     if len(cyc) % 3 == 0:
         if shorts:
             return None
@@ -245,16 +269,23 @@ def check_cycle_hypothesis(
     d: Digraph,
     variant: CycleHypothesisVariant,
     min_cycle_len: int = 2,
+    stop_at_first: bool = False,
 ) -> HypothesisReport:
     """Check the short-chord hypothesis over every simple cycle of length
-    >= min_cycle_len."""
+    >= min_cycle_len (ValueError below 2).
+
+    With stop_at_first the check ends at the first violation, which is the
+    full report's first one.
+    """
     violations = []
     examined = 0
-    for cyc in enumerate_cycles(d, min_len=max(2, min_cycle_len)):
+    for cyc in enumerate_cycles(d, min_len=min_cycle_len):
         examined += 1
         bad = _cycle_ok(d, cyc, variant)
         if bad is not None:
             violations.append(bad)
+            if stop_at_first:
+                break
     return HypothesisReport(not violations, tuple(violations), examined)
 
 
@@ -279,7 +310,7 @@ def check_circuit_hypothesis(
         examined += 1
         if len(circ) % 3 == 0:
             continue
-        shorts = [ch for ch in chords_of(d, circ) if is_short_chord(ch)]
+        shorts = short_chords(d, circ)
         if len(shorts) < 4:
             violations.append(
                 Violation(
@@ -293,9 +324,10 @@ def check_circuit_hypothesis(
     return HypothesisReport(not violations, tuple(violations), examined)
 
 
-def every_cycle_has_symmetric_arc(d: Digraph) -> HypothesisReport:
+def every_cycle_has_symmetric_arc(d: Digraph, stop_at_first: bool = False) -> HypothesisReport:
     """Duchet's hypothesis: each simple cycle contains an arc whose reverse
-    is also present."""
+    is also present.  With stop_at_first the check ends at the first
+    violation."""
     violations = []
     examined = 0
     for cyc in enumerate_cycles(d):
@@ -304,4 +336,6 @@ def every_cycle_has_symmetric_arc(d: Digraph) -> HypothesisReport:
         n = len(seq)
         if not any((seq[(i + 1) % n], seq[i]) in d.arcs for i in range(n)):
             violations.append(Violation(seq, "cycle without symmetric arc"))
+            if stop_at_first:
+                break
     return HypothesisReport(not violations, tuple(violations), examined)

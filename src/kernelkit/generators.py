@@ -127,7 +127,9 @@ class ClassSample:
 
 def class_predicate(class_id: ClassId, d: Digraph, budget: int = DEFAULT_BUDGET) -> bool:
     if isinstance(class_id, Thm2Hypothesis):
-        return check_cycle_hypothesis(d, class_id.variant, class_id.min_cycle_len).satisfied
+        return check_cycle_hypothesis(
+            d, class_id.variant, class_id.min_cycle_len, stop_at_first=True
+        ).satisfied
     if isinstance(class_id, CircuitHypothesisPlusQuasi):
         report = check_circuit_hypothesis(
             d,
@@ -138,7 +140,7 @@ def class_predicate(class_id: ClassId, d: Digraph, budget: int = DEFAULT_BUDGET)
         )
         return report.satisfied and is_quasi_3_kernel_perfect(d)[0]
     if isinstance(class_id, DuchetHypothesis):
-        return every_cycle_has_symmetric_arc(d).satisfied
+        return every_cycle_has_symmetric_arc(d, stop_at_first=True).satisfied
     raise TypeError(f"unknown class id {class_id!r}")
 
 

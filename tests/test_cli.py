@@ -1,9 +1,14 @@
 """End-to-end CLI checks: subcommands, file round trips, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kernelkit
 from kernelkit.cli import EXIT_FAILURE, EXIT_PASS, EXIT_RESOURCE, EXIT_USAGE, main
 
 
@@ -130,12 +135,28 @@ def test_usage_errors(capsys):
         ["verify", "roads", "--n", "4", "--trials", "-3"],
         ["verify", "theorem4", "--n", "6", "--trials", "30", "--p", "0.3",
          "--seed", "20260823", "--max-failures", "-1"],
+        ["verify", "reverse-path", "--n", "4", "--trials", "20", "--min-cycle-len", "4"],
+        ["verify", "reverse-path", "--n", "4", "--trials", "20", "--min-cycle-len", "1"],
+        ["verify", "theorem2", "--n", "4", "--trials", "20", "--min-cycle-len", "0"],
+        ["analyze", "C6", "--min-cycle-len", "-3"],
     ],
 )
 def test_out_of_range_arguments_are_usage_errors(argv, c6_file, capsys):
     code, out, err = run(capsys, *(str(c6_file) if a == "C6" else a for a in argv))
     assert code == EXIT_USAGE
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_package_runs_as_a_module(tmp_path):
+    out = tmp_path / "c3.txt"
+    src = str(Path(kernelkit.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "kernelkit", "generate", "--kind", "cycle", "--n", "3",
+         "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert done.returncode == EXIT_PASS, done.stderr
+    assert out.read_text() == "n 3\n0 1\n1 2\n2 0\n"
 
 
 def test_parse_error_is_usage(tmp_path, capsys):

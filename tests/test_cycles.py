@@ -4,17 +4,20 @@ The independent oracle here is a naive closed-trail enumerator written
 differently from the library's (it walks raw arc sequences and dedupes by
 rotation at the end).  The length-layered circuit search is also compared
 with `single_pass_circuits`, the one-pass trail search it replaced, whose
-step count defines what fits a budget.
+step count defines what fits a budget.  `short_chords` is compared with the
+short chords of `chords_of`, and every `stop_at_first` report with the full
+report.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernelkit import (
     Chord,
     ClosedWalk,
     CycleHypothesisVariant,
+    HypothesisReport,
     are_consecutive,
     are_crossed,
     build_digraph,
@@ -26,6 +29,7 @@ from kernelkit import (
     enumerate_cycles,
     every_cycle_has_symmetric_arc,
     is_short_chord,
+    short_chords,
 )
 from kernelkit.errors import BudgetExceededError
 
@@ -218,6 +222,22 @@ def test_chords_positions_and_lengths():
     assert [is_short_chord(ch) for ch in chords] == [True, False]
 
 
+@given(digraphs)
+@example(complete_symmetric(3))
+@settings(max_examples=100, deadline=None)
+def test_short_chords_match_the_short_chords_of_chords_of(d):
+    walks = [*enumerate_cycles(d), *enumerate_circuits(d, max_len=6)]
+    for c in walks:
+        assert short_chords(d, c) == [ch for ch in chords_of(d, c) if is_short_chord(ch)]
+
+
+def test_short_chords_skip_arcs_of_the_circuit_itself():
+    # every (seq[i], seq[i+2]) of this closed trail of K3* is an arc of the
+    # trail or a loop, so it has no chord at all
+    circuit = ClosedWalk((0, 1, 2, 0, 2, 1))
+    assert short_chords(complete_symmetric(3), circuit) == []
+
+
 def test_cycle_arcs_are_not_chords():
     d = directed_cycle(5)
     (cyc,) = enumerate_cycles(d)
@@ -267,6 +287,26 @@ def test_digons_can_never_satisfy_chord_demands():
     report = check_cycle_hypothesis(k3, CycleHypothesisVariant.TWO_CONSECUTIVE, min_cycle_len=2)
     assert not report.satisfied
     assert all(len(v.subject) == 2 for v in report.violations)
+    first = check_cycle_hypothesis(
+        k3, CycleHypothesisVariant.TWO_CONSECUTIVE, min_cycle_len=2, stop_at_first=True
+    )
+    assert first == HypothesisReport(False, report.violations[:1], 1)
+
+
+def assert_first_violation_only(check, *args):
+    full, first = check(*args), check(*args, stop_at_first=True)
+    assert first.satisfied == full.satisfied
+    assert first.violations == full.violations[:1]
+    assert first.cycles_examined <= full.cycles_examined
+
+
+@given(digraphs)
+@settings(max_examples=150, deadline=None)
+def test_cycle_checks_stopping_at_first_agree_with_the_full_reports(d):
+    for variant in CycleHypothesisVariant:
+        for m in (2, 3):
+            assert_first_violation_only(check_cycle_hypothesis, d, variant, m)
+    assert_first_violation_only(every_cycle_has_symmetric_arc, d)
 
 
 def test_circuit_hypothesis_vacuous_when_lengths_divide_three():

@@ -1,6 +1,7 @@
 """Golden report bodies: every campaign, at fixed small parameters, must
-reproduce its committed `body_json()` byte for byte, and `substitute
---trace` its committed trace document.
+reproduce its committed `body_json()` byte for byte, `substitute --trace`
+its committed trace document, and `analyze --format json` its committed
+summary (the full hypothesis reports, every violation listed).
 
 The files in tests/golden/ lock the campaigns' observable behaviour, so a
 refactor that changes any count, detail string, failure instance or road
@@ -16,6 +17,8 @@ import pytest
 from kernelkit import CampaignParams, run_campaign
 from kernelkit.campaigns import CAMPAIGNS
 from kernelkit.cli import main
+from kernelkit.generators import random_strongly_connected
+from kernelkit.textio import format_digraph_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -40,18 +43,44 @@ for property_id in ("closure-lemma", "duchet"):
     for n in (1, 2, 3):
         CASES[f"{property_id}__exhaustive_n{n}"] = (property_id, dict(n=n, exhaustive=True))
 
+C6 = "n 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n"
+# the frozen counterexamples of tests/test_substitution.py
+DIGRAPH_A = "n 6\n0 1\n1 2\n2 0\n2 4\n3 5\n4 3\n4 5\n5 0\n"
+DIGRAPH_B = "n 6\n0 1\n0 5\n1 3\n1 5\n2 0\n2 3\n3 5\n4 2\n5 1\n5 4\n"
+DIGRAPH_C = "n 6\n0 3\n1 2\n2 5\n3 1\n3 4\n4 0\n5 1\n5 4\n"
+
 # `substitute --trace` inputs: (digraph text, x0); the last two have a vertex
 # without a road.
 TRACES = {
-    "c6_x0": ("n 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n", 0),
-    "n6_x4_missing_road": ("n 6\n0 1\n0 5\n1 3\n1 5\n2 0\n2 3\n3 5\n4 2\n5 1\n5 4\n", 4),
+    "c6_x0": (C6, 0),
+    "n6_x4_missing_road": (DIGRAPH_B, 4),
     "n9_x4_missing_road": (
         "n 9\n0 2\n1 3\n2 6\n3 0\n3 1\n3 5\n4 7\n5 3\n5 4\n6 8\n7 1\n7 3\n8 5\n", 4
     ),
 }
 
+# `analyze --format json` inputs: (digraph text, extra arguments).  The dense
+# digraph (m=27) needs a circuit length bound to fit the default budget.
+ANALYSES = {
+    "c6": (C6, []),
+    "digraph_a": (DIGRAPH_A, []),
+    "digraph_b": (DIGRAPH_B, []),
+    "digraph_c": (DIGRAPH_C, []),
+    "dense_n6_p080_s1": (
+        format_digraph_text(random_strongly_connected(6, 0.8, 1)),
+        ["--min-cycle-len", "3", "--max-circuit-len", "5"],
+    ),
+}
+
 
 def body(name: str, scratch: Path) -> str:
+    if name.startswith("analyze__"):
+        text, extra = ANALYSES[name.removeprefix("analyze__")]
+        source, summary = scratch / "digraph.txt", scratch / "analyze.json"
+        source.write_text(text, encoding="utf-8")
+        argv = ["analyze", str(source), "--format", "json", "--out", str(summary), *extra]
+        assert main(argv) == 0
+        return summary.read_text(encoding="utf-8")
     if name.startswith("substitute__"):
         text, x0 = TRACES[name.removeprefix("substitute__")]
         source, trace = scratch / "digraph.txt", scratch / "trace.json"
@@ -62,7 +91,13 @@ def body(name: str, scratch: Path) -> str:
     return run_campaign(property_id, CampaignParams(**params)).body_json() + "\n"
 
 
-NAMES = sorted([*CASES, *(f"substitute__{tag}" for tag in TRACES)])
+NAMES = sorted(
+    [
+        *CASES,
+        *(f"substitute__{tag}" for tag in TRACES),
+        *(f"analyze__{tag}" for tag in ANALYSES),
+    ]
+)
 
 
 @pytest.mark.parametrize("name", NAMES)
