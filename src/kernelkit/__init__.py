@@ -1,14 +1,7 @@
 """Digraph kernel workbench: (k,l)-kernels, k-closures, chord conditions,
 the 3-substitution method, and an empirical verification harness."""
 
-from .digraph import (
-    UNREACHABLE,
-    Digraph,
-    Distance,
-    as_vertex_set,
-    build_digraph,
-    directed_cycle,
-)
+from .digraph import Digraph, as_vertex_set, build_digraph, directed_cycle
 from .cycles import (
     Chord,
     ClosedWalk,
@@ -56,15 +49,10 @@ from .substitution import (
     validate_road,
 )
 from .generators import (
-    ClassSample,
-    CircuitHypothesisPlusQuasi,
-    DuchetHypothesis,
     SplitMix64,
-    Thm2Hypothesis,
     enumerate_labeled_digraphs,
     random_digraph,
     random_strongly_connected,
-    sample_hypothesis_class,
 )
 from .textio import (
     DigraphDocument,

@@ -13,6 +13,7 @@ import json
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Callable, Iterator
 
 from .cycles import (
@@ -245,6 +246,8 @@ def _trace_stream(
 ) -> Iterator[tuple[Digraph, int, SubstitutionTrace | None, str | None]]:
     """One (D, x0) attempt per trial; trace is None with a reason when the
     pipeline cannot start."""
+    if params.exhaustive:
+        raise ValueError("the trace campaigns have no exhaustive mode")
     for trial in range(params.trials):
         ts = derive_trial_seed(params.seed, trial)
         d = random_strongly_connected(params.n, params.extra_arc_prob, ts)
@@ -398,24 +401,15 @@ def _additive_inverse(params: CampaignParams, failures: _Failures) -> dict:
 
 
 def _theorem4(params: CampaignParams, failures: _Failures) -> dict:
-    # The canonical directed n-cycle is checked first so the class, when
-    # occupied at all, deterministically contains it.
+    if params.exhaustive:
+        raise ValueError("theorem4 has no exhaustive mode")
     tried = accepted = 0
     skips: Counter = Counter()
     canonical_accepted = False
-
-    def instances() -> Iterator[tuple[bool, Digraph]]:
-        yield True, directed_cycle(params.n)
-        for trial in range(params.trials):
-            yield False, random_strongly_connected(
-                params.n, params.extra_arc_prob, derive_trial_seed(params.seed, trial)
-            )
-
-    for is_canonical, d in instances():
+    # The canonical directed n-cycle is checked first so the class, when
+    # occupied at all, deterministically contains it.
+    for d in chain([directed_cycle(params.n)], _sc_stream(params)):
         tried += 1
-        if not d.is_strongly_connected():
-            skips["not strongly connected"] += 1
-            continue
         outside = _outside_circuit_class(d, params)
         if outside:
             skips[outside] += 1
@@ -424,7 +418,7 @@ def _theorem4(params: CampaignParams, failures: _Failures) -> dict:
             skips["not quasi-3-kernel-perfect"] += 1
             continue
         accepted += 1
-        if is_canonical:
+        if tried == 1:
             canonical_accepted = True
 
         # D is quasi-3-kernel-perfect, so it is 3-kernel-perfect iff D has a 3-kernel

@@ -128,10 +128,10 @@ def _cmd_kernel(args) -> int:
     ell = args.l if args.l is not None else args.k - 1
     if args.via_closure:
         result = find_kernel_via_closure(d, args.k)
-        if args.emit_closure:
-            _write(format_digraph_text(k_closure(d, args.k - 1)), args.emit_closure)
     else:
         result = find_kl_kernel(d, KernelQuery(args.k, ell))
+    if args.emit_closure:
+        _write(format_digraph_text(k_closure(d, args.k - 1)), args.emit_closure)
     payload = {
         "k": args.k,
         "l": ell,
@@ -256,16 +256,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=["text", "json"], default="text")
+    def common(p, *, fmt: bool = True, budget: bool = False):
+        """--out on every command; --format and --budget where it reads them."""
+        if fmt:
+            p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--out", default=None)
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        if budget:
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("analyze", help="summarize a digraph file")
     p.add_argument("file")
     p.add_argument("--min-cycle-len", type=int, default=2)
     p.add_argument("--max-circuit-len", type=int, default=None)
-    common(p)
+    common(p, budget=True)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("kernel", help="find a (k,l)-kernel")
@@ -273,14 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--via-closure", action="store_true")
-    p.add_argument("--emit-closure", default=None)
+    p.add_argument("--emit-closure", default=None, help="also write C^(k-1)(D) here")
     common(p)
     p.set_defaults(func=_cmd_kernel)
 
     p = sub.add_parser("closure", help="emit the k-closure of a digraph")
     p.add_argument("file")
     p.add_argument("--k", type=int, required=True)
-    common(p)
+    common(p, fmt=False)
     p.set_defaults(func=_cmd_closure)
 
     p = sub.add_parser("substitute", help="run the 3-substitution method")
@@ -300,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=None,
                    help="arc probability (default: the campaign parameters' own)")
     p.add_argument("--max-failures", type=int, default=10)
-    common(p)
+    common(p, fmt=False, budget=True)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("generate", help="write digraph documents")

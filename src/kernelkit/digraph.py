@@ -2,14 +2,15 @@
 
 Vertices are dense integers 0..n-1.  All values are frozen after construction
 and safe to share; derived structures (adjacency, distance matrix) are cached
-lazily on the instance.
+lazily on the instance.  A distance is a hop count, or None when the target
+is unreachable.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, total_ordering
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -26,41 +27,6 @@ VertexSet = tuple[int, ...]
 def as_vertex_set(vertices: Iterable[int]) -> VertexSet:
     """Canonical sorted-ascending tuple of distinct vertex ids."""
     return tuple(sorted(set(vertices)))
-
-
-@total_ordering
-@dataclass(frozen=True)
-class Distance:
-    """A directed distance: a non-negative hop count or unreachable.
-
-    Unreachable compares greater than every finite distance, so the
-    independence/absorption predicates read naturally.
-    """
-
-    hops: int | None = None
-
-    @property
-    def unreachable(self) -> bool:
-        return self.hops is None
-
-    def at_least(self, k: int) -> bool:
-        return self.hops is None or self.hops >= k
-
-    def at_most(self, k: int) -> bool:
-        return self.hops is not None and self.hops <= k
-
-    def __lt__(self, other: "Distance") -> bool:
-        if self.hops is None:
-            return False
-        if other.hops is None:
-            return True
-        return self.hops < other.hops
-
-    def __repr__(self) -> str:
-        return "Distance(unreachable)" if self.hops is None else f"Distance({self.hops})"
-
-
-UNREACHABLE = Distance(None)
 
 
 @dataclass(frozen=True)
@@ -110,13 +76,11 @@ class Digraph:
         """Entry [u][v]: hop count from u to v, or None when unreachable."""
         return tuple(self._bfs(u, self.out_adj) for u in self.vertices())
 
-    def distance(self, u: int, v: int) -> Distance:
+    def distance(self, u: int, v: int) -> int | None:
+        """Hop count from u to v, or None when v is unreachable from u."""
         self.check_vertex(u)
         self.check_vertex(v)
-        return Distance(self._raw_matrix[u][v])
-
-    def distance_matrix(self) -> tuple[tuple[Distance, ...], ...]:
-        return tuple(tuple(Distance(d) for d in row) for row in self._raw_matrix)
+        return self._raw_matrix[u][v]
 
     def is_strongly_connected(self) -> bool:
         if self.vertex_count == 0:

@@ -1,5 +1,6 @@
-"""Deterministic digraph generation: seeded random models, exhaustive
-labeled enumeration, and rejection sampling of hypothesis classes.
+"""Deterministic digraph generation: seeded random models and exhaustive
+labeled enumeration.  The campaigns decide hypothesis-class membership
+themselves.
 
 The PRNG is splitmix64 (published constants), so corpora are bit-identical
 across platforms and runs.
@@ -7,19 +8,10 @@ across platforms and runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Iterator
 
-from .cycles import (
-    CycleHypothesisVariant,
-    check_circuit_hypothesis,
-    check_cycle_hypothesis,
-    every_cycle_has_symmetric_arc,
-    DEFAULT_BUDGET,
-)
 from .digraph import Digraph, build_digraph, iter_arc_pairs
-from .errors import BudgetExceededError, SizeBoundError
-from .kernels import is_quasi_3_kernel_perfect
+from .errors import SizeBoundError
 
 _MASK64 = (1 << 64) - 1
 EXHAUSTIVE_BOUND = 4
@@ -93,77 +85,3 @@ def enumerate_labeled_digraphs(n: int) -> Iterator[Digraph]:
         arcs = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
         yield build_digraph(n, arcs)
 
-
-# -- hypothesis classes -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Thm2Hypothesis:
-    variant: CycleHypothesisVariant
-    min_cycle_len: int = 2
-
-
-@dataclass(frozen=True)
-class CircuitHypothesisPlusQuasi:
-    min_circuit_len: int = 2
-
-
-@dataclass(frozen=True)
-class DuchetHypothesis:
-    pass
-
-
-ClassId = Union[Thm2Hypothesis, CircuitHypothesisPlusQuasi, DuchetHypothesis]
-
-
-@dataclass(frozen=True)
-class ClassSample:
-    class_id: ClassId
-    instances: tuple[Digraph, ...]
-    tried: int
-    accepted: int
-    skipped: int  # budget-exceeded trials, excluded from the class
-
-
-def class_predicate(class_id: ClassId, d: Digraph, budget: int = DEFAULT_BUDGET) -> bool:
-    if isinstance(class_id, Thm2Hypothesis):
-        return check_cycle_hypothesis(
-            d, class_id.variant, class_id.min_cycle_len, stop_at_first=True
-        ).satisfied
-    if isinstance(class_id, CircuitHypothesisPlusQuasi):
-        report = check_circuit_hypothesis(
-            d,
-            max_len=len(d.arcs),
-            min_circuit_len=class_id.min_circuit_len,
-            budget=budget,
-            stop_at_first=True,
-        )
-        return report.satisfied and is_quasi_3_kernel_perfect(d)[0]
-    if isinstance(class_id, DuchetHypothesis):
-        return every_cycle_has_symmetric_arc(d, stop_at_first=True).satisfied
-    raise TypeError(f"unknown class id {class_id!r}")
-
-
-def sample_hypothesis_class(
-    class_id: ClassId,
-    n: int,
-    trials: int,
-    seed: int,
-    extra_arc_prob: float = 0.15,
-    budget: int = DEFAULT_BUDGET,
-    generator: Callable[[int], Digraph] | None = None,
-) -> ClassSample:
-    """Rejection-sample strongly connected digraphs and keep those passing
-    the class predicate, reporting occupancy honestly."""
-    if generator is None:
-        generator = lambda s: random_strongly_connected(n, extra_arc_prob, s)
-    instances = []
-    skipped = 0
-    for trial in range(trials):
-        d = generator(derive_trial_seed(seed, trial))
-        try:
-            if class_predicate(class_id, d, budget=budget):
-                instances.append(d)
-        except BudgetExceededError:
-            skipped += 1
-    return ClassSample(class_id, tuple(instances), trials, len(instances), skipped)

@@ -80,7 +80,7 @@ def test_criterion_02_closure_distance_law():
                 for v in d.vertices():
                     if u == v or raw[u][v] is None:
                         continue
-                    if closed.distance(u, v).hops != math.ceil(raw[u][v] / k):
+                    if closed.distance(u, v) != math.ceil(raw[u][v] / k):
                         bad += 1
     verdict(2, bad == 0, f"200 digraphs (n=10) x k in {{2,3}}, {bad} law violations")
 

@@ -71,6 +71,15 @@ def test_kernel_via_closure(c6_file, capsys, tmp_path):
     assert "0 2" in closure_file.read_text()
 
 
+def test_kernel_emits_closure_without_via_closure(c6_file, capsys, tmp_path):
+    closure_file = tmp_path / "closure.txt"
+    code, out, _ = run(capsys, "kernel", str(c6_file), "--k", "3",
+                       "--emit-closure", str(closure_file), "--format", "json")
+    assert code == EXIT_PASS
+    assert json.loads(out)["witness"] == [0, 3]
+    assert run(capsys, "closure", str(c6_file), "--k", "2")[1] == closure_file.read_text()
+
+
 def test_closure_command(c6_file, capsys):
     code, out, _ = run(capsys, "closure", str(c6_file), "--k", "2")
     assert code == EXIT_PASS
@@ -139,12 +148,34 @@ def test_usage_errors(capsys):
         ["verify", "reverse-path", "--n", "4", "--trials", "20", "--min-cycle-len", "1"],
         ["verify", "theorem2", "--n", "4", "--trials", "20", "--min-cycle-len", "0"],
         ["analyze", "C6", "--min-cycle-len", "-3"],
+        *(
+            ["verify", property_id, "--n", "3", "--trials", "2", "--exhaustive"]
+            for property_id in (
+                "pre-kernel-props", "roads", "unique-chord", "additive-inverse", "theorem4"
+            )
+        ),
     ],
 )
 def test_out_of_range_arguments_are_usage_errors(argv, c6_file, capsys):
     code, out, err = run(capsys, *(str(c6_file) if a == "C6" else a for a in argv))
     assert code == EXIT_USAGE
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "C6", "--k", "3", "--budget", "10"],
+        ["closure", "C6", "--k", "2", "--format", "json"],
+        ["closure", "C6", "--k", "2", "--budget", "10"],
+        ["substitute", "C6", "--x0", "0", "--budget", "10"],
+        ["verify", "closure-lemma", "--n", "2", "--exhaustive", "--format", "text"],
+    ],
+)
+def test_options_a_command_does_not_read_are_rejected(argv, c6_file, capsys):
+    code, out, err = run(capsys, *(str(c6_file) if a == "C6" else a for a in argv))
+    assert code == EXIT_USAGE
+    assert out == "" and "unrecognized arguments" in err
 
 
 def test_package_runs_as_a_module(tmp_path):
@@ -157,6 +188,23 @@ def test_package_runs_as_a_module(tmp_path):
     )
     assert done.returncode == EXIT_PASS, done.stderr
     assert out.read_text() == "n 3\n0 1\n1 2\n2 0\n"
+
+
+def test_runtime_imports_only_the_standard_library():
+    src = str(Path(kernelkit.__file__).resolve().parents[1])
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import kernelkit, kernelkit.cli, kernelkit.__main__\n"
+        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(loaded - set(sys.stdlib_module_names)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "['kernelkit']\n"
 
 
 def test_parse_error_is_usage(tmp_path, capsys):

@@ -9,14 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelkit import (
-    UNREACHABLE,
-    Digraph,
-    Distance,
-    as_vertex_set,
-    build_digraph,
-    directed_cycle,
-)
+from kernelkit import Digraph, as_vertex_set, build_digraph, directed_cycle
 from kernelkit.digraph import iter_arc_pairs
 from kernelkit.errors import (
     DuplicateArcError,
@@ -65,23 +58,6 @@ def test_as_vertex_set_sorts_and_dedupes():
     assert as_vertex_set([]) == ()
 
 
-# -- Distance ordering -------------------------------------------------------
-
-
-def test_distance_total_order():
-    assert Distance(1) < Distance(2) < UNREACHABLE
-    assert not UNREACHABLE < UNREACHABLE
-    assert max(Distance(5), UNREACHABLE) == UNREACHABLE
-
-
-def test_distance_predicates():
-    assert UNREACHABLE.at_least(10 ** 9)
-    assert not UNREACHABLE.at_most(10 ** 9)
-    assert Distance(2).at_least(2)
-    assert Distance(2).at_most(2)
-    assert not Distance(2).at_least(3)
-
-
 # -- distances against the networkx oracle -----------------------------------
 
 
@@ -92,11 +68,7 @@ def test_distance_matrix_matches_networkx(seed):
     oracle = dict(nx.all_pairs_shortest_path_length(g))
     for u in d.vertices():
         for v in d.vertices():
-            mine = d.distance(u, v)
-            if v in oracle[u]:
-                assert mine.hops == oracle[u][v]
-            else:
-                assert mine.unreachable
+            assert d.distance(u, v) == oracle[u].get(v)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -107,10 +79,10 @@ def test_strong_connectivity_matches_networkx(seed):
 
 def test_cycle_distances():
     d = directed_cycle(6)
-    assert d.distance(0, 3).hops == 3
-    assert d.distance(3, 0).hops == 3
-    assert d.distance(2, 1).hops == 5
-    assert d.distance(4, 4).hops == 0
+    assert d.distance(0, 3) == 3
+    assert d.distance(3, 0) == 3
+    assert d.distance(2, 1) == 5
+    assert d.distance(4, 4) == 0
 
 
 arc_lists = st.integers(1, 7).flatmap(

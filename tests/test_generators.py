@@ -5,13 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelkit import (
-    CircuitHypothesisPlusQuasi,
-    DuchetHypothesis,
     SplitMix64,
     enumerate_labeled_digraphs,
     random_digraph,
     random_strongly_connected,
-    sample_hypothesis_class,
 )
 from kernelkit.generators import derive_trial_seed
 from kernelkit.errors import SizeBoundError
@@ -105,24 +102,3 @@ def test_enumeration_order_and_uniqueness():
 def test_enumeration_size_cap():
     with pytest.raises(SizeBoundError):
         next(iter(enumerate_labeled_digraphs(5)))
-
-
-# -- hypothesis-class sampling -----------------------------------------------
-
-
-def test_sample_class_deterministic_and_honest():
-    sample = sample_hypothesis_class(DuchetHypothesis(), n=5, trials=40, seed=9)
-    again = sample_hypothesis_class(DuchetHypothesis(), n=5, trials=40, seed=9)
-    assert sample.instances == again.instances
-    assert sample.tried == 40
-    assert sample.accepted == len(sample.instances) <= 40
-
-
-def test_sample_class_members_satisfy_predicate():
-    sample = sample_hypothesis_class(
-        CircuitHypothesisPlusQuasi(), n=5, trials=30, seed=2, extra_arc_prob=0.1
-    )
-    from kernelkit.generators import class_predicate
-
-    for d in sample.instances:
-        assert class_predicate(CircuitHypothesisPlusQuasi(), d)
