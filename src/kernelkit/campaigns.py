@@ -466,6 +466,12 @@ CAMPAIGNS: dict[str, Callable[[CampaignParams, _Failures], dict]] = {
     "theorem4": _theorem4,
 }
 
+# The campaigns that read each campaign-specific parameter; the others ignore it.
+PARAMETER_READERS = {
+    "budget": ("additive-inverse", "theorem4"),
+    "min_cycle_len": ("reverse-path", "theorem2"),
+}
+
 
 def run_campaign(property_id: str, params: CampaignParams) -> VerificationReport:
     if property_id not in CAMPAIGNS:

@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .campaigns import CAMPAIGNS, CampaignParams, run_campaign
+from .campaigns import CAMPAIGNS, PARAMETER_READERS, CampaignParams, run_campaign
 from .cycles import (
     DEFAULT_BUDGET,
     CycleHypothesisVariant,
@@ -111,14 +111,16 @@ def _cmd_analyze(args) -> int:
                 d, CycleHypothesisVariant.THREE_WITH_CROSSING, args.min_cycle_len
             )
         ),
-        "circuit_hypothesis": _hypothesis_summary(
-            check_circuit_hypothesis(
-                d,
-                max_len=len(d.arcs) if args.max_circuit_len is None else args.max_circuit_len,
-                budget=args.budget,
-            )
-        ),
     }
+    max_len = len(d.arcs) if args.max_circuit_len is None else args.max_circuit_len
+    try:
+        circuits = check_circuit_hypothesis(d, max_len=max_len, budget=args.budget)
+    except BudgetExceededError:
+        # the sections above are decided; write them before exiting 3
+        payload["circuit_hypothesis"] = None
+        _emit(payload, args.format, args.out)
+        raise
+    payload["circuit_hypothesis"] = _hypothesis_summary(circuits)
     _emit(payload, args.format, args.out)
     return EXIT_PASS
 
@@ -214,17 +216,26 @@ def _cmd_substitute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # without --p the campaign keeps CampaignParams' own probabilities
-    probabilities = {} if args.p is None else {"arc_prob": args.p, "extra_arc_prob": args.p}
+    # an omitted option keeps CampaignParams' own value
+    given = {
+        name: getattr(args, name) for name in PARAMETER_READERS
+        if getattr(args, name) is not None
+    }
+    for name in given:
+        if args.property_id not in PARAMETER_READERS[name]:
+            raise ValueError(
+                f"unrecognized arguments: --{name.replace('_', '-')} "
+                f"(read only by {' and '.join(PARAMETER_READERS[name])})"
+            )
+    if args.p is not None:
+        given.update(arc_prob=args.p, extra_arc_prob=args.p)
     params = CampaignParams(
         n=args.n,
         trials=args.trials,
         seed=args.seed,
         exhaustive=args.exhaustive,
         max_failures=args.max_failures,
-        budget=args.budget,
-        min_cycle_len=args.min_cycle_len,
-        **probabilities,
+        **given,
     )
     report = run_campaign(args.property_id, params)
     _write(report.to_json() + "\n", args.out)
@@ -256,19 +267,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, fmt: bool = True, budget: bool = False):
-        """--out on every command; --format and --budget where it reads them."""
+    def common(p, *, fmt: bool = True):
+        """--out on every command; --format where it reads it."""
         if fmt:
             p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--out", default=None)
-        if budget:
-            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("analyze", help="summarize a digraph file")
     p.add_argument("file")
     p.add_argument("--min-cycle-len", type=int, default=2)
     p.add_argument("--max-circuit-len", type=int, default=None)
-    common(p, budget=True)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    common(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("kernel", help="find a (k,l)-kernel")
@@ -299,11 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--min-cycle-len", type=int, default=2)
+    p.add_argument("--min-cycle-len", type=int, default=None,
+                   help="minimum cycle length (reverse-path and theorem2 only)")
     p.add_argument("--p", type=float, default=None,
                    help="arc probability (default: the campaign parameters' own)")
     p.add_argument("--max-failures", type=int, default=10)
-    common(p, fmt=False, budget=True)
+    p.add_argument("--budget", type=int, default=None,
+                   help="circuit-search step budget (additive-inverse and theorem4 only)")
+    common(p, fmt=False)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("generate", help="write digraph documents")

@@ -1,8 +1,9 @@
 """Immutable digraph representation with distances and neighbourhood operators.
 
 Vertices are dense integers 0..n-1.  All values are frozen after construction
-and safe to share; derived structures (adjacency, distance matrix) are cached
-lazily on the instance.  A distance is a hop count, or None when the target
+and safe to share; derived structures (adjacency lists, adjacency masks,
+distance matrix) are cached lazily on the instance, so every search on one
+digraph builds them once.  A distance is a hop count, or None when the target
 is unreachable.
 """
 
@@ -49,6 +50,16 @@ class Digraph:
         for u, v in self.arcs:
             adj[v].append(u)
         return tuple(tuple(sorted(a)) for a in adj)
+
+    @cached_property
+    def out_masks(self) -> tuple[int, ...]:
+        """Entry v: the out-neighbours of v as an int, bit w set for arc (v, w)."""
+        return tuple(sum(1 << w for w in ws) for ws in self.out_adj)
+
+    @cached_property
+    def in_masks(self) -> tuple[int, ...]:
+        """Entry v: the in-neighbours of v as an int, bit u set for arc (u, v)."""
+        return tuple(sum(1 << u for u in us) for us in self.in_adj)
 
     def vertices(self) -> range:
         return range(self.vertex_count)

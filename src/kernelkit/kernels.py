@@ -2,7 +2,11 @@
 
 One engine, `find_kl_kernel`, searches D or its induced subdigraph D[within]
 on int masks in lexicographic order with independence pruning, tractable to
-roughly 24 vertices, and reports its witness in D's labels.
+roughly 24 vertices, and reports its witness in D's labels.  It reads the
+adjacency masks D caches once per digraph, builds one in-ball per vertex
+when l = k-1 (it is both the vertex's in-conflict and what the vertex
+absorbs), and each search level walks the low bits of a mask of the
+candidates still free.
 """
 
 from __future__ import annotations
@@ -134,32 +138,34 @@ def find_kl_kernel(
     if len(vs) > size_bound:
         raise SizeBoundError(f"{len(vs)} vertices exceeds subset-search bound {size_bound}")
     whole = sum(1 << v for v in vs)
-    out_masks = [sum(1 << w for w in ws) for ws in d.out_adj]
-    in_masks = [sum(1 << w for w in ws) for ws in d.in_adj]
+    out_masks, in_masks = d.out_masks, d.in_masks
     k, ell = query.k, query.l
-    conflict: dict[int, int] = {}  # v and the vertices at distance < k from or to v
-    absorbed_by: dict[int, int] = {}  # v and the vertices reaching it within l
+    conflict = [0] * d.vertex_count  # v and the vertices at distance < k from or to v
+    absorbed_by = [0] * d.vertex_count  # v and the vertices reaching it within l
     for v in vs:
-        conflict[v] = _ball(out_masks, v, whole, k - 1) | _ball(in_masks, v, whole, k - 1)
-        absorbed_by[v] = _ball(in_masks, v, whole, ell)
+        reaching = _ball(in_masks, v, whole, k - 1)
+        conflict[v] = _ball(out_masks, v, whole, k - 1) | reaching
+        absorbed_by[v] = reaching if ell == k - 1 else _ball(in_masks, v, whole, ell)
     examined = 0
     members: list[int] = []
 
-    def search(start: int, blocked: int, absorbed: int) -> bool:
+    def search(free: int, absorbed: int) -> bool:
+        """Extend `members` by candidates of `free`, lowest first."""
         nonlocal examined
         examined += 1
         if absorbed == whole:
             return True
-        for i in range(start, len(vs)):
-            v = vs[i]
-            if not blocked >> v & 1:
-                members.append(v)
-                if search(i + 1, blocked | conflict[v], absorbed | absorbed_by[v]):
-                    return True
-                members.pop()
+        while free:
+            low = free & -free
+            free ^= low
+            v = low.bit_length() - 1
+            members.append(v)
+            if search(free & ~conflict[v], absorbed | absorbed_by[v]):
+                return True
+            members.pop()
         return False
 
-    found = search(0, 0, 0)
+    found = search(whole, 0)
     return KernelResult(found, tuple(members) if found else None, examined)
 
 

@@ -1,5 +1,7 @@
 """End-to-end CLI checks: subcommands, file round trips, and exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,9 +9,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import kernelkit
+from kernelkit import build_digraph
+from kernelkit.campaigns import CAMPAIGNS
 from kernelkit.cli import EXIT_FAILURE, EXIT_PASS, EXIT_RESOURCE, EXIT_USAGE, main
+from kernelkit.generators import random_strongly_connected
+from kernelkit.textio import format_digraph_text
 
 
 def run(capsys, *argv):
@@ -170,12 +178,46 @@ def test_out_of_range_arguments_are_usage_errors(argv, c6_file, capsys):
         ["closure", "C6", "--k", "2", "--budget", "10"],
         ["substitute", "C6", "--x0", "0", "--budget", "10"],
         ["verify", "closure-lemma", "--n", "2", "--exhaustive", "--format", "text"],
+        ["verify", "roads", "--n", "4", "--trials", "3", "--budget", "1", "--min-cycle-len", "7"],
+        *(
+            ["verify", property_id, "--n", "3", "--trials", "2", "--budget", "5"]
+            for property_id in sorted(set(CAMPAIGNS) - {"additive-inverse", "theorem4"})
+        ),
+        *(
+            ["verify", property_id, "--n", "3", "--trials", "2", "--min-cycle-len", "3"]
+            for property_id in sorted(set(CAMPAIGNS) - {"reverse-path", "theorem2"})
+        ),
     ],
 )
 def test_options_a_command_does_not_read_are_rejected(argv, c6_file, capsys):
     code, out, err = run(capsys, *(str(c6_file) if a == "C6" else a for a in argv))
     assert code == EXIT_USAGE
     assert out == "" and "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "property_id, option",
+    [("additive-inverse", "--budget"), ("theorem4", "--budget"),
+     ("reverse-path", "--min-cycle-len"), ("theorem2", "--min-cycle-len")],
+)
+def test_campaign_options_reach_the_campaigns_that_read_them(property_id, option, capsys):
+    code, out, _ = run(capsys, "verify", property_id, "--n", "4", "--trials", "3", option, "3")
+    assert code in (EXIT_PASS, EXIT_FAILURE)
+    assert json.loads(out)["body"]["parameters"][option[2:].replace("-", "_")] == 3
+
+
+def test_analyze_writes_the_decided_sections_when_the_circuit_budget_runs_out(tmp_path, capsys):
+    path = tmp_path / "dense.txt"
+    path.write_text(format_digraph_text(random_strongly_connected(6, 0.8, 1)))
+    code, out, err = run(capsys, "analyze", str(path), "--format", "json")
+    assert code == EXIT_RESOURCE
+    assert err.startswith("resource bound: ") and "Traceback" not in err
+    partial = json.loads(out)
+    assert partial["circuit_hypothesis"] is None
+    code, out, _ = run(capsys, "analyze", str(path), "--format", "json",
+                       "--max-circuit-len", "5")
+    assert code == EXIT_PASS
+    assert partial == {**json.loads(out), "circuit_hypothesis": None}
 
 
 def test_package_runs_as_a_module(tmp_path):
@@ -229,3 +271,76 @@ def test_substitute_without_base_kernel(tmp_path, capsys):
     code, _, err = run(capsys, "substitute", str(path), "--x0", "4")
     assert code == EXIT_FAILURE
     assert "substitution cannot run" in err
+
+
+# -- fuzzing ------------------------------------------------------------------
+
+small_ints = st.integers(-2, 6)
+
+
+def option(flag, values=small_ints):
+    """`[flag, value]`, or `[]` when the option is left out."""
+    return st.one_of(st.just([]), values.map(lambda value: [flag, str(value)]))
+
+
+def switch(flag):
+    return st.sampled_from([[], [flag]])
+
+
+def command(*parts):
+    return st.tuples(*parts).map(lambda pieces: [word for piece in pieces for word in piece])
+
+
+fuzz_digraphs = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda a: a[0] != a[1]),
+        unique=True,
+        max_size=n * (n - 1),
+    ).map(lambda arcs: build_digraph(n, arcs))
+)
+
+fuzz_argv = st.one_of(
+    command(
+        st.just(["kernel", "FILE"]), small_ints.map(lambda k: ["--k", str(k)]), option("--l"),
+        switch("--via-closure"), option("--format", st.sampled_from(["text", "json"])),
+    ),
+    command(st.just(["closure", "FILE"]), small_ints.map(lambda k: ["--k", str(k)])),
+    command(
+        st.just(["analyze", "FILE"]), option("--min-cycle-len"), option("--max-circuit-len"),
+        option("--budget"), option("--format", st.sampled_from(["text", "json"])),
+    ),
+    command(
+        st.sampled_from(sorted(CAMPAIGNS)).map(lambda property_id: ["verify", property_id]),
+        st.integers(-2, 5).map(lambda n: ["--n", str(n)]),
+        small_ints.map(lambda trials: ["--trials", str(trials)]),
+        option("--budget"), option("--min-cycle-len"), option("--max-failures"),
+        option("--seed"), option("--p", st.floats(-0.5, 1.5)), switch("--exhaustive"),
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "digraph.txt"
+
+
+@given(fuzz_digraphs, fuzz_argv)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_fuzzed_commands_exit_with_a_documented_code(fuzz_file, d, argv):
+    """No exception escapes `main`, the exit code is one of 0-3, and exit 1
+    means a report with failures."""
+    # exhaustive enumeration past n = 3 takes minutes, not a fuzz step
+    assume(not ("--exhaustive" in argv and int(argv[argv.index("--n") + 1]) > 3))
+    fuzz_file.write_text(format_digraph_text(d))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(fuzz_file) if word == "FILE" else word for word in argv])
+    assert code in (EXIT_PASS, EXIT_FAILURE, EXIT_USAGE, EXIT_RESOURCE)
+    assert "Traceback" not in err.getvalue()
+    if code in (EXIT_USAGE, EXIT_RESOURCE):
+        assert "error" in err.getvalue() or "resource bound: " in err.getvalue()
+    if argv[0] == "verify" and code in (EXIT_PASS, EXIT_FAILURE):
+        failures_total = json.loads(out.getvalue())["body"]["failures_total"]
+        assert (code == EXIT_FAILURE) == (failures_total > 0)
+    else:
+        assert code != EXIT_FAILURE

@@ -106,6 +106,17 @@ def test_triangle_inequality(d):
                     assert raw[u][w] <= raw[u][v] + raw[v][w]
 
 
+@given(arc_lists)
+@settings(max_examples=60, deadline=None)
+def test_adjacency_masks_hold_exactly_the_adjacency_lists(d):
+    def bits(mask):
+        return {w for w in range(mask.bit_length()) if mask >> w & 1}
+
+    for v in d.vertices():
+        assert bits(d.out_masks[v]) == set(d.out_adj[v]) == {w for u, w in d.arcs if u == v}
+        assert bits(d.in_masks[v]) == set(d.in_adj[v]) == {u for u, w in d.arcs if w == v}
+
+
 # -- subdigraphs and neighbourhoods ------------------------------------------
 
 

@@ -2,7 +2,9 @@
 
 The solver's lex-least claim is checked against a dumb itertools oracle, its
 `within` search against the relabel route (search D[S] relabelled, then map
-back), and the closure distance law against networkx shortest paths.
+back), the perfection scans against a brute-force scan over every subset of
+every induced subdigraph, and the closure distance law against networkx
+shortest paths.
 """
 
 import math
@@ -32,6 +34,7 @@ from kernelkit import (
 )
 from kernelkit.errors import SizeBoundError
 from kernelkit.generators import enumerate_labeled_digraphs, random_digraph
+from kernelkit.kernels import _subsets_lex
 
 
 def all_subsets(n):
@@ -183,10 +186,14 @@ def relabel_route(d, query, subset):
     return KernelResult(witness is not None, witness, examined)
 
 
-@given(digraphs_up_to(7), st.data(), st.integers(2, 5), st.integers(1, 4))
+# l != k-1 builds an absorbed-by ball of its own; l = k-1 reuses the in-conflict ball.
+@given(digraphs_up_to(7), st.integers(0, 2**7 - 1), st.integers(2, 5), st.integers(1, 4))
+@example(directed_cycle(6), 0b111111, 3, 1)
+@example(directed_cycle(7), 0b1110111, 2, 2)
+@example(build_digraph(5, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 3), (1, 3)]), 0b11111, 3, 1)
 @settings(max_examples=150, deadline=None)
-def test_within_search_matches_relabel_route_and_brute_force(d, data, k, ell):
-    subset = sorted(data.draw(st.sets(st.sampled_from(range(d.vertex_count)))))
+def test_within_search_matches_relabel_route_and_brute_force(d, picks, k, ell):
+    subset = [v for v in d.vertices() if picks >> v & 1]
     query = KernelQuery(k, ell)
     result = find_kl_kernel(d, query, within=subset)
     assert result == relabel_route(d, query, subset)
@@ -241,6 +248,30 @@ def test_quasi_perfect_digraph_is_perfect_iff_it_has_a_three_kernel(d):
         assert is_3_kernel_perfect(d) == (True, None)
     else:
         assert is_3_kernel_perfect(d) == (False, tuple(d.vertices()))
+
+
+def scan_reference(d, query, proper_only):
+    """The first nonempty subset S, in `_subsets_lex` order, whose D[S] has no
+    (k,l)-kernel, found by testing every subset of D[S] with `is_kl_kernel`."""
+    n = d.vertex_count
+    for subset in _subsets_lex(n):
+        if not subset or (proper_only and len(subset) == n):
+            continue
+        sub, _ = d.induced(subset)
+        if not any(is_kl_kernel(sub, s, query) for s in all_subsets(len(subset))):
+            return False, subset
+    return True, None
+
+
+@given(digraphs_up_to(6))
+@example(directed_cycle(3))
+@example(directed_cycle(4))
+@example(build_digraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]))
+@settings(max_examples=100, deadline=None)
+def test_perfection_scans_match_brute_force(d):
+    assert is_kernel_perfect(d) == scan_reference(d, KERNEL, proper_only=False)
+    assert is_quasi_3_kernel_perfect(d) == scan_reference(d, THREE_KERNEL, proper_only=True)
+    assert is_3_kernel_perfect(d) == scan_reference(d, THREE_KERNEL, proper_only=False)
 
 
 def test_perfection_size_bound():
