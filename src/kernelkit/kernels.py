@@ -7,6 +7,10 @@ adjacency masks D caches once per digraph, builds one in-ball per vertex
 when l = k-1 (it is both the vertex's in-conflict and what the vertex
 absorbs), and each search level walks the low bits of a mask of the
 candidates still free.
+
+A perfection scan decides each induced subdigraph D[S] by its weak
+components, which it tracks as S grows, and searches each distinct component
+once per scan; nothing is kept between scans.
 """
 
 from __future__ import annotations
@@ -110,10 +114,41 @@ def _subsets_lex(n: int) -> Iterator[tuple[int, ...]]:
     return rec(0)
 
 
+def _subsets_with_components(d: Digraph) -> Iterator[tuple[VertexSet, tuple[int, ...]]]:
+    """Every nonempty subset S of D's vertices, in `_subsets_lex` order, with
+    the weak components of D[S] as masks.  Adding v to a subset merges v with
+    the components it has an arc to or from and leaves the others as they are;
+    the merged component, the one holding v, comes last."""
+    n = d.vertex_count
+    linked = [out | in_ for out, in_ in zip(d.out_masks, d.in_masks)]
+    prefix: list[int] = []
+
+    def rec(
+        start: int, components: tuple[int, ...]
+    ) -> Iterator[tuple[VertexSet, tuple[int, ...]]]:
+        for v in range(start, n):
+            prefix.append(v)
+            merged = 1 << v
+            kept = []
+            for component in components:
+                if component & linked[v]:
+                    merged |= component
+                else:
+                    kept.append(component)
+            grown = (*kept, merged)
+            yield tuple(prefix), grown
+            yield from rec(v + 1, grown)
+            prefix.pop()
+
+    return rec(0, ())
+
+
 def _ball(adj: list[int], v: int, within: int, radius: int) -> int:
-    """Vertices reached from v in <= radius steps along `adj` without leaving `within`."""
-    ball = frontier = 1 << v
-    for _ in range(radius):
+    """Vertices reached from v in <= radius steps (radius >= 1) along `adj`
+    without leaving `within`."""
+    frontier = adj[v] & within
+    ball = frontier | 1 << v
+    for _ in range(radius - 1):
         step = 0
         while frontier:
             low = frontier & -frontier
@@ -133,8 +168,9 @@ def find_kl_kernel(
     """Lexicographically least (k,l)-kernel of D, or of D[within], by pruned
     subset search; the witness is in D's labels."""
     vs = as_vertex_set(d.vertices() if within is None else within)
-    for v in vs:
-        d.check_vertex(v)
+    if vs and (vs[0] < 0 or vs[-1] >= d.vertex_count):
+        for v in vs:
+            d.check_vertex(v)
     if len(vs) > size_bound:
         raise SizeBoundError(f"{len(vs)} vertices exceeds subset-search bound {size_bound}")
     whole = sum(1 << v for v in vs)
@@ -181,15 +217,26 @@ def find_kernel_via_closure(
 def _perfection_scan(
     d: Digraph, query: KernelQuery, proper_only: bool, size_bound: int
 ) -> tuple[bool, VertexSet | None]:
+    """(False, the first nonempty subset S in `_subsets_lex` order whose D[S]
+    has no (k,l)-kernel), or (True, None).  Deciding S by the weak components
+    of D[S] is exact: members of different components are unreachable from
+    each other, so they are k-independent and never absorb each other.  Only
+    the component holding S's largest vertex is undecided: the others are
+    those of S without that vertex, a subset visited earlier that passed.
+    `has_kernel` holds each component's verdict for this scan only."""
     n = d.vertex_count
     if n > size_bound:
         raise SizeBoundError(f"{n} vertices exceeds perfection bound {size_bound}")
-    for subset in _subsets_lex(n):
-        if not subset:
-            continue
+    has_kernel: dict[int, bool] = {}
+    for subset, components in _subsets_with_components(d):
         if proper_only and len(subset) == n:
             continue
-        if not find_kl_kernel(d, query, within=subset).found:
+        component = components[-1]
+        found = has_kernel.get(component)
+        if found is None:
+            members = [v for v in subset if component >> v & 1]
+            found = has_kernel[component] = find_kl_kernel(d, query, within=members).found
+        if not found:
             return False, subset
     return True, None
 

@@ -162,12 +162,22 @@ def test_usage_errors(capsys):
                 "pre-kernel-props", "roads", "unique-chord", "additive-inverse", "theorem4"
             )
         ),
+        ["verify", "roads", "--p=-1e-05"],
     ],
 )
 def test_out_of_range_arguments_are_usage_errors(argv, c6_file, capsys):
     code, out, err = run(capsys, *(str(c6_file) if a == "C6" else a for a in argv))
     assert code == EXIT_USAGE
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_negative_p_in_exponent_notation_needs_the_equals_spelling(capsys):
+    # argparse reads `-1e-05` after a space as an option, so the value is
+    # missing; `--p=-1e-05` reaches the range check (see the cases above).
+    code, out, err = run(capsys, "verify", "roads", "--p", "-1e-05")
+    assert code == EXIT_USAGE
+    assert out == "" and "error: argument --p: expected one argument" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,8 @@ The solver's lex-least claim is checked against a dumb itertools oracle, its
 `within` search against the relabel route (search D[S] relabelled, then map
 back), the perfection scans against a brute-force scan over every subset of
 every induced subdigraph, and the closure distance law against networkx
-shortest paths.
+shortest paths.  The perfection scans decide each subset by the weak
+components of D[S]; their component walk is checked against networkx.
 """
 
 import math
@@ -32,9 +33,14 @@ from kernelkit import (
     is_quasi_3_kernel_perfect,
     k_closure,
 )
-from kernelkit.errors import SizeBoundError
-from kernelkit.generators import enumerate_labeled_digraphs, random_digraph
-from kernelkit.kernels import _subsets_lex
+from kernelkit import kernels
+from kernelkit.errors import SizeBoundError, VertexOutOfRangeError
+from kernelkit.generators import (
+    enumerate_labeled_digraphs,
+    random_digraph,
+    random_strongly_connected,
+)
+from kernelkit.kernels import _subsets_lex, _subsets_with_components
 
 
 def all_subsets(n):
@@ -127,6 +133,20 @@ def test_solver_size_bound():
     with pytest.raises(SizeBoundError):
         find_kl_kernel(directed_cycle(5), KERNEL, size_bound=2, within=[0, 2, 4])
     assert find_kl_kernel(directed_cycle(5), KERNEL, size_bound=2, within=[0, 2]).found
+
+
+@pytest.mark.parametrize(
+    "within, message",
+    [
+        ([9, 1, 7], "vertex 7 not in 0..4"),
+        ([-1, 9], "vertex -1 not in 0..4"),
+        ([2, 5], "vertex 5 not in 0..4"),
+    ],
+)
+def test_within_names_its_smallest_out_of_range_vertex(within, message):
+    with pytest.raises(VertexOutOfRangeError) as raised:
+        find_kl_kernel(directed_cycle(5), KERNEL, within=within)
+    assert str(raised.value) == message
 
 
 def test_c4_has_no_three_kernel():
@@ -263,15 +283,80 @@ def scan_reference(d, query, proper_only):
     return True, None
 
 
+ISOLATED_AND_TRIANGLE = build_digraph(4, [(1, 2), (2, 3), (3, 1)])
+PATH_AND_TRIANGLE = build_digraph(5, [(0, 1), (2, 3), (3, 4), (4, 2)])
+
+
+def assert_scans_match_brute_force(d):
+    assert is_kernel_perfect(d) == scan_reference(d, KERNEL, proper_only=False)
+    assert is_quasi_3_kernel_perfect(d) == scan_reference(d, THREE_KERNEL, proper_only=True)
+    assert is_3_kernel_perfect(d) == scan_reference(d, THREE_KERNEL, proper_only=False)
+
+
 @given(digraphs_up_to(6))
 @example(directed_cycle(3))
 @example(directed_cycle(4))
 @example(build_digraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]))
+@example(ISOLATED_AND_TRIANGLE)
+@example(PATH_AND_TRIANGLE)
 @settings(max_examples=100, deadline=None)
 def test_perfection_scans_match_brute_force(d):
-    assert is_kernel_perfect(d) == scan_reference(d, KERNEL, proper_only=False)
-    assert is_quasi_3_kernel_perfect(d) == scan_reference(d, THREE_KERNEL, proper_only=True)
-    assert is_3_kernel_perfect(d) == scan_reference(d, THREE_KERNEL, proper_only=False)
+    assert_scans_match_brute_force(d)
+
+
+# The shape of the `perfection` benchmark workload: sparse, strongly connected, n = 9.
+@pytest.mark.parametrize("seed", range(10))
+def test_perfection_scans_match_brute_force_on_sparse_strong_digraphs(seed):
+    assert_scans_match_brute_force(random_strongly_connected(9, 0.03, seed))
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """The `within` of every kernel search the scans make, in order."""
+    calls = []
+
+    def recording(d, query, **options):
+        calls.append(tuple(options["within"]))
+        return find_kl_kernel(d, query, **options)
+
+    monkeypatch.setattr(kernels, "find_kl_kernel", recording)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "d, counterexample",
+    [(ISOLATED_AND_TRIANGLE, (0, 1, 2, 3)), (PATH_AND_TRIANGLE, (0, 1, 2, 3, 4))],
+)
+def test_first_failing_subset_may_be_disconnected(d, counterexample, searched):
+    assert is_kernel_perfect(d) == (False, counterexample)
+    assert searched[-1] == counterexample[-3:]  # the triangle, the one failing component
+
+
+@pytest.mark.parametrize("d", [build_digraph(4, [(0, 1), (2, 3)]), directed_cycle(6)])
+def test_passing_scan_searches_each_weakly_connected_subset_once(d, searched):
+    assert is_3_kernel_perfect(d) == (True, None)
+    g = nx.DiGraph(d.arcs)
+    g.add_nodes_from(d.vertices())
+    connected = [
+        s for s in _subsets_lex(d.vertex_count) if s and nx.is_weakly_connected(g.subgraph(s))
+    ]
+    assert sorted(searched) == sorted(connected)
+
+
+@given(digraphs_up_to(6))
+@settings(max_examples=100, deadline=None)
+def test_component_walk_yields_every_subset_with_its_weak_components(d):
+    walked = list(_subsets_with_components(d))
+    assert [subset for subset, _ in walked] == [s for s in _subsets_lex(d.vertex_count) if s]
+    for subset, components in walked:
+        sub, mapping = d.induced(subset)
+        g = nx.DiGraph()
+        g.add_nodes_from(sub.vertices())
+        g.add_edges_from(sub.arcs)
+        label = {new: old for old, new in mapping.items()}
+        expected = {sum(1 << label[v] for v in c) for c in nx.weakly_connected_components(g)}
+        assert len(components) == len(expected) and set(components) == expected
+        assert components[-1] >> subset[-1] & 1  # the scan decides this one
 
 
 def test_perfection_size_bound():
