@@ -43,9 +43,9 @@ from .substitution import (
     check_pre_kernel_properties,
     check_unique_short_chord,
     find_road,
-    intermediate_sets,
     roads_of,
     run_substitution_method,
+    start_substitution,
     validate_road,
 )
 from .generators import (

@@ -23,7 +23,7 @@ from .cycles import (
     check_cycle_hypothesis,
     every_cycle_has_symmetric_arc,
 )
-from .digraph import Digraph, as_vertex_set, directed_cycle
+from .digraph import Digraph, directed_cycle
 from .errors import BudgetExceededError, NoBaseKernelError, SubkernelMissingError
 from .generators import (
     SplitMix64,
@@ -45,12 +45,12 @@ from .kernels import (
 from .substitution import (
     Road,
     SubstitutionTrace,
-    build_substitution_sequence,
     check_additive_inverse_property,
     check_pre_kernel_properties,
     check_unique_short_chord,
     roads_of,
     run_substitution_method,
+    start_substitution,
     validate_road,
 )
 from .textio import format_digraph_text
@@ -252,17 +252,13 @@ def _trace_stream(
         ts = derive_trial_seed(params.seed, trial)
         d = random_strongly_connected(params.n, params.extra_arc_prob, ts)
         x0 = SplitMix64(ts + 1).next_u64() % params.n
-        rest = as_vertex_set(v for v in d.vertices() if v != x0)
-        base = find_kl_kernel(d, THREE_KERNEL, within=rest).witness
-        if base is None:
-            yield d, x0, None, "no base kernel"
-            continue
         try:
-            trace = build_substitution_sequence(d, x0, base)
+            trace, reason = start_substitution(d, x0), None
+        except NoBaseKernelError:
+            trace, reason = None, "no base kernel"
         except SubkernelMissingError:
-            yield d, x0, None, "subkernel missing"
-            continue
-        yield d, x0, trace, None
+            trace, reason = None, "subkernel missing"
+        yield d, x0, trace, reason
 
 
 def _found_roads(

@@ -38,7 +38,6 @@ from .substitution import (
     check_additive_inverse_property,
     check_pre_kernel_properties,
     check_unique_short_chord,
-    intermediate_sets,
     roads_of,
     run_substitution_method,
 )
@@ -129,6 +128,8 @@ def _cmd_kernel(args) -> int:
     d = _load(args.file)
     ell = args.l if args.l is not None else args.k - 1
     if args.via_closure:
+        if ell != args.k - 1:
+            raise ValueError(f"--via-closure finds (k,k-1)-kernels only, got --l {ell}")
         result = find_kernel_via_closure(d, args.k)
     else:
         result = find_kl_kernel(d, KernelQuery(args.k, ell))
@@ -166,7 +167,7 @@ def _trace_document(outcome) -> dict:
         )
     intermediates = [
         {"k": k, "first": list(first), "second": list(second)}
-        for k, (first, second) in enumerate(intermediate_sets(trace))
+        for k, (first, second) in enumerate(zip(trace.primed_one, trace.primed_two))
     ]
     roads = []
     road_checks = {"unique_chord": True, "additive_inverse": True}

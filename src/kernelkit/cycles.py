@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .digraph import Digraph
 from .errors import BudgetExceededError
@@ -265,6 +265,24 @@ def _cycle_ok(
     )
 
 
+def _report(
+    walks: Iterable[ClosedWalk],
+    violation: Callable[[ClosedWalk], Violation | None],
+    stop_at_first: bool,
+) -> HypothesisReport:
+    """Collect each walk's violation in order; stop_at_first ends at the first."""
+    violations = []
+    examined = 0
+    for walk in walks:
+        examined += 1
+        bad = violation(walk)
+        if bad is not None:
+            violations.append(bad)
+            if stop_at_first:
+                break
+    return HypothesisReport(not violations, tuple(violations), examined)
+
+
 def check_cycle_hypothesis(
     d: Digraph,
     variant: CycleHypothesisVariant,
@@ -277,22 +295,20 @@ def check_cycle_hypothesis(
     With stop_at_first the check ends at the first violation, which is the
     full report's first one.
     """
-    violations = []
-    examined = 0
-    for cyc in enumerate_cycles(d, min_len=min_cycle_len):
-        examined += 1
-        bad = _cycle_ok(d, cyc, variant)
-        if bad is not None:
-            violations.append(bad)
-            if stop_at_first:
-                break
-    return HypothesisReport(not violations, tuple(violations), examined)
+    cycles = enumerate_cycles(d, min_len=min_cycle_len)
+    return _report(cycles, lambda cyc: _cycle_ok(d, cyc, variant), stop_at_first)
+
+
+def _circuit_violation(d: Digraph, circ: ClosedWalk) -> Violation | None:
+    if len(circ) % 3 == 0 or len(shorts := short_chords(d, circ)) >= 4:
+        return None
+    detail = f"length != 0 mod 3 with only {len(shorts)} short chords"
+    return Violation(circ.vertices, detail, tuple(shorts))
 
 
 def check_circuit_hypothesis(
     d: Digraph,
     max_len: int,
-    min_circuit_len: int = 2,
     budget: int = DEFAULT_BUDGET,
     stop_at_first: bool = False,
 ) -> HypothesisReport:
@@ -304,38 +320,19 @@ def check_circuit_hypothesis(
     so a digraph with a short violating circuit is decided even when the
     full enumeration would exceed `budget`.
     """
-    violations = []
-    examined = 0
-    for circ in enumerate_circuits(d, max_len=max_len, min_len=min_circuit_len, budget=budget):
-        examined += 1
-        if len(circ) % 3 == 0:
-            continue
-        shorts = short_chords(d, circ)
-        if len(shorts) < 4:
-            violations.append(
-                Violation(
-                    circ.vertices,
-                    f"length != 0 mod 3 with only {len(shorts)} short chords",
-                    tuple(shorts),
-                )
-            )
-            if stop_at_first:
-                break
-    return HypothesisReport(not violations, tuple(violations), examined)
+    circuits = enumerate_circuits(d, max_len=max_len, budget=budget)
+    return _report(circuits, lambda circ: _circuit_violation(d, circ), stop_at_first)
+
+
+def _asymmetric_cycle(d: Digraph, cyc: ClosedWalk) -> Violation | None:
+    seq, n = cyc.vertices, len(cyc)
+    if any((seq[(i + 1) % n], seq[i]) in d.arcs for i in range(n)):
+        return None
+    return Violation(seq, "cycle without symmetric arc")
 
 
 def every_cycle_has_symmetric_arc(d: Digraph, stop_at_first: bool = False) -> HypothesisReport:
     """Duchet's hypothesis: each simple cycle contains an arc whose reverse
     is also present.  With stop_at_first the check ends at the first
     violation."""
-    violations = []
-    examined = 0
-    for cyc in enumerate_cycles(d):
-        examined += 1
-        seq = cyc.vertices
-        n = len(seq)
-        if not any((seq[(i + 1) % n], seq[i]) in d.arcs for i in range(n)):
-            violations.append(Violation(seq, "cycle without symmetric arc"))
-            if stop_at_first:
-                break
-    return HypothesisReport(not violations, tuple(violations), examined)
+    return _report(enumerate_cycles(d), lambda cyc: _asymmetric_cycle(d, cyc), stop_at_first)

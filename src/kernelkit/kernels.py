@@ -160,10 +160,7 @@ def _ball(adj: list[int], v: int, within: int, radius: int) -> int:
 
 
 def find_kl_kernel(
-    d: Digraph,
-    query: KernelQuery,
-    size_bound: int = SUBSET_SEARCH_BOUND,
-    within: Iterable[int] | None = None,
+    d: Digraph, query: KernelQuery, within: Iterable[int] | None = None
 ) -> KernelResult:
     """Lexicographically least (k,l)-kernel of D, or of D[within], by pruned
     subset search; the witness is in D's labels."""
@@ -171,8 +168,10 @@ def find_kl_kernel(
     if vs and (vs[0] < 0 or vs[-1] >= d.vertex_count):
         for v in vs:
             d.check_vertex(v)
-    if len(vs) > size_bound:
-        raise SizeBoundError(f"{len(vs)} vertices exceeds subset-search bound {size_bound}")
+    if len(vs) > SUBSET_SEARCH_BOUND:
+        raise SizeBoundError(
+            f"{len(vs)} vertices exceeds subset-search bound {SUBSET_SEARCH_BOUND}"
+        )
     whole = sum(1 << v for v in vs)
     out_masks, in_masks = d.out_masks, d.in_masks
     k, ell = query.k, query.l
@@ -205,17 +204,15 @@ def find_kl_kernel(
     return KernelResult(found, tuple(members) if found else None, examined)
 
 
-def find_kernel_via_closure(
-    d: Digraph, k: int, size_bound: int = SUBSET_SEARCH_BOUND
-) -> KernelResult:
+def find_kernel_via_closure(d: Digraph, k: int) -> KernelResult:
     """k-kernel of D via a classic kernel of its (k-1)-closure."""
     if k < 3:
         raise ValueError("closure reduction applies for k >= 3")
-    return find_kl_kernel(k_closure(d, k - 1), KERNEL, size_bound=size_bound)
+    return find_kl_kernel(k_closure(d, k - 1), KERNEL)
 
 
 def _perfection_scan(
-    d: Digraph, query: KernelQuery, proper_only: bool, size_bound: int
+    d: Digraph, query: KernelQuery, proper_only: bool
 ) -> tuple[bool, VertexSet | None]:
     """(False, the first nonempty subset S in `_subsets_lex` order whose D[S]
     has no (k,l)-kernel), or (True, None).  Deciding S by the weak components
@@ -225,8 +222,8 @@ def _perfection_scan(
     those of S without that vertex, a subset visited earlier that passed.
     `has_kernel` holds each component's verdict for this scan only."""
     n = d.vertex_count
-    if n > size_bound:
-        raise SizeBoundError(f"{n} vertices exceeds perfection bound {size_bound}")
+    if n > PERFECTION_BOUND:
+        raise SizeBoundError(f"{n} vertices exceeds perfection bound {PERFECTION_BOUND}")
     has_kernel: dict[int, bool] = {}
     for subset, components in _subsets_with_components(d):
         if proper_only and len(subset) == n:
@@ -241,22 +238,16 @@ def _perfection_scan(
     return True, None
 
 
-def is_kernel_perfect(
-    d: Digraph, size_bound: int = PERFECTION_BOUND
-) -> tuple[bool, VertexSet | None]:
+def is_kernel_perfect(d: Digraph) -> tuple[bool, VertexSet | None]:
     """Every nonempty induced subdigraph has a classic kernel."""
-    return _perfection_scan(d, KERNEL, proper_only=False, size_bound=size_bound)
+    return _perfection_scan(d, KERNEL, proper_only=False)
 
 
-def is_quasi_3_kernel_perfect(
-    d: Digraph, size_bound: int = PERFECTION_BOUND
-) -> tuple[bool, VertexSet | None]:
+def is_quasi_3_kernel_perfect(d: Digraph) -> tuple[bool, VertexSet | None]:
     """Every proper nonempty induced subdigraph has a 3-kernel."""
-    return _perfection_scan(d, THREE_KERNEL, proper_only=True, size_bound=size_bound)
+    return _perfection_scan(d, THREE_KERNEL, proper_only=True)
 
 
-def is_3_kernel_perfect(
-    d: Digraph, size_bound: int = PERFECTION_BOUND
-) -> tuple[bool, VertexSet | None]:
+def is_3_kernel_perfect(d: Digraph) -> tuple[bool, VertexSet | None]:
     """Every nonempty induced subdigraph (including D itself) has a 3-kernel."""
-    return _perfection_scan(d, THREE_KERNEL, proper_only=False, size_bound=size_bound)
+    return _perfection_scan(d, THREE_KERNEL, proper_only=False)

@@ -24,7 +24,6 @@ from .errors import (
 from .kernels import (
     THREE_KERNEL,
     find_kl_kernel,
-    is_k_independent,
     is_kl_kernel,
     is_l_absorbent,
 )
@@ -36,7 +35,8 @@ class SubstitutionTrace:
 
     added[k] = N_{3k}, removed_one[k] = N_{3k+1}, removed_two[k] = N_{3k+2},
     m_sets[k] = M_{3k}, for k = 0..p.  The terminal round p has empty
-    removed sets.
+    removed sets.  primed_one[k] = N'_{3k+1} and primed_two[k] = N'_{3k+2}
+    for k = 0..p-1.
     """
 
     digraph: Digraph
@@ -46,6 +46,8 @@ class SubstitutionTrace:
     removed_one: tuple[VertexSet, ...]
     removed_two: tuple[VertexSet, ...]
     m_sets: tuple[VertexSet, ...]
+    primed_one: tuple[VertexSet, ...]
+    primed_two: tuple[VertexSet, ...]
     p: int
 
     def set_at(self, i: int) -> VertexSet:
@@ -68,11 +70,7 @@ class SubstitutionTrace:
         k, r = divmod(i, 3)
         if r == 0 or not 0 <= k < self.p:
             return ()
-        source = self.added[k]
-        if not source:
-            return ()
-        reach = self.digraph.in_neighborhood_at_distance(source, 1 if r == 1 else 2)
-        return as_vertex_set(set(reach) - set(self.set_at(i)))
+        return (self.primed_one, self.primed_two)[r - 1][k]
 
     def label_of(self, v: int, i: int) -> str:
         """Display label of v relative to position/index i."""
@@ -83,17 +81,11 @@ class SubstitutionTrace:
         return "-"
 
 
-def intermediate_sets(trace: SubstitutionTrace) -> list[tuple[VertexSet, VertexSet]]:
-    """(N'_{3k+1}, N'_{3k+2}) for k = 0..p-1."""
-    return [
-        (trace.intermediate_at(3 * k + 1), trace.intermediate_at(3 * k + 2))
-        for k in range(trace.p)
-    ]
-
-
 def build_substitution_sequence(d: Digraph, x0: int, kernel: VertexSet) -> SubstitutionTrace:
     """Run the iterative set construction from x0 and a verified 3-kernel of
-    D - x0 until the first round with nothing left to remove."""
+    D - x0 until the first round with nothing left to remove.  M_{3k+3} is
+    every vertex outside the earlier M-sets that the kept set (K minus the
+    removed vertices, plus the added ones) neither holds nor 2-absorbs."""
     d.check_vertex(x0)
     kernel = as_vertex_set(kernel)
     rest = as_vertex_set(v for v in d.vertices() if v != x0)
@@ -105,6 +97,8 @@ def build_substitution_sequence(d: Digraph, x0: int, kernel: VertexSet) -> Subst
     added: list[VertexSet] = [(x0,)]
     removed_one: list[VertexSet] = []
     removed_two: list[VertexSet] = []
+    primed_one: list[VertexSet] = []
+    primed_two: list[VertexSet] = []
     m_sets: list[VertexSet] = [(x0,)]
     removed: set[int] = set()
     m_union: set[int] = {x0}
@@ -126,17 +120,14 @@ def build_substitution_sequence(d: Digraph, x0: int, kernel: VertexSet) -> Subst
         if not n1 and not n2:
             p = k
             break
+        primed_one.append(as_vertex_set(near - set(n1)))
+        primed_two.append(as_vertex_set(far - set(n2)))
         removed |= set(n1) | set(n2)
 
-        surviving = kernel_set - removed
-        m_next = []
-        for x in sorted(set(d.vertices()) - m_union):
-            if x in surviving:
-                continue  # retained kernel vertices stay in the pre-3-kernel
-            cone = set(d.out_cone([x], 2))
-            if cone & kernel_set <= removed and not cone & added_union:
-                m_next.append(x)
-        m_next = as_vertex_set(m_next)
+        kept = (kernel_set - removed) | added_union
+        absorbed = set(d.in_neighborhood_at_distance(kept, 1))
+        absorbed |= set(d.in_neighborhood_at_distance(kept, 2))
+        m_next = as_vertex_set(set(d.vertices()) - m_union - kept - absorbed)
         n_next = find_kl_kernel(d, THREE_KERNEL, within=m_next).witness
         if n_next is None:
             raise SubkernelMissingError(f"D[{m_next}] has no 3-kernel")
@@ -154,6 +145,8 @@ def build_substitution_sequence(d: Digraph, x0: int, kernel: VertexSet) -> Subst
         removed_one=tuple(removed_one),
         removed_two=tuple(removed_two),
         m_sets=tuple(m_sets),
+        primed_one=tuple(primed_one),
+        primed_two=tuple(primed_two),
         p=p,
     )
     _check_trace_invariants(trace)
@@ -453,26 +446,24 @@ class MethodOutcome:
     failure_witness: tuple[int, ...] | None
 
 
-def run_substitution_method(d: Digraph, x0: int) -> MethodOutcome:
-    """Full pipeline: base kernel of D - x0, substitution trace, pre-3-kernel,
-    and the (3,2)-kernel verdict with a witness path on failure."""
+def start_substitution(d: Digraph, x0: int) -> SubstitutionTrace:
+    """The trace from x0 and the least 3-kernel of D - x0; NoBaseKernelError
+    when D - x0 has none, SubkernelMissingError when some D[M_i] has none."""
     d.check_vertex(x0)
     rest = as_vertex_set(v for v in d.vertices() if v != x0)
     base = find_kl_kernel(d, THREE_KERNEL, within=rest).witness
     if base is None:
         raise NoBaseKernelError(f"D - {x0} has no 3-kernel")
-    trace = build_substitution_sequence(d, x0, base)
+    return build_substitution_sequence(d, x0, base)
+
+
+def run_substitution_method(d: Digraph, x0: int) -> MethodOutcome:
+    """Full pipeline: base kernel of D - x0, substitution trace, pre-3-kernel,
+    and the (3,2)-kernel verdict with a witness path on failure."""
+    trace = start_substitution(d, x0)
     pre = assemble_pre_3_kernel(trace)
-    independent = is_k_independent(d, pre, 3)
-    absorbent = is_l_absorbent(d, pre, 2)
-    witness = None
-    if not independent:
-        raw = d._raw_matrix
-        for a in pre:
-            for b in pre:
-                if a != b and raw[a][b] is not None and raw[a][b] < 3:
-                    witness = _shortest_path(d, a, b)
-                    break
-            if witness is not None:
-                break
-    return MethodOutcome(pre, independent and absorbent, trace, witness)
+    raw = d._raw_matrix
+    pairs = ((a, b) for a in pre for b in pre if a != b)
+    close = next(((a, b) for a, b in pairs if raw[a][b] is not None and raw[a][b] < 3), None)
+    witness = None if close is None else _shortest_path(d, *close)
+    return MethodOutcome(pre, witness is None and is_l_absorbent(d, pre, 2), trace, witness)

@@ -163,6 +163,8 @@ def test_usage_errors(capsys):
             )
         ),
         ["verify", "roads", "--p=-1e-05"],
+        # C6 has no (3,1)-kernel; the closure route finds (k,k-1)-kernels only
+        ["kernel", "C6", "--k", "3", "--l", "1", "--via-closure"],
     ],
 )
 def test_out_of_range_arguments_are_usage_errors(argv, c6_file, capsys):

@@ -49,14 +49,17 @@ DIGRAPH_A = "n 6\n0 1\n1 2\n2 0\n2 4\n3 5\n4 3\n4 5\n5 0\n"
 DIGRAPH_B = "n 6\n0 1\n0 5\n1 3\n1 5\n2 0\n2 3\n3 5\n4 2\n5 1\n5 4\n"
 DIGRAPH_C = "n 6\n0 3\n1 2\n2 5\n3 1\n3 4\n4 0\n5 1\n5 4\n"
 
-# `substitute --trace` inputs: (digraph text, x0); the last two have a vertex
-# without a road.
+# `substitute --trace` inputs: (digraph text, x0); the two `missing_road`
+# ones have a vertex without a road.  n12_s0_x1 has p = 2, a round 0 that
+# fills both removed sets and a 3-vertex M-set; n12_s39_x6 has p = 4.
 TRACES = {
     "c6_x0": (C6, 0),
     "n6_x4_missing_road": (DIGRAPH_B, 4),
     "n9_x4_missing_road": (
         "n 9\n0 2\n1 3\n2 6\n3 0\n3 1\n3 5\n4 7\n5 3\n5 4\n6 8\n7 1\n7 3\n8 5\n", 4
     ),
+    "n12_s0_x1": (format_digraph_text(random_strongly_connected(12, 0.08, 0)), 1),
+    "n12_s39_x6": (format_digraph_text(random_strongly_connected(12, 0.08, 39)), 6),
 }
 
 # `analyze --format json` inputs: (digraph text, extra arguments).  The dense

@@ -128,11 +128,13 @@ def test_solver_finds_lex_least_exhaustively(n):
 
 
 def test_solver_size_bound():
-    with pytest.raises(SizeBoundError):
-        find_kl_kernel(directed_cycle(3), KERNEL, size_bound=2)
-    with pytest.raises(SizeBoundError):
-        find_kl_kernel(directed_cycle(5), KERNEL, size_bound=2, within=[0, 2, 4])
-    assert find_kl_kernel(directed_cycle(5), KERNEL, size_bound=2, within=[0, 2]).found
+    # SUBSET_SEARCH_BOUND = 24 counts the searched vertices, not D's
+    d = build_digraph(30, [])
+    for within in (None, range(25)):
+        with pytest.raises(SizeBoundError) as raised:
+            find_kl_kernel(d, KERNEL, within=within)
+        assert "exceeds subset-search bound 24" in str(raised.value)
+    assert find_kl_kernel(d, KERNEL, within=range(24)).witness == tuple(range(24))
 
 
 @pytest.mark.parametrize(
@@ -360,5 +362,8 @@ def test_component_walk_yields_every_subset_with_its_weak_components(d):
 
 
 def test_perfection_size_bound():
-    with pytest.raises(SizeBoundError):
-        is_kernel_perfect(directed_cycle(5), size_bound=4)
+    # PERFECTION_BOUND = 16; each scan raises before its first search
+    for scan in (is_kernel_perfect, is_quasi_3_kernel_perfect, is_3_kernel_perfect):
+        with pytest.raises(SizeBoundError) as raised:
+            scan(directed_cycle(17))
+        assert str(raised.value) == "17 vertices exceeds perfection bound 16"

@@ -2,6 +2,8 @@
 
 The C6/C4/C3 traces below were derived by hand from the set equations and
 double-checked against the brute-force solver before being frozen here.
+The trace builder's N' sets and M-sets are checked against a reference that
+applies the set equations directly, one distance query per set or vertex.
 
 Three small strongly connected digraphs (A, B, C at the bottom) are frozen
 as regression inputs for the lemma checkers: on each of them one of the
@@ -16,9 +18,12 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kernelkit
 from kernelkit import (
+    as_vertex_set,
     assemble_pre_3_kernel,
     build_digraph,
     build_substitution_sequence,
@@ -27,14 +32,20 @@ from kernelkit import (
     check_unique_short_chord,
     directed_cycle,
     find_road,
-    intermediate_sets,
     is_3_kernel_perfect,
     is_quasi_3_kernel_perfect,
     roads_of,
     run_substitution_method,
+    start_substitution,
     validate_road,
 )
-from kernelkit.errors import NoBaseKernelError, NoRoadFoundError, NotAKernelError
+from kernelkit.errors import (
+    NoBaseKernelError,
+    NoRoadFoundError,
+    NotAKernelError,
+    SubkernelMissingError,
+)
+from kernelkit.generators import random_strongly_connected
 
 
 @pytest.fixture
@@ -64,7 +75,8 @@ def test_c6_outcome_is_3_kernel():
 
 
 def test_c6_intermediates(c6_trace):
-    assert intermediate_sets(c6_trace) == [((), (4,)), ((), (1,))]
+    assert c6_trace.primed_one == ((), ())
+    assert c6_trace.primed_two == ((4,), (1,))
     assert c6_trace.intermediate_at(2) == (4,)
     assert c6_trace.intermediate_at(8) == ()  # k = p is out of range
 
@@ -253,7 +265,7 @@ def test_trace_invariants_are_checked_under_python_O():
         overlapping = SubstitutionTrace(
             digraph=directed_cycle(6), x0=0, base_kernel=(0, 3),
             added=((0,),), removed_one=((3,),), removed_two=((3,),),
-            m_sets=((0,),), p=0,
+            m_sets=((0,),), primed_one=(), primed_two=(), p=0,
         )
         try:
             _check_trace_invariants(overlapping)
@@ -281,3 +293,55 @@ def test_counterexample_c_method_fails_on_well_hypothesised_input():
     # the alternative base kernel fares no better
     alt = build_substitution_sequence(DIGRAPH_C, 3, (0, 2))
     assert assemble_pre_3_kernel(alt) == (2, 3)
+
+
+# -- trace builder against the set equations ---------------------------------
+
+
+def reference_intermediate(trace, i):
+    """N'_i = N^-_r(N_{3k}) - N_i for i = 3k + r, r in {1, 2}, k < p."""
+    k, r = divmod(i, 3)
+    source = trace.added[k] if r and 0 <= k < trace.p else ()
+    if not source:
+        return ()
+    reach = trace.digraph.in_neighborhood_at_distance(source, r)
+    return as_vertex_set(set(reach) - set(trace.set_at(i)))
+
+
+def reference_m_sets(trace):
+    """M_{3k+3}: each vertex outside the earlier M-sets and the surviving
+    base kernel whose out-cone of radius 2 meets only removed base-kernel
+    vertices and no added vertex."""
+    d, kernel = trace.digraph, set(trace.base_kernel)
+    m_sets, m_union, added_union, removed = [(trace.x0,)], {trace.x0}, {trace.x0}, set()
+    for k in range(trace.p):
+        removed |= set(trace.removed_one[k]) | set(trace.removed_two[k])
+        m_next = []
+        for x in sorted(set(d.vertices()) - m_union - (kernel - removed)):
+            cone = set(d.out_cone([x], 2))
+            if cone & kernel <= removed and not cone & added_union:
+                m_next.append(x)
+        m_sets.append(tuple(m_next))
+        m_union |= set(m_next)
+        added_union |= set(trace.added[k + 1])
+    return tuple(m_sets)
+
+
+@given(
+    st.builds(
+        random_strongly_connected, st.integers(2, 8), st.floats(0, 1), st.integers(0, 2**32)
+    )
+)
+@example(directed_cycle(6))  # x0 = 0 is the hand trace above
+@example(DIGRAPH_B)  # x0 = 4: N_1 empty, N'_1 occupied
+@example(DIGRAPH_C)  # x0 = 3
+@settings(max_examples=120, deadline=None)
+def test_trace_sets_match_the_set_equations(d):
+    for x0 in d.vertices():
+        try:
+            trace = start_substitution(d, x0)
+        except (NoBaseKernelError, SubkernelMissingError):
+            continue
+        for i in range(-1, 3 * trace.p + 6):
+            assert trace.intermediate_at(i) == reference_intermediate(trace, i)
+        assert trace.m_sets == reference_m_sets(trace)
