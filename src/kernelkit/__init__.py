@@ -32,6 +32,7 @@ from .kernels import (
     is_l_absorbent,
     is_quasi_3_kernel_perfect,
     k_closure,
+    kl_kernels,
 )
 from .substitution import (
     MethodOutcome,

@@ -77,34 +77,46 @@ def enumerate_cycles(
     d: Digraph, min_len: int = 2, max_len: int | None = None
 ) -> Iterator[ClosedWalk]:
     """Yield every simple directed cycle with min_len <= length <= max_len,
-    sorted by length then lexicographically, each in canonical rotation."""
+    sorted by length then lexicographically, each in canonical rotation.
+
+    One path search per length L from min_len up, as in `enumerate_circuits`;
+    each pass meets its cycles in lexicographic order and yields them before
+    the next starts, and the search ends after a pass in which no path from
+    a root through larger vertices reaches L vertices."""
     if max_len is None:
         max_len = d.vertex_count
     if min_len < 2:
         raise ValueError("min_len must be >= 2")
-    found: list[tuple[int, ...]] = []
-    adj = d.out_adj
-    path: list[int] = []
-    on_path = [False] * d.vertex_count
+    adj, out_masks, in_masks = d.out_adj, d.out_masks, d.in_masks
+    for length in range(min_len, max_len + 1):
+        found: list[tuple[int, ...]] = []
+        reached = False
 
-    def extend(root: int, u: int) -> None:
-        for w in adj[u]:
-            if w == root:
-                if min_len <= len(path):
-                    found.append(tuple(path))
-            elif w > root and not on_path[w] and len(path) < max_len:
-                path.append(w)
-                on_path[w] = True
-                extend(root, w)
-                path.pop()
-                on_path[w] = False
+        def extend(root: int, path: list[int], on_path: int) -> None:
+            # on_path: the path and every vertex below the root, none of them free
+            nonlocal reached
+            u = path[-1]
+            if len(path) == length - 1:
+                ends = out_masks[u] & ~on_path
+                reached = reached or ends != 0
+                ends &= in_masks[root]
+                while ends:
+                    low = ends & -ends
+                    found.append((*path, low.bit_length() - 1))
+                    ends ^= low
+                return
+            for w in adj[u]:
+                if not on_path >> w & 1:
+                    path.append(w)
+                    extend(root, path, on_path | 1 << w)
+                    path.pop()
 
-    for root in d.vertices():
-        path = [root]
-        extend(root, root)
-    found.sort(key=lambda seq: (len(seq), seq))
-    for seq in found:
-        yield ClosedWalk(seq)
+        for root in d.vertices():
+            extend(root, [root], (2 << root) - 1)
+        for seq in found:
+            yield ClosedWalk(seq)
+        if not reached:
+            return
 
 
 def _canonical_rotation(seq: tuple[int, ...]) -> tuple[int, ...]:

@@ -4,7 +4,8 @@ Vertices are dense integers 0..n-1.  All values are frozen after construction
 and safe to share; derived structures (adjacency lists, adjacency masks,
 distance matrix) are cached lazily on the instance, so every search on one
 digraph builds them once.  A distance is a hop count, or None when the target
-is unreachable.
+is unreachable.  The kernel engine, closures and strong connectivity read
+balls from `_ball`, the one breadth-first walk on masks, not distances.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateArcError,
@@ -45,21 +46,20 @@ class Digraph:
         return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
-    def in_adj(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.arcs:
-            adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
-
-    @cached_property
     def out_masks(self) -> tuple[int, ...]:
         """Entry v: the out-neighbours of v as an int, bit w set for arc (v, w)."""
-        return tuple(sum(1 << w for w in ws) for ws in self.out_adj)
+        masks = [0] * self.vertex_count
+        for u, v in self.arcs:
+            masks[u] |= 1 << v
+        return tuple(masks)
 
     @cached_property
     def in_masks(self) -> tuple[int, ...]:
         """Entry v: the in-neighbours of v as an int, bit u set for arc (u, v)."""
-        return tuple(sum(1 << u for u in us) for us in self.in_adj)
+        masks = [0] * self.vertex_count
+        for u, v in self.arcs:
+            masks[v] |= 1 << u
+        return tuple(masks)
 
     def vertices(self) -> range:
         return range(self.vertex_count)
@@ -94,10 +94,12 @@ class Digraph:
         return self._raw_matrix[u][v]
 
     def is_strongly_connected(self) -> bool:
-        if self.vertex_count == 0:
-            return True
-        return all(d is not None for d in self._raw_matrix[0]) and all(
-            d is not None for d in self._bfs(0, self.in_adj)
+        """Vertex 0's out-ball and in-ball each cover every vertex."""
+        n = self.vertex_count
+        whole = (1 << n) - 1
+        return n == 0 or (
+            _ball(self.out_masks, 0, whole, n) == whole
+            and _ball(self.in_masks, 0, whole, n) == whole
         )
 
     # -- subdigraphs and neighbourhoods ------------------------------------
@@ -147,6 +149,23 @@ class Digraph:
                 if d is not None and 0 < d <= ell:
                     found.add(v)
         return as_vertex_set(found)
+
+
+def _ball(adj: Sequence[int], v: int, within: int, radius: int) -> int:
+    """v and the vertices reached from v in <= radius steps (radius >= 1)
+    along `adj` inside `within`; it stops once a step reaches nothing new."""
+    frontier = adj[v] & within
+    ball = frontier | 1 << v
+    while frontier and radius > 1:
+        radius -= 1
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & within & ~ball
+        ball |= frontier
+    return ball
 
 
 def add_arc(seen: set[Arc], vertex_count: int, u: int, v: int) -> None:

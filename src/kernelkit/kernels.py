@@ -6,7 +6,8 @@ roughly 24 vertices, and reports its witness in D's labels.  It reads the
 adjacency masks D caches once per digraph, builds one in-ball per vertex
 when l = k-1 (it is both the vertex's in-conflict and what the vertex
 absorbs), and each search level walks the low bits of a mask of the
-candidates still free.
+candidates still free.  `kl_kernels` runs the same search to completion and
+lists every kernel; `k_closure` reads out-balls instead of distances.
 
 A perfection scan decides each induced subdigraph D[S] by its weak
 components, which it tracks as S grows, and searches each distinct component
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .digraph import Digraph, VertexSet, as_vertex_set
+from .digraph import Digraph, VertexSet, _ball, as_vertex_set
 from .errors import SizeBoundError
 
 SUBSET_SEARCH_BOUND = 24
@@ -56,14 +57,9 @@ def k_closure(d: Digraph, k: int) -> Digraph:
     """Same vertices; arc (u, v) whenever 0 < d(u, v) <= k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    raw = d._raw_matrix
-    arcs = frozenset(
-        (u, v)
-        for u in d.vertices()
-        for v in d.vertices()
-        if u != v and raw[u][v] is not None and raw[u][v] <= k
-    )
-    return Digraph(d.vertex_count, arcs)
+    n, whole = d.vertex_count, (1 << d.vertex_count) - 1
+    reached = [_ball(d.out_masks, u, whole, min(k, n)) ^ 1 << u for u in range(n)]
+    return Digraph(n, frozenset((u, v) for u in range(n) for v in range(n) if reached[u] >> v & 1))
 
 
 def is_k_independent(d: Digraph, subset: Iterable[int], k: int) -> bool:
@@ -99,23 +95,8 @@ def is_kl_kernel(d: Digraph, subset: Iterable[int], query: KernelQuery) -> bool:
     return is_k_independent(d, subset, query.k) and is_l_absorbent(d, subset, query.l)
 
 
-def _subsets_lex(n: int) -> Iterator[tuple[int, ...]]:
-    """All subsets of 0..n-1 as sorted tuples, in lexicographic list order
-    (empty set first)."""
-    prefix: list[int] = []
-
-    def rec(start: int) -> Iterator[tuple[int, ...]]:
-        yield tuple(prefix)
-        for v in range(start, n):
-            prefix.append(v)
-            yield from rec(v + 1)
-            prefix.pop()
-
-    return rec(0)
-
-
 def _subsets_with_components(d: Digraph) -> Iterator[tuple[VertexSet, tuple[int, ...]]]:
-    """Every nonempty subset S of D's vertices, in `_subsets_lex` order, with
+    """Every nonempty subset S of D's vertices, in lexicographic order, with
     the weak components of D[S] as masks.  Adding v to a subset merges v with
     the components it has an arc to or from and leaves the others as they are;
     the merged component, the one holding v, comes last."""
@@ -143,20 +124,34 @@ def _subsets_with_components(d: Digraph) -> Iterator[tuple[VertexSet, tuple[int,
     return rec(0, ())
 
 
-def _ball(adj: list[int], v: int, within: int, radius: int) -> int:
-    """Vertices reached from v in <= radius steps (radius >= 1) along `adj`
-    without leaving `within`."""
-    frontier = adj[v] & within
-    ball = frontier | 1 << v
-    for _ in range(radius - 1):
-        step = 0
-        while frontier:
-            low = frontier & -frontier
-            step |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = step & within & ~ball
-        ball |= frontier
-    return ball
+def _kernel_balls(
+    d: Digraph, vs: Iterable[int], within: int, query: KernelQuery
+) -> tuple[list[int], list[int]]:
+    """For each v of `vs`, balls inside the mask `within`: v's conflict ball
+    (v and the vertices at distance < k from or to v) and its absorbed-by
+    ball (v and the vertices reaching v within l)."""
+    out_masks, in_masks = d.out_masks, d.in_masks
+    k, ell = query.k, query.l
+    conflict = [0] * d.vertex_count
+    absorbed_by = [0] * d.vertex_count
+    for v in vs:
+        reaching = _ball(in_masks, v, within, k - 1)
+        conflict[v] = _ball(out_masks, v, within, k - 1) | reaching
+        absorbed_by[v] = reaching if ell == k - 1 else _ball(in_masks, v, within, ell)
+    return conflict, absorbed_by
+
+
+def is_kernel_within(d: Digraph, members: VertexSet, within: int, query: KernelQuery) -> bool:
+    """Whether `members`, vertices of the mask `within`, form a (k,l)-kernel
+    of D[within]; the same verdict as `is_kl_kernel` on D[within] relabelled."""
+    chosen = sum(1 << v for v in members)
+    conflict, absorbed_by = _kernel_balls(d, members, within, query)
+    absorbed = 0
+    for v in members:
+        if conflict[v] & chosen != 1 << v:
+            return False
+        absorbed |= absorbed_by[v]
+    return absorbed == within
 
 
 def find_kl_kernel(
@@ -173,14 +168,7 @@ def find_kl_kernel(
             f"{len(vs)} vertices exceeds subset-search bound {SUBSET_SEARCH_BOUND}"
         )
     whole = sum(1 << v for v in vs)
-    out_masks, in_masks = d.out_masks, d.in_masks
-    k, ell = query.k, query.l
-    conflict = [0] * d.vertex_count  # v and the vertices at distance < k from or to v
-    absorbed_by = [0] * d.vertex_count  # v and the vertices reaching it within l
-    for v in vs:
-        reaching = _ball(in_masks, v, whole, k - 1)
-        conflict[v] = _ball(out_masks, v, whole, k - 1) | reaching
-        absorbed_by[v] = reaching if ell == k - 1 else _ball(in_masks, v, whole, ell)
+    conflict, absorbed_by = _kernel_balls(d, vs, whole, query)
     examined = 0
     members: list[int] = []
 
@@ -204,6 +192,33 @@ def find_kl_kernel(
     return KernelResult(found, tuple(members) if found else None, examined)
 
 
+def kl_kernels(d: Digraph, query: KernelQuery) -> list[VertexSet]:
+    """Every (k,l)-kernel of D, as sorted tuples in lexicographic order:
+    `find_kl_kernel`'s search run to completion.  It descends past each
+    kernel, since for l >= k a superset of a kernel can be one too."""
+    n = d.vertex_count
+    if n > SUBSET_SEARCH_BOUND:
+        raise SizeBoundError(f"{n} vertices exceeds subset-search bound {SUBSET_SEARCH_BOUND}")
+    whole = (1 << n) - 1
+    conflict, absorbed_by = _kernel_balls(d, d.vertices(), whole, query)
+    found: list[VertexSet] = []
+    members: list[int] = []
+
+    def search(free: int, absorbed: int) -> None:
+        if absorbed == whole:
+            found.append(tuple(members))
+        while free:
+            low = free & -free
+            free ^= low
+            v = low.bit_length() - 1
+            members.append(v)
+            search(free & ~conflict[v], absorbed | absorbed_by[v])
+            members.pop()
+
+    search(whole, 0)
+    return found
+
+
 def find_kernel_via_closure(d: Digraph, k: int) -> KernelResult:
     """k-kernel of D via a classic kernel of its (k-1)-closure."""
     if k < 3:
@@ -214,7 +229,7 @@ def find_kernel_via_closure(d: Digraph, k: int) -> KernelResult:
 def _perfection_scan(
     d: Digraph, query: KernelQuery, proper_only: bool
 ) -> tuple[bool, VertexSet | None]:
-    """(False, the first nonempty subset S in `_subsets_lex` order whose D[S]
+    """(False, the first nonempty subset S in lexicographic order whose D[S]
     has no (k,l)-kernel), or (True, None).  Deciding S by the weak components
     of D[S] is exact: members of different components are unreachable from
     each other, so they are k-independent and never absorb each other.  Only

@@ -24,7 +24,7 @@ from .errors import (
 from .kernels import (
     THREE_KERNEL,
     find_kl_kernel,
-    is_kl_kernel,
+    is_kernel_within,
     is_l_absorbent,
 )
 
@@ -88,9 +88,10 @@ def build_substitution_sequence(d: Digraph, x0: int, kernel: VertexSet) -> Subst
     removed vertices, plus the added ones) neither holds nor 2-absorbs."""
     d.check_vertex(x0)
     kernel = as_vertex_set(kernel)
-    rest = as_vertex_set(v for v in d.vertices() if v != x0)
-    sub, mapping = d.induced(rest)
-    if x0 in kernel or not is_kl_kernel(sub, [mapping[v] for v in kernel], THREE_KERNEL):
+    for v in kernel:
+        d.check_vertex(v)
+    rest = ((1 << d.vertex_count) - 1) ^ (1 << x0)
+    if x0 in kernel or not is_kernel_within(d, kernel, rest, THREE_KERNEL):
         raise NotAKernelError(f"{kernel} is not a 3-kernel of D - {x0}")
 
     kernel_set = set(kernel)

@@ -2,13 +2,29 @@
 failure-collection contract."""
 
 import json
+from itertools import chain, combinations
 
 import pytest
 
-from kernelkit import CampaignParams, check_circuit_hypothesis, run_campaign
+from kernelkit import (
+    KERNEL,
+    THREE_KERNEL,
+    CampaignParams,
+    HypothesisReport,
+    check_circuit_hypothesis,
+    format_digraph_text,
+    is_kl_kernel,
+    k_closure,
+    run_campaign,
+)
+from kernelkit import campaigns
 from kernelkit.campaigns import CAMPAIGNS
 from kernelkit.errors import BudgetExceededError
-from kernelkit.generators import derive_trial_seed, random_strongly_connected
+from kernelkit.generators import (
+    derive_trial_seed,
+    enumerate_labeled_digraphs,
+    random_strongly_connected,
+)
 
 
 def test_unknown_property_id():
@@ -21,6 +37,49 @@ def test_closure_lemma_exhaustive_n3_passes():
     assert report.result == "pass"
     assert report.instances_checked == 64
     assert report.failures == []
+
+
+def per_subset_closure_failures(n, radius):
+    """Reference: the closure lemma checked subset by subset with both
+    predicates, against the `radius`-closure, as its failures list."""
+    subsets = sorted(chain.from_iterable(combinations(range(n), r) for r in range(n + 1)))
+    items = []
+    for d in enumerate_labeled_digraphs(n):
+        closed = k_closure(d, radius)
+        for subset in subsets:
+            left = is_kl_kernel(d, subset, THREE_KERNEL)
+            right = is_kl_kernel(closed, subset, KERNEL)
+            if left != right:
+                detail = f"subset {list(subset)}: (3,2) {left} vs closure (2,1) {right}"
+                items.append({"instance": format_digraph_text(d), "detail": detail})
+    return items
+
+
+def test_closure_lemma_reports_every_disagreeing_subset(monkeypatch):
+    # the 1-closure breaks the lemma, which the 2-closure never does
+    monkeypatch.setattr(campaigns, "k_closure", lambda d, k: k_closure(d, 1))
+    params = CampaignParams(n=3, exhaustive=True, max_failures=10**6)
+    report = run_campaign("closure-lemma", params)
+    expected = per_subset_closure_failures(3, 1)
+    assert expected and report.failures == expected
+    assert report.failures_total == len(expected)
+
+
+def test_reverse_path_reports_every_arc_without_a_short_return(monkeypatch):
+    # accept every strongly connected digraph: the hypothesis is what keeps
+    # the lemma's failures away
+    monkeypatch.setattr(
+        campaigns, "check_cycle_hypothesis", lambda *args, **kw: HypothesisReport(True, (), 0)
+    )
+    report = run_campaign("reverse-path", CampaignParams(n=4, exhaustive=True, max_failures=10**6))
+    expected = [
+        {"instance": format_digraph_text(d), "detail": f"arc ({u}, {v}) with d({v}, {u}) = {back}"}
+        for d in enumerate_labeled_digraphs(4)
+        if d.is_strongly_connected()
+        for u, v in sorted(d.arcs)
+        if (back := d.distance(v, u)) > 2
+    ]
+    assert expected and report.failures == expected
 
 
 def test_duchet_exhaustive_n3():

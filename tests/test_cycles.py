@@ -6,9 +6,10 @@ rotation at the end).  The length-layered circuit search is also compared
 with `single_pass_circuits`, the one-pass trail search it replaced, whose
 step count defines what fits a budget.  `short_chords` is compared with the
 short chords of `chords_of`, and every `stop_at_first` report with the full
-report.
+report.  Simple cycles are compared with networkx's `simple_cycles`.
 """
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -115,6 +116,29 @@ def test_cycles_min_max_len_bounds():
     assert all(len(c) == 2 for c in enumerate_cycles(k3, max_len=2))
     with pytest.raises(ValueError):
         list(enumerate_cycles(k3, min_len=1))
+
+
+def rotated(cycle):
+    """The cycle's vertex list rotated so its least vertex comes first."""
+    i = cycle.index(min(cycle))
+    return tuple(cycle[i:] + cycle[:i])
+
+
+@given(digraphs, st.integers(2, 7), st.integers(2, 7))
+@settings(max_examples=150, deadline=None)
+def test_cycles_match_networkx_in_length_lex_order(d, min_len, max_len):
+    g = nx.DiGraph(d.arcs)
+    g.add_nodes_from(d.vertices())
+    expected = sorted(
+        (rotated(c) for c in nx.simple_cycles(g) if min_len <= len(c) <= max_len),
+        key=lambda seq: (len(seq), seq),
+    )
+    assert [c.vertices for c in enumerate_cycles(d, min_len, max_len)] == expected
+
+
+def test_first_cycle_comes_before_any_longer_one_is_searched():
+    # K12* has billions of simple cycles; only the digon pass runs here
+    assert next(enumerate_cycles(complete_symmetric(12))).vertices == (0, 1)
 
 
 def test_acyclic_has_no_cycles():

@@ -1,7 +1,8 @@
-"""Digraph construction, distances, and neighbourhood operators.
+"""Digraph construction, distances, mask balls and neighbourhood operators.
 
 networkx is used as an independent oracle for shortest paths and strong
-connectivity so the hand-rolled BFS is checked against code we did not write.
+connectivity so the hand-rolled BFS and mask walks are checked against code
+we did not write.
 """
 
 import networkx as nx
@@ -10,14 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelkit import Digraph, as_vertex_set, build_digraph, directed_cycle
-from kernelkit.digraph import iter_arc_pairs
+from kernelkit.digraph import _ball, iter_arc_pairs
 from kernelkit.errors import (
     DuplicateArcError,
     EmptySetError,
     LoopArcError,
     VertexOutOfRangeError,
 )
-from kernelkit.generators import random_digraph
+from kernelkit.generators import enumerate_labeled_digraphs, random_digraph
 
 
 def to_networkx(d: Digraph) -> nx.DiGraph:
@@ -77,6 +78,28 @@ def test_strong_connectivity_matches_networkx(seed):
     assert d.is_strongly_connected() == nx.is_strongly_connected(to_networkx(d))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_strong_connectivity_matches_networkx_on_every_small_digraph(n):
+    for d in enumerate_labeled_digraphs(n):
+        assert d.is_strongly_connected() == nx.is_strongly_connected(to_networkx(d))
+
+
+class CountingMasks(tuple):
+    """Adjacency masks that count their lookups."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return super().__getitem__(v)
+
+
+def test_ball_stops_once_its_frontier_is_empty():
+    masks = CountingMasks(directed_cycle(5).out_masks)
+    assert _ball(masks, 0, 0b11111, 10**9) == 0b11111
+    assert masks.reads <= 5
+
+
 def test_cycle_distances():
     d = directed_cycle(6)
     assert d.distance(0, 3) == 3
@@ -114,7 +137,7 @@ def test_adjacency_masks_hold_exactly_the_adjacency_lists(d):
 
     for v in d.vertices():
         assert bits(d.out_masks[v]) == set(d.out_adj[v]) == {w for u, w in d.arcs if u == v}
-        assert bits(d.in_masks[v]) == set(d.in_adj[v]) == {u for u, w in d.arcs if w == v}
+        assert bits(d.in_masks[v]) == {u for u, w in d.arcs if w == v}
 
 
 # -- subdigraphs and neighbourhoods ------------------------------------------

@@ -1,4 +1,8 @@
-"""Seeded generation: PRNG reference vectors, determinism, and enumeration."""
+"""Seeded generation: PRNG reference vectors, determinism, and enumeration.
+
+Batched draws (`SplitMix64.units`) are checked against repeated `unit()`
+calls, and both random models against per-pair-draw references.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -6,10 +10,12 @@ from hypothesis import strategies as st
 
 from kernelkit import (
     SplitMix64,
+    build_digraph,
     enumerate_labeled_digraphs,
     random_digraph,
     random_strongly_connected,
 )
+from kernelkit.digraph import iter_arc_pairs
 from kernelkit.generators import derive_trial_seed
 from kernelkit.errors import SizeBoundError
 
@@ -42,6 +48,14 @@ def test_unit_is_in_range():
     rng = SplitMix64(99)
     for _ in range(100):
         assert 0.0 <= rng.unit() < 1.0
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 60))
+@settings(max_examples=100, deadline=None)
+def test_units_are_repeated_unit_calls(seed, count):
+    batched, single = SplitMix64(seed), SplitMix64(seed)
+    assert batched.units(count) == [single.unit() for _ in range(count)]
+    assert batched.next_u64() == single.next_u64()  # same state afterwards
 
 
 def test_derive_trial_seed_spreads():
@@ -83,6 +97,35 @@ def test_random_strongly_connected_validates():
         random_strongly_connected(0, 0.2, 1)
     with pytest.raises(ValueError):
         random_strongly_connected(4, -0.1, 1)
+
+
+def per_pair_random_digraph(n, arc_prob, seed):
+    """Reference: one `unit()` call per ordered pair."""
+    rng = SplitMix64(seed)
+    return build_digraph(n, [pair for pair in iter_arc_pairs(n) if rng.unit() < arc_prob])
+
+
+def per_pair_random_strongly_connected(n, extra_arc_prob, seed):
+    """Reference: the shuffled backbone, then one `unit()` call per other pair."""
+    rng = SplitMix64(seed)
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    backbone = {(perm[i], perm[(i + 1) % n]) for i in range(n)} if n >= 2 else set()
+    extras = [
+        pair
+        for pair in iter_arc_pairs(n)
+        if pair not in backbone and rng.unit() < extra_arc_prob
+    ]
+    return build_digraph(n, sorted(backbone) + extras)
+
+
+@given(st.integers(1, 12), st.floats(0, 1), st.integers(0, 2**64 - 1))
+@settings(max_examples=150, deadline=None)
+def test_random_models_match_per_pair_draws(n, p, seed):
+    assert random_digraph(n, p, seed) == per_pair_random_digraph(n, p, seed)
+    assert random_strongly_connected(n, p, seed) == per_pair_random_strongly_connected(n, p, seed)
 
 
 # -- exhaustive enumeration --------------------------------------------------

@@ -2,10 +2,11 @@
 
 The solver's lex-least claim is checked against a dumb itertools oracle, its
 `within` search against the relabel route (search D[S] relabelled, then map
-back), the perfection scans against a brute-force scan over every subset of
-every induced subdigraph, and the closure distance law against networkx
-shortest paths.  The perfection scans decide each subset by the weak
-components of D[S]; their component walk is checked against networkx.
+back), `kl_kernels` against `is_kl_kernel` on every subset, the perfection
+scans against a brute-force scan over every subset of every induced
+subdigraph, and the closure distance law against networkx shortest paths.
+The perfection scans decide each subset by the weak components of D[S];
+their component walk is checked against networkx.
 """
 
 import math
@@ -32,6 +33,7 @@ from kernelkit import (
     is_l_absorbent,
     is_quasi_3_kernel_perfect,
     k_closure,
+    kl_kernels,
 )
 from kernelkit import kernels
 from kernelkit.errors import SizeBoundError, VertexOutOfRangeError
@@ -40,11 +42,26 @@ from kernelkit.generators import (
     random_digraph,
     random_strongly_connected,
 )
-from kernelkit.kernels import _subsets_lex, _subsets_with_components
+from kernelkit.kernels import _subsets_with_components
 
 
 def all_subsets(n):
     return chain.from_iterable(combinations(range(n), r) for r in range(n + 1))
+
+
+def subsets_lex(n):
+    """All subsets of 0..n-1 as sorted tuples, in lexicographic list order
+    (empty set first)."""
+    prefix = []
+
+    def rec(start):
+        yield tuple(prefix)
+        for v in range(start, n):
+            prefix.append(v)
+            yield from rec(v + 1)
+            prefix.pop()
+
+    return rec(0)
 
 
 # -- closures ----------------------------------------------------------------
@@ -236,6 +253,22 @@ def test_closure_lemma_equivalence_property(d):
         assert is_kl_kernel(d, subset, THREE_KERNEL) == is_kl_kernel(closed, subset, KERNEL)
 
 
+# l >= k lets a superset of a kernel be a kernel too: the search must go on past one.
+@given(digraphs_up_to(6), st.integers(2, 5), st.integers(1, 4))
+@example(build_digraph(2, []), 2, 2)
+@example(directed_cycle(6), 2, 3)
+@settings(max_examples=150, deadline=None)
+def test_kl_kernels_lists_every_kernel_in_lex_order(d, k, ell):
+    query = KernelQuery(k, ell)
+    expected = [s for s in subsets_lex(d.vertex_count) if is_kl_kernel(d, s, query)]
+    assert kl_kernels(d, query) == expected
+
+
+def test_kl_kernels_size_bound():
+    with pytest.raises(SizeBoundError):
+        kl_kernels(directed_cycle(25), KERNEL)
+
+
 @given(digraphs, st.integers(2, 4))
 @settings(max_examples=60, deadline=None)
 def test_independence_monotone_in_k(d, k):
@@ -273,10 +306,10 @@ def test_quasi_perfect_digraph_is_perfect_iff_it_has_a_three_kernel(d):
 
 
 def scan_reference(d, query, proper_only):
-    """The first nonempty subset S, in `_subsets_lex` order, whose D[S] has no
+    """The first nonempty subset S, in `subsets_lex` order, whose D[S] has no
     (k,l)-kernel, found by testing every subset of D[S] with `is_kl_kernel`."""
     n = d.vertex_count
-    for subset in _subsets_lex(n):
+    for subset in subsets_lex(n):
         if not subset or (proper_only and len(subset) == n):
             continue
         sub, _ = d.induced(subset)
@@ -340,7 +373,7 @@ def test_passing_scan_searches_each_weakly_connected_subset_once(d, searched):
     g = nx.DiGraph(d.arcs)
     g.add_nodes_from(d.vertices())
     connected = [
-        s for s in _subsets_lex(d.vertex_count) if s and nx.is_weakly_connected(g.subgraph(s))
+        s for s in subsets_lex(d.vertex_count) if s and nx.is_weakly_connected(g.subgraph(s))
     ]
     assert sorted(searched) == sorted(connected)
 
@@ -349,7 +382,7 @@ def test_passing_scan_searches_each_weakly_connected_subset_once(d, searched):
 @settings(max_examples=100, deadline=None)
 def test_component_walk_yields_every_subset_with_its_weak_components(d):
     walked = list(_subsets_with_components(d))
-    assert [subset for subset, _ in walked] == [s for s in _subsets_lex(d.vertex_count) if s]
+    assert [subset for subset, _ in walked] == [s for s in subsets_lex(d.vertex_count) if s]
     for subset, components in walked:
         sub, mapping = d.induced(subset)
         g = nx.DiGraph()

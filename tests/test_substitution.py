@@ -3,7 +3,9 @@
 The C6/C4/C3 traces below were derived by hand from the set equations and
 double-checked against the brute-force solver before being frozen here.
 The trace builder's N' sets and M-sets are checked against a reference that
-applies the set equations directly, one distance query per set or vertex.
+applies the set equations directly, one distance query per set or vertex,
+and its base-kernel check on D's masks against `is_kl_kernel` on an
+`induced` copy of D - x0.
 
 Three small strongly connected digraphs (A, B, C at the bottom) are frozen
 as regression inputs for the lemma checkers: on each of them one of the
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 
 import kernelkit
 from kernelkit import (
+    THREE_KERNEL,
     as_vertex_set,
     assemble_pre_3_kernel,
     build_digraph,
@@ -31,8 +34,10 @@ from kernelkit import (
     check_pre_kernel_properties,
     check_unique_short_chord,
     directed_cycle,
+    find_kl_kernel,
     find_road,
     is_3_kernel_perfect,
+    is_kl_kernel,
     is_quasi_3_kernel_perfect,
     roads_of,
     run_substitution_method,
@@ -125,6 +130,34 @@ def test_build_rejects_non_kernel():
         build_substitution_sequence(directed_cycle(6), 0, (1, 4))
     with pytest.raises(NotAKernelError):
         build_substitution_sequence(directed_cycle(6), 0, (0, 3))  # contains x0
+
+
+def rejected_on_an_induced_copy(d, x0, kernel):
+    """Reference: the base-kernel check on a relabelled copy of D - x0."""
+    sub, mapping = d.induced(v for v in d.vertices() if v != x0)
+    return x0 in kernel or not is_kl_kernel(sub, [mapping[v] for v in kernel], THREE_KERNEL)
+
+
+@given(
+    st.builds(
+        random_strongly_connected, st.integers(1, 7), st.floats(0, 1), st.integers(0, 2**32)
+    ),
+    st.integers(0, 6),
+    st.integers(0, 2**7 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_base_kernel_check_matches_the_induced_copy_route(d, x0, picks):
+    x0 %= d.vertex_count
+    found = find_kl_kernel(d, THREE_KERNEL, within=[v for v in d.vertices() if v != x0])
+    for kernel in (tuple(v for v in d.vertices() if picks >> v & 1), found.witness or ()):
+        try:
+            build_substitution_sequence(d, x0, kernel)
+            rejected = False
+        except NotAKernelError:
+            rejected = True
+        except SubkernelMissingError:
+            rejected = False
+        assert rejected == rejected_on_an_induced_copy(d, x0, kernel)
 
 
 # -- roads -------------------------------------------------------------------
