@@ -11,11 +11,9 @@ from .cycles import (
     are_crossed,
     check_circuit_hypothesis,
     check_cycle_hypothesis,
-    chords_of,
     enumerate_circuits,
     enumerate_cycles,
     every_cycle_has_symmetric_arc,
-    is_short_chord,
     short_chords,
 )
 from .kernels import (
@@ -56,7 +54,6 @@ from .generators import (
     random_strongly_connected,
 )
 from .textio import (
-    DigraphDocument,
     format_digraph_text,
     parse_digraph_text,
 )

@@ -13,6 +13,7 @@ import json
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import chain
 from typing import Callable, Iterator
 
@@ -238,112 +239,17 @@ def _theorem2(params: CampaignParams, failures: _Failures) -> dict:
     }
 
 
-def _trace_stream(
-    params: CampaignParams,
-) -> Iterator[tuple[Digraph, int, SubstitutionTrace | None, str | None]]:
-    """One (D, x0) attempt per trial; trace is None with a reason when the
-    pipeline cannot start."""
-    if params.exhaustive:
-        raise ValueError("the trace campaigns have no exhaustive mode")
-    for trial in range(params.trials):
-        ts = derive_trial_seed(params.seed, trial)
-        d = random_strongly_connected(params.n, params.extra_arc_prob, ts)
-        x0 = SplitMix64(ts + 1).next_u64() % params.n
-        try:
-            trace, reason = start_substitution(d, x0), None
-        except NoBaseKernelError:
-            trace, reason = None, "no base kernel"
-        except SubkernelMissingError:
-            trace, reason = None, "subkernel missing"
-        yield d, x0, trace, reason
-
-
 def _found_roads(
-    d: Digraph, x0: int, trace: SubstitutionTrace, failures: _Failures
+    d: Digraph, x0: int, trace: SubstitutionTrace, failures: _Failures, occupancy: Counter
 ) -> Iterator[Road]:
-    """The roads of the trace; a vertex without a road is a failure."""
+    """The roads of the trace, each counted as roads_checked; a vertex
+    without a road is a failure."""
     for s, v, road in roads_of(trace):
         if road is None:
             failures.add(d, f"x0={x0}: no road of length {s} from {v}")
         else:
+            occupancy["roads_checked"] += 1
             yield road
-
-
-def _pre_kernel_props(params: CampaignParams, failures: _Failures) -> dict:
-    tried = built = 0
-    skips: Counter = Counter()
-    for d, x0, trace, reason in _trace_stream(params):
-        tried += 1
-        if trace is None:
-            skips[reason] += 1
-            continue
-        built += 1
-        report = check_pre_kernel_properties(trace)
-        for u in report.absorption_violations:
-            failures.add(d, f"x0={x0}: vertex {u} not 2-absorbed by the pre-3-kernel")
-        for a, b, path, why in report.shape_violations:
-            failures.add(d, f"x0={x0}: internal path {path} from {a} to {b}: {why}")
-    return {
-        "instances_checked": built,
-        "occupancy": {"tried": tried, "traces_built": built, "skipped": skips},
-        "vacuous": built == 0,
-    }
-
-
-def _roads(params: CampaignParams, failures: _Failures) -> dict:
-    tried = built = roads_checked = 0
-    skips: Counter = Counter()
-    for d, x0, trace, reason in _trace_stream(params):
-        tried += 1
-        if trace is None:
-            skips[reason] += 1
-            continue
-        built += 1
-        for road in _found_roads(d, x0, trace, failures):
-            roads_checked += 1
-            validation = validate_road(trace, road.path)
-            if not validation.passed:
-                details = "; ".join(c.detail for c in validation.conditions if not c.ok)
-                failures.add(d, f"x0={x0}: road {list(road.path)} invalid: {details}")
-    return {
-        "instances_checked": built,
-        "occupancy": {
-            "tried": tried,
-            "traces_built": built,
-            "roads_checked": roads_checked,
-            "skipped": skips,
-        },
-        "vacuous": roads_checked == 0,
-    }
-
-
-def _unique_chord(params: CampaignParams, failures: _Failures) -> dict:
-    tried = built = roads_checked = roads_with_skip = 0
-    skips: Counter = Counter()
-    for d, x0, trace, reason in _trace_stream(params):
-        tried += 1
-        if trace is None:
-            skips[reason] += 1
-            continue
-        built += 1
-        for road in _found_roads(d, x0, trace, failures):
-            roads_checked += 1
-            report = check_unique_short_chord(trace, road)
-            if report.inner_positions:
-                roads_with_skip += 1
-            for violation in report.violations:
-                failures.add(d, f"x0={x0}: road {list(road.path)}: {violation}")
-    return {
-        "instances_checked": built,
-        "occupancy": {
-            "tried": tried,
-            "traces_built": built,
-            "roads_checked": roads_checked,
-            "roads_with_inner_skip_arc": roads_with_skip,
-            "skipped": skips,
-        },
-        "vacuous": roads_with_skip == 0,
-    }
 
 
 def _outside_circuit_class(d: Digraph, params: CampaignParams) -> str | None:
@@ -357,40 +263,84 @@ def _outside_circuit_class(d: Digraph, params: CampaignParams) -> str | None:
     return None if hypothesis.satisfied else "circuit hypothesis"
 
 
-def _additive_inverse(params: CampaignParams, failures: _Failures) -> dict:
-    tried = accepted = built = roads_checked = 0
+def _trace_campaign(
+    params: CampaignParams,
+    failures: _Failures,
+    check: Callable[[Digraph, int, SubstitutionTrace, _Failures, Counter], None],
+    counters: tuple[str, ...] = (),
+    outside_class: Callable[[Digraph, CampaignParams], str | None] | None = None,
+) -> dict:
+    """One (D, x0) attempt per trial: D is skipped when `outside_class` gives
+    a reason, else its substitution starts and `check` runs on the trace.
+    `check` adds to the named counters; the campaign is vacuous when the
+    last of them (traces_built when there are none) stays 0."""
+    if params.exhaustive:
+        raise ValueError("the trace campaigns have no exhaustive mode")
+    occupancy = Counter(dict.fromkeys(("tried", "traces_built", *counters), 0))
+    if outside_class:
+        occupancy["accepted"] = 0
     skips: Counter = Counter()
-    for d, x0, trace, reason in _trace_stream(params):
-        tried += 1
-        outside = _outside_circuit_class(d, params)
-        if outside:
-            skips[outside] += 1
+    for trial in range(params.trials):
+        ts = derive_trial_seed(params.seed, trial)
+        d = random_strongly_connected(params.n, params.extra_arc_prob, ts)
+        x0 = SplitMix64(ts + 1).next_u64() % params.n
+        occupancy["tried"] += 1
+        if outside_class:
+            if outside := outside_class(d, params):
+                skips[outside] += 1
+                continue
+            occupancy["accepted"] += 1
+        try:
+            trace = start_substitution(d, x0)
+        except NoBaseKernelError:
+            skips["no base kernel"] += 1
             continue
-        accepted += 1
-        if trace is None:
-            skips[reason] += 1
+        except SubkernelMissingError:
+            skips["subkernel missing"] += 1
             continue
-        built += 1
-        for road in _found_roads(d, x0, trace, failures):
-            roads_checked += 1
-            report = check_additive_inverse_property(trace, road)
-            for pos, dist in report.violations:
-                failures.add(
-                    d,
-                    f"x0={x0}: road {list(road.path)} position {pos}: "
-                    f"d(x0, t_{pos}) = {dist} != -{pos} mod 3",
-                )
+        occupancy["traces_built"] += 1
+        check(d, x0, trace, failures, occupancy)
     return {
-        "instances_checked": built,
-        "occupancy": {
-            "tried": tried,
-            "accepted": accepted,
-            "traces_built": built,
-            "roads_checked": roads_checked,
-            "skipped": skips,
-        },
-        "vacuous": roads_checked == 0,
+        "instances_checked": occupancy["traces_built"],
+        "occupancy": {**occupancy, "skipped": skips},
+        "vacuous": occupancy[("traces_built", *counters)[-1]] == 0,
     }
+
+
+def _pre_kernel_props(d, x0, trace, failures, occupancy) -> None:
+    report = check_pre_kernel_properties(trace)
+    for u in report.absorption_violations:
+        failures.add(d, f"x0={x0}: vertex {u} not 2-absorbed by the pre-3-kernel")
+    for a, b, path, why in report.shape_violations:
+        failures.add(d, f"x0={x0}: internal path {path} from {a} to {b}: {why}")
+
+
+def _roads(d, x0, trace, failures, occupancy) -> None:
+    for road in _found_roads(d, x0, trace, failures, occupancy):
+        validation = validate_road(trace, road.path)
+        if not validation.passed:
+            details = "; ".join(c.detail for c in validation.conditions if not c.ok)
+            failures.add(d, f"x0={x0}: road {list(road.path)} invalid: {details}")
+
+
+def _unique_chord(d, x0, trace, failures, occupancy) -> None:
+    for road in _found_roads(d, x0, trace, failures, occupancy):
+        report = check_unique_short_chord(trace, road)
+        if report.inner_positions:
+            occupancy["roads_with_inner_skip_arc"] += 1
+        for violation in report.violations:
+            failures.add(d, f"x0={x0}: road {list(road.path)}: {violation}")
+
+
+def _additive_inverse(d, x0, trace, failures, occupancy) -> None:
+    for road in _found_roads(d, x0, trace, failures, occupancy):
+        report = check_additive_inverse_property(trace, road)
+        for pos, dist in report.violations:
+            failures.add(
+                d,
+                f"x0={x0}: road {list(road.path)} position {pos}: "
+                f"d(x0, t_{pos}) = {dist} != -{pos} mod 3",
+            )
 
 
 def _theorem4(params: CampaignParams, failures: _Failures) -> dict:
@@ -429,7 +379,7 @@ def _theorem4(params: CampaignParams, failures: _Failures) -> dict:
                     f"x0={x0}: pre-3-kernel {list(outcome.pre_3_kernel)} is not a "
                     f"3-kernel (witness {outcome.failure_witness})",
                 )
-            for road in _found_roads(d, x0, outcome.trace, failures):
+            for road in _found_roads(d, x0, outcome.trace, failures, Counter()):
                 report = check_additive_inverse_property(outcome.trace, road)
                 if not report.passed:
                     failures.add(
@@ -452,10 +402,19 @@ CAMPAIGNS: dict[str, Callable[[CampaignParams, _Failures], dict]] = {
     "duchet": _duchet,
     "reverse-path": _reverse_path,
     "theorem2": _theorem2,
-    "pre-kernel-props": _pre_kernel_props,
-    "roads": _roads,
-    "unique-chord": _unique_chord,
-    "additive-inverse": _additive_inverse,
+    "pre-kernel-props": partial(_trace_campaign, check=_pre_kernel_props),
+    "roads": partial(_trace_campaign, check=_roads, counters=("roads_checked",)),
+    "unique-chord": partial(
+        _trace_campaign,
+        check=_unique_chord,
+        counters=("roads_checked", "roads_with_inner_skip_arc"),
+    ),
+    "additive-inverse": partial(
+        _trace_campaign,
+        check=_additive_inverse,
+        counters=("roads_checked",),
+        outside_class=_outside_circuit_class,
+    ),
     "theorem4": _theorem4,
 }
 

@@ -246,8 +246,9 @@ def _cmd_verify(args) -> int:
 def _cmd_generate(args) -> int:
     if args.kind == "exhaustive":
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         for index, d in enumerate(enumerate_labeled_digraphs(args.n)):
+            if index == 0:  # a size bound is raised before the first digraph
+                out.mkdir(parents=True, exist_ok=True)
             _write(format_digraph_text(d), out / f"digraph_{index:06d}.txt")
         return EXIT_PASS
     if args.kind == "cycle":

@@ -7,10 +7,10 @@ every cycle is also a circuit.  Chords are position-indexed so repeated
 vertices on a circuit contribute separately.
 
 Every chord condition concerns only short chords (length 2), so the
-hypothesis checks find them with `short_chords`, one arc test per position;
-`chords_of` builds every chord and is the reference.  All three hypothesis
-checks take `stop_at_first`, which ends the check at the first violation
-(the full report's first one) for callers that read only `.satisfied`.
+hypothesis checks find them with `short_chords`, one arc test per position.
+All three hypothesis checks take `stop_at_first`, which ends the check at
+the first violation (the full report's first one) for callers that read
+only `.satisfied`.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ class Chord:
 class Violation:
     subject: tuple[int, ...]
     reason: str
-    chords: tuple[Chord, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -188,28 +187,10 @@ def enumerate_circuits(
             return
 
 
-def chords_of(d: Digraph, c: ClosedWalk) -> list[Chord]:
-    """All position-indexed chords of the cycle/circuit, sorted by position."""
-    seq = c.vertices
-    n = len(seq)
-    walk_arcs = c.arcs()
-    result = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or j == (i + 1) % n:
-                continue
-            arc = (seq[i], seq[j])
-            if arc in d.arcs and arc not in walk_arcs:
-                result.append(Chord(i, j, (j - i) % n))
-    result.sort(key=lambda ch: (ch.tail_pos, ch.head_pos))
-    return result
-
-
 def short_chords(d: Digraph, c: ClosedWalk) -> list[Chord]:
-    """The chords of length 2, sorted by position: one arc test per position
-    instead of `chords_of`'s all-pairs scan, with the same result as
-    `[ch for ch in chords_of(d, c) if is_short_chord(ch)]`.  The walk-arc
-    test matters on circuits, whose vertices can repeat."""
+    """The chords of length 2, sorted by position, by one arc test per
+    position.  The walk-arc test matters on circuits, whose vertices can
+    repeat."""
     seq = c.vertices
     n = len(seq)
     if n < 3:
@@ -221,10 +202,6 @@ def short_chords(d: Digraph, c: ClosedWalk) -> list[Chord]:
         if arc in d.arcs and arc not in walk_arcs:
             result.append(Chord(i, (i + 2) % n, 2))
     return result
-
-
-def is_short_chord(ch: Chord) -> bool:
-    return ch.length == 2
 
 
 def are_consecutive(a: Chord, b: Chord) -> bool:
@@ -251,11 +228,7 @@ def _cycle_ok(
         return Violation(cyc.vertices, "length = 0 mod 3 but no short chord")
     pairs = [(a, b) for a in shorts for b in shorts if a is not b and are_consecutive(a, b)]
     if not pairs:
-        return Violation(
-            cyc.vertices,
-            "length != 0 mod 3 but no two consecutive short chords",
-            tuple(shorts),
-        )
+        return Violation(cyc.vertices, "length != 0 mod 3 but no two consecutive short chords")
     if variant is CycleHypothesisVariant.TWO_CONSECUTIVE:
         return None
     # need, for some consecutive pair, a third short chord crossing either member
@@ -271,9 +244,7 @@ def _cycle_ok(
             ):
                 return None
     return Violation(
-        cyc.vertices,
-        "length != 0 mod 3 but no third short chord crossing the consecutive pair",
-        tuple(shorts),
+        cyc.vertices, "length != 0 mod 3 but no third short chord crossing the consecutive pair"
     )
 
 
@@ -314,8 +285,7 @@ def check_cycle_hypothesis(
 def _circuit_violation(d: Digraph, circ: ClosedWalk) -> Violation | None:
     if len(circ) % 3 == 0 or len(shorts := short_chords(d, circ)) >= 4:
         return None
-    detail = f"length != 0 mod 3 with only {len(shorts)} short chords"
-    return Violation(circ.vertices, detail, tuple(shorts))
+    return Violation(circ.vertices, f"length != 0 mod 3 with only {len(shorts)} short chords")
 
 
 def check_circuit_hypothesis(

@@ -196,10 +196,6 @@ def directed_cycle(n: int) -> Digraph:
     return build_digraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def sorted_arcs(d: Digraph) -> list[Arc]:
-    return sorted(d.arcs)
-
-
 def iter_arc_pairs(n: int) -> Iterator[Arc]:
     """All ordered vertex pairs (u, v), u != v, in lexicographic order."""
     for u in range(n):

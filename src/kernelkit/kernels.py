@@ -37,10 +37,6 @@ class KernelQuery:
         if self.k < 2 or self.l < 1:
             raise ValueError(f"a (k,l)-kernel needs k >= 2 and l >= 1, got ({self.k},{self.l})")
 
-    @classmethod
-    def k_kernel(cls, k: int) -> "KernelQuery":
-        return cls(k, k - 1)
-
 
 KERNEL = KernelQuery(2, 1)
 THREE_KERNEL = KernelQuery(3, 2)

@@ -1,15 +1,12 @@
 """Digraph text format: `n <count>` header then one `<u> <v>` arc per line.
 
-`#` starts a comment; a leading `# name: <text>` comment carries an optional
-document name through a round trip.  Canonical emission sorts arcs
-lexicographically, UTF-8, LF line endings.
+`#` starts a comment.  Canonical emission sorts arcs lexicographically,
+UTF-8, LF line endings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .digraph import Digraph, add_arc, sorted_arcs
+from .digraph import Digraph, add_arc
 from .errors import (
     DigraphSyntaxError,
     DuplicateArcError,
@@ -18,28 +15,18 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class DigraphDocument:
-    digraph: Digraph
-    name: str | None = None
-
-
-def parse_document(text: str) -> DigraphDocument:
-    name: str | None = None
+def parse_digraph_text(text: str) -> Digraph:
     vertex_count: int | None = None
     seen: set[tuple[int, int]] = set()
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline
         if "#" in line:
-            comment = line[line.index("#") + 1 :].strip()
-            if name is None and vertex_count is None and comment.startswith("name:"):
-                name = comment[len("name:") :].strip()
             line = line[: line.index("#")]
         tokens = line.split()
         if not tokens:
             continue
         if vertex_count is None:
-            if len(tokens) != 2 or tokens[0] != "n" or not tokens[1].isdigit():
+            if len(tokens) != 2 or tokens[0] != "n" or not tokens[1].isdecimal():
                 raise DigraphSyntaxError(f"expected 'n <count>', got {rawline!r}", lineno)
             vertex_count = int(tokens[1])
             continue
@@ -55,21 +42,10 @@ def parse_document(text: str) -> DigraphDocument:
             raise type(exc)(f"{exc} at line {lineno}") from None
     if vertex_count is None:
         raise DigraphSyntaxError("missing 'n <count>' header", 1)
-    return DigraphDocument(Digraph(vertex_count, frozenset(seen)), name)
+    return Digraph(vertex_count, frozenset(seen))
 
 
-def parse_digraph_text(text: str) -> Digraph:
-    return parse_document(text).digraph
-
-
-def format_document(doc: DigraphDocument) -> str:
-    lines = []
-    if doc.name is not None:
-        lines.append(f"# name: {doc.name}")
-    lines.append(f"n {doc.digraph.vertex_count}")
-    lines.extend(f"{u} {v}" for u, v in sorted_arcs(doc.digraph))
+def format_digraph_text(d: Digraph) -> str:
+    lines = [f"n {d.vertex_count}"]
+    lines.extend(f"{u} {v}" for u, v in sorted(d.arcs))
     return "\n".join(lines) + "\n"
-
-
-def format_digraph_text(d: Digraph, name: str | None = None) -> str:
-    return format_document(DigraphDocument(d, name))

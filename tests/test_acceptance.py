@@ -45,7 +45,7 @@ from kernelkit import (
     run_substitution_method,
     validate_road,
 )
-from kernelkit.campaigns import _trace_stream
+from kernelkit.campaigns import _Failures, _trace_campaign
 from kernelkit.generators import derive_trial_seed, random_digraph
 
 SEED = 20260823
@@ -214,10 +214,10 @@ def test_criterion_07_pre_kernel_lemma_suite():
             assert path[0] == a and path[-1] == b and nx.is_path(g, path)
             assert len(path) - 1 == nx.shortest_path_length(g, a, b)
             reported.append((failure["instance"], x0, a, b))
+        traces = []
+        _trace_campaign(params, _Failures(0), lambda d, x0, trace, *_: traces.append((d, x0, trace)))
         confirmed = []
-        for d, x0, trace, _ in _trace_stream(params):
-            if trace is None:
-                continue
+        for d, x0, trace in traces:
             close, unabsorbed = distance_two_audit(d, assemble_pre_3_kernel(trace))
             assert unabsorbed == []
             rounds = {v: k for k, added in enumerate(trace.added) for v in added}

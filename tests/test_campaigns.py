@@ -16,6 +16,7 @@ from kernelkit import (
     is_kl_kernel,
     k_closure,
     run_campaign,
+    start_substitution,
 )
 from kernelkit import campaigns
 from kernelkit.campaigns import CAMPAIGNS
@@ -159,6 +160,19 @@ def test_criterion_10_budget_instance_is_decided_by_its_first_layer():
     occupancy = run_campaign("theorem4", params).occupancy
     assert occupancy["accepted"] == 2
     assert occupancy["skipped"] == {"circuit hypothesis": 29}
+
+
+def test_additive_inverse_builds_traces_only_inside_the_class(monkeypatch):
+    starts = []
+
+    def counting_start(d, x0):
+        starts.append(x0)
+        return start_substitution(d, x0)
+
+    monkeypatch.setattr(campaigns, "start_substitution", counting_start)
+    report = run_campaign("additive-inverse", CampaignParams(n=6, trials=40, seed=7))
+    assert report.occupancy["tried"] == 40
+    assert len(starts) == report.occupancy["accepted"] == 1
 
 
 def test_all_campaigns_run_small():

@@ -275,6 +275,7 @@ def test_resource_exit_code(capsys, tmp_path):
                        "--out", str(out))
     assert code == EXIT_RESOURCE
     assert "resource" in err
+    assert not out.exists()
 
 
 def test_substitute_without_base_kernel(tmp_path, capsys):

@@ -5,8 +5,8 @@ differently from the library's (it walks raw arc sequences and dedupes by
 rotation at the end).  The length-layered circuit search is also compared
 with `single_pass_circuits`, the one-pass trail search it replaced, whose
 step count defines what fits a budget.  `short_chords` is compared with the
-short chords of `chords_of`, and every `stop_at_first` report with the full
-report.  Simple cycles are compared with networkx's `simple_cycles`.
+short chords of `chords_of`, an all-pairs chord scan, and every
+`stop_at_first` report with the full report.  Simple cycles are compared with networkx's `simple_cycles`.
 """
 
 import networkx as nx
@@ -24,12 +24,10 @@ from kernelkit import (
     build_digraph,
     check_circuit_hypothesis,
     check_cycle_hypothesis,
-    chords_of,
     directed_cycle,
     enumerate_circuits,
     enumerate_cycles,
     every_cycle_has_symmetric_arc,
-    is_short_chord,
     short_chords,
 )
 from kernelkit.errors import BudgetExceededError
@@ -235,6 +233,28 @@ def test_every_cycle_is_a_circuit():
 
 
 # -- chords ------------------------------------------------------------------
+
+
+def chords_of(d, c):
+    """Reference: all position-indexed chords of the cycle/circuit, sorted
+    by position, from a scan of every position pair."""
+    seq = c.vertices
+    n = len(seq)
+    walk_arcs = c.arcs()
+    result = []
+    for i in range(n):
+        for j in range(n):
+            if i == j or j == (i + 1) % n:
+                continue
+            arc = (seq[i], seq[j])
+            if arc in d.arcs and arc not in walk_arcs:
+                result.append(Chord(i, j, (j - i) % n))
+    result.sort(key=lambda ch: (ch.tail_pos, ch.head_pos))
+    return result
+
+
+def is_short_chord(ch):
+    return ch.length == 2
 
 
 def test_chords_positions_and_lengths():

@@ -106,11 +106,6 @@ def test_closure_distance_law_vs_networkx(seed, k):
 
 # -- predicates --------------------------------------------------------------
 
-def test_kernel_query_aliases():
-    assert KernelQuery.k_kernel(2) == KERNEL
-    assert KernelQuery.k_kernel(3) == THREE_KERNEL
-
-
 def test_c6_three_kernel_membership():
     d = directed_cycle(6)
     assert is_kl_kernel(d, (0, 3), THREE_KERNEL)

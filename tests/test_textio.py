@@ -3,7 +3,6 @@
 import pytest
 
 from kernelkit import build_digraph, directed_cycle, format_digraph_text, parse_digraph_text
-from kernelkit.textio import DigraphDocument, format_document, parse_document
 from kernelkit.errors import (
     DigraphSyntaxError,
     DuplicateArcError,
@@ -19,13 +18,9 @@ def test_round_trip_is_canonical():
     assert parse_digraph_text(text).arcs == d.arcs
 
 
-def test_round_trip_with_name():
-    doc = DigraphDocument(directed_cycle(3), name="triangle")
-    text = format_document(doc)
-    assert text.startswith("# name: triangle\n")
-    back = parse_document(text)
-    assert back.name == "triangle"
-    assert back.digraph.arcs == doc.digraph.arcs
+def test_name_line_parses_as_a_comment():
+    d = parse_digraph_text("# name: triangle\nn 3\n0 1\n1 2\n2 0\n")
+    assert d.arcs == directed_cycle(3).arcs
 
 
 def test_comments_and_blank_lines_ignored():
@@ -44,6 +39,10 @@ def test_bad_header_reports_line():
     with pytest.raises(DigraphSyntaxError) as exc:
         parse_digraph_text("# c\nvertices 3\n")
     assert exc.value.line == 2
+    # "²".isdigit() is true, but int("²") fails
+    with pytest.raises(DigraphSyntaxError) as exc:
+        parse_digraph_text("n \u00b2\n")
+    assert exc.value.line == 1
 
 
 def test_non_integer_arc():
