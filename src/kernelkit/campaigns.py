@@ -74,6 +74,9 @@ class CampaignParams:
         ):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
+        for name in ("arc_prob", "extra_arc_prob"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in [0, 1]")
 
 
 @dataclass

@@ -2,10 +2,12 @@
 
 Vertices are dense integers 0..n-1.  All values are frozen after construction
 and safe to share; derived structures (adjacency lists, adjacency masks,
-distance matrix) are cached lazily on the instance, so every search on one
-digraph builds them once.  A distance is a hop count, or None when the target
-is unreachable.  The kernel engine, closures and strong connectivity read
-balls from `_ball`, the one breadth-first walk on masks, not distances.
+radius-2 in-balls, distance matrix) are cached lazily on the instance, so
+every search on one digraph builds them once.  A distance is a hop count, or
+None when the target is unreachable.  The kernel engine, closures, strong
+connectivity and the substitution method read balls from `_ball`, the one
+breadth-first walk on masks, not distances; the distance matrix serves
+`distance`, the neighbourhood operators and the list predicates.
 """
 
 from __future__ import annotations
@@ -60,6 +62,12 @@ class Digraph:
         for u, v in self.arcs:
             masks[v] |= 1 << u
         return tuple(masks)
+
+    @cached_property
+    def in_balls2(self) -> tuple[int, ...]:
+        """Entry v: v and every vertex reaching v within 2 steps, as an int."""
+        whole = (1 << self.vertex_count) - 1
+        return tuple(_ball(self.in_masks, v, whole, 2) for v in self.vertices())
 
     def vertices(self) -> range:
         return range(self.vertex_count)

@@ -1,6 +1,11 @@
 """The 3-substitution method: sequences, pre-3-kernels, roads, and the
 per-lemma checkers the verification harness runs on concrete traces.
 
+Distances come from int masks, never a distance matrix: each round's sets
+are unions of in-neighbour masks and of `Digraph.in_balls2` (u reaches v
+within 2 exactly when bit u of v's ball is set), and hop counts from x0 come
+from one BFS on masks per trace.
+
 Index conventions: set i of a sequence is N_i, with i = 3k, 3k+1, 3k+2 for
 round k; positions on a road count from x0 (position 0) to the far end
 (position s).
@@ -25,7 +30,6 @@ from .kernels import (
     THREE_KERNEL,
     find_kl_kernel,
     is_kernel_within,
-    is_l_absorbent,
 )
 
 
@@ -61,6 +65,20 @@ class SubstitutionTrace:
     def _added_index(self) -> dict[int, int]:
         return {v: k for k, vs in enumerate(self.added) for v in vs}
 
+    @cached_property
+    def _hops_from_x0(self) -> dict[int, int]:
+        """d(x0, v) for every v that x0 reaches: one BFS on masks."""
+        hops: dict[int, int] = {}
+        frontier = seen = 1 << self.x0
+        depth = 0
+        while frontier:
+            layer = _members(frontier)
+            hops.update(dict.fromkeys(layer, depth))
+            frontier = _union(self.digraph.out_masks, layer) & ~seen
+            seen |= frontier
+            depth += 1
+        return hops
+
     def added_round(self, v: int) -> int | None:
         """k such that v is in N_{3k}, if any."""
         return self._added_index.get(v)
@@ -81,6 +99,23 @@ class SubstitutionTrace:
         return "-"
 
 
+def _members(mask: int) -> VertexSet:
+    """The set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _union(masks: tuple[int, ...], vs: VertexSet) -> int:
+    out = 0
+    for v in vs:
+        out |= masks[v]
+    return out
+
+
 def build_substitution_sequence(d: Digraph, x0: int, kernel: VertexSet) -> SubstitutionTrace:
     """Run the iterative set construction from x0 and a verified 3-kernel of
     D - x0 until the first round with nothing left to remove.  M_{3k+3} is
@@ -94,48 +129,45 @@ def build_substitution_sequence(d: Digraph, x0: int, kernel: VertexSet) -> Subst
     if x0 in kernel or not is_kernel_within(d, kernel, rest, THREE_KERNEL):
         raise NotAKernelError(f"{kernel} is not a 3-kernel of D - {x0}")
 
-    kernel_set = set(kernel)
+    in_masks, balls = d.in_masks, d.in_balls2
+    kernel_mask = sum(1 << v for v in kernel)
     added: list[VertexSet] = [(x0,)]
     removed_one: list[VertexSet] = []
     removed_two: list[VertexSet] = []
     primed_one: list[VertexSet] = []
     primed_two: list[VertexSet] = []
     m_sets: list[VertexSet] = [(x0,)]
-    removed: set[int] = set()
-    m_union: set[int] = {x0}
-    added_union: set[int] = {x0}
+    removed = 0
+    current = added_union = 1 << x0
+    outside_m = ((1 << d.vertex_count) - 1) ^ current
 
     k = 0
     while True:
-        current = added[k]
-        if current:
-            near = set(d.in_neighborhood_at_distance(current, 1))
-            far = set(d.in_neighborhood_at_distance(current, 2))
-        else:
-            near = set()
-            far = set()
-        n1 = as_vertex_set((near & kernel_set) - removed)
-        n2 = as_vertex_set((far & kernel_set) - removed - set(n1))
-        removed_one.append(n1)
-        removed_two.append(n2)
-        if not n1 and not n2:
+        near = _union(in_masks, added[k]) & ~current
+        far = 0
+        for v in added[k]:
+            far |= balls[v] & ~in_masks[v] & ~current
+        n1 = near & kernel_mask & ~removed
+        n2 = far & kernel_mask & ~removed & ~n1
+        removed_one.append(_members(n1))
+        removed_two.append(_members(n2))
+        if not n1 | n2:
             p = k
             break
-        primed_one.append(as_vertex_set(near - set(n1)))
-        primed_two.append(as_vertex_set(far - set(n2)))
-        removed |= set(n1) | set(n2)
+        primed_one.append(_members(near & ~n1))
+        primed_two.append(_members(far & ~n2))
+        removed |= n1 | n2
 
-        kept = (kernel_set - removed) | added_union
-        absorbed = set(d.in_neighborhood_at_distance(kept, 1))
-        absorbed |= set(d.in_neighborhood_at_distance(kept, 2))
-        m_next = as_vertex_set(set(d.vertices()) - m_union - kept - absorbed)
+        reach = _union(balls, _members(kernel_mask & ~removed | added_union))
+        m_next = _members(outside_m & ~reach)
         n_next = find_kl_kernel(d, THREE_KERNEL, within=m_next).witness
         if n_next is None:
             raise SubkernelMissingError(f"D[{m_next}] has no 3-kernel")
         m_sets.append(m_next)
         added.append(n_next)
-        m_union |= set(m_next)
-        added_union |= set(n_next)
+        outside_m &= reach
+        current = sum(1 << v for v in n_next)
+        added_union |= current
         k += 1
 
     trace = SubstitutionTrace(
@@ -173,10 +205,7 @@ def _check_trace_invariants(trace: SubstitutionTrace) -> None:
 def assemble_pre_3_kernel(trace: SubstitutionTrace) -> VertexSet:
     """(K minus all removed sets) union all added sets."""
     removed = {v for vs in trace.removed_one + trace.removed_two for v in vs}
-    kept = set(trace.base_kernel) - removed
-    for vs in trace.added:
-        kept |= set(vs)
-    return as_vertex_set(kept)
+    return as_vertex_set((set(trace.base_kernel) - removed).union(*trace.added))
 
 
 # -- roads ------------------------------------------------------------------
@@ -194,6 +223,9 @@ class Road:
         return len(self.path) - 1
 
     def vertex_at(self, i: int) -> int:
+        """t_i; IndexError outside positions 0..length."""
+        if not 0 <= i <= self.length:
+            raise IndexError(f"road position {i} not in 0..{self.length}")
         return self.path[self.length - i]
 
 
@@ -264,11 +296,6 @@ def validate_road(trace: SubstitutionTrace, path: tuple[int, ...]) -> RoadValida
     return _road_conditions(trace, tuple(path))
 
 
-def _make_labels(trace: SubstitutionTrace, path: tuple[int, ...]) -> tuple[str, ...]:
-    s = len(path) - 1
-    return tuple(trace.label_of(path[j], s - j) for j in range(s + 1))
-
-
 def find_road(trace: SubstitutionTrace, v: int, s: int) -> Road:
     """Backtracking search for a length-s road from v down to x0.
 
@@ -302,7 +329,7 @@ def find_road(trace: SubstitutionTrace, v: int, s: int) -> Road:
     found = descend(s)
     if found is None:
         raise NoRoadFoundError(f"no road of length {s} from {v} to {trace.x0}")
-    return Road(found, _make_labels(trace, found))
+    return Road(found, tuple(trace.label_of(w, s - j) for j, w in enumerate(found)))
 
 
 def roads_of(trace: SubstitutionTrace) -> Iterator[tuple[int, int, Road | None]]:
@@ -352,24 +379,17 @@ def check_pre_kernel_properties(trace: SubstitutionTrace) -> PreKernelReport:
     internal paths of length at most two."""
     d = trace.digraph
     pre = assemble_pre_3_kernel(trace)
-    members = set(pre)
-    raw = d._raw_matrix
-
-    absorption = tuple(
-        u
-        for u in d.vertices()
-        if u not in members
-        and not any(raw[u][v] is not None and raw[u][v] <= 2 for v in pre)
-    )
+    balls = d.in_balls2
+    absorbed = _union(balls, pre)
+    absorption = tuple(u for u in d.vertices() if not absorbed >> u & 1)
 
     shape = []
     for a in pre:
         for b in pre:
-            if a == b or raw[a][b] is None or raw[a][b] > 2:
+            if a == b or not balls[b] >> a & 1:
                 continue
             witness = _shortest_path(d, a, b)
-            ka = trace.added_round(a)
-            kb = trace.added_round(b)
+            ka, kb = trace.added_round(a), trace.added_round(b)
             if ka is None or kb is None:
                 shape.append((a, b, witness, "endpoint outside the added sets"))
             elif ka > kb:
@@ -424,13 +444,12 @@ def check_additive_inverse_property(
 ) -> AdditiveInverseReport:
     """For every road position s != 1, the shortest x0 -> t_s path has length
     congruent to -s mod 3."""
-    d = trace.digraph
-    raw = d._raw_matrix[trace.x0]
+    hops = trace._hops_from_x0
     violations = []
     for pos in range(road.length + 1):
         if pos == 1:
             continue
-        dist = raw[road.vertex_at(pos)]
+        dist = hops.get(road.vertex_at(pos))
         if dist is None or dist % 3 != (-pos) % 3:
             violations.append((pos, dist))
     return AdditiveInverseReport(tuple(violations))
@@ -463,8 +482,8 @@ def run_substitution_method(d: Digraph, x0: int) -> MethodOutcome:
     and the (3,2)-kernel verdict with a witness path on failure."""
     trace = start_substitution(d, x0)
     pre = assemble_pre_3_kernel(trace)
-    raw = d._raw_matrix
-    pairs = ((a, b) for a in pre for b in pre if a != b)
-    close = next(((a, b) for a, b in pairs if raw[a][b] is not None and raw[a][b] < 3), None)
+    balls = d.in_balls2
+    close = next(((a, b) for a in pre for b in pre if a != b and balls[b] >> a & 1), None)
     witness = None if close is None else _shortest_path(d, *close)
-    return MethodOutcome(pre, witness is None and is_l_absorbent(d, pre, 2), trace, witness)
+    absorbing = _union(balls, pre) == (1 << d.vertex_count) - 1
+    return MethodOutcome(pre, witness is None and absorbing, trace, witness)

@@ -10,8 +10,10 @@ from kernelkit import (
     KERNEL,
     THREE_KERNEL,
     CampaignParams,
+    Digraph,
     HypothesisReport,
     check_circuit_hypothesis,
+    directed_cycle,
     format_digraph_text,
     is_kl_kernel,
     k_closure,
@@ -173,6 +175,30 @@ def test_additive_inverse_builds_traces_only_inside_the_class(monkeypatch):
     report = run_campaign("additive-inverse", CampaignParams(n=6, trials=40, seed=7))
     assert report.occupancy["tried"] == 40
     assert len(starts) == report.occupancy["accepted"] == 1
+
+
+def test_trace_campaigns_build_no_distance_matrix(monkeypatch):
+    # the substitution layer reads in-ball masks; each row of a distance
+    # matrix is one `Digraph._bfs` call
+    rows = []
+    bfs = Digraph._bfs
+
+    def counting_bfs(self, source, adj):
+        rows.append(source)
+        return bfs(self, source, adj)
+
+    monkeypatch.setattr(Digraph, "_bfs", counting_bfs)
+    for property_id, params in [
+        ("roads", CampaignParams(n=6, trials=6, seed=1)),
+        ("unique-chord", CampaignParams(n=7, trials=6, seed=1)),
+        ("pre-kernel-props", CampaignParams(n=8, trials=6, seed=1)),
+        ("additive-inverse", CampaignParams(n=6, trials=40, seed=7)),
+        ("theorem4", CampaignParams(n=6, trials=4, seed=1)),
+    ]:
+        assert run_campaign(property_id, params).instances_checked > 0, property_id
+    assert rows == []
+    directed_cycle(3).distance(0, 2)
+    assert rows == [0, 1, 2]  # the counter sees a matrix when one is built
 
 
 def test_all_campaigns_run_small():

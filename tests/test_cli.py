@@ -165,12 +165,22 @@ def test_usage_errors(capsys):
         ["verify", "roads", "--p=-1e-05"],
         # C6 has no (3,1)-kernel; the closure route finds (k,k-1)-kernels only
         ["kernel", "C6", "--k", "3", "--l", "1", "--via-closure"],
+        # the exhaustive enumeration draws nothing, yet --p is range-checked
+        ["verify", "duchet", "--exhaustive", "--n", "3", "--p", "7"],
+        ["verify", "closure-lemma", "--exhaustive", "--n", "2", "--p=-0.5"],
     ],
 )
 def test_out_of_range_arguments_are_usage_errors(argv, c6_file, capsys):
     code, out, err = run(capsys, *(str(c6_file) if a == "C6" else a for a in argv))
     assert code == EXIT_USAGE
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_exhaustive_campaigns_accept_every_p_in_range(capsys):
+    for p in ("0", "0.5", "1"):
+        code, out, _ = run(capsys, "verify", "duchet", "--exhaustive", "--n", "3", "--p", p)
+        assert code == EXIT_PASS
+        assert json.loads(out)["body"]["parameters"]["arc_prob"] == float(p)
 
 
 def test_negative_p_in_exponent_notation_needs_the_equals_spelling(capsys):

@@ -5,7 +5,9 @@ double-checked against the brute-force solver before being frozen here.
 The trace builder's N' sets and M-sets are checked against a reference that
 applies the set equations directly, one distance query per set or vertex,
 and its base-kernel check on D's masks against `is_kl_kernel` on an
-`induced` copy of D - x0.
+`induced` copy of D - x0.  The lemma checkers and the method's verdict read
+radius-2 in-ball masks and a BFS on masks; references in this file
+recompute them from `Digraph.distance`.
 
 Three small strongly connected digraphs (A, B, C at the bottom) are frozen
 as regression inputs for the lemma checkers: on each of them one of the
@@ -169,6 +171,14 @@ def test_c6_road_from_n3(c6_trace):
     assert road.labels == ("N3", "N'2", "N1", "N0")
     assert road.length == 3
     assert road.vertex_at(0) == 0 and road.vertex_at(3) == 3
+
+
+def test_road_positions_outside_the_road_raise(c6_trace):
+    road = find_road(c6_trace, 3, 3)
+    assert [road.vertex_at(i) for i in range(4)] == [0, 5, 4, 3]
+    for i in (-1, 4, 5, 7, 8):
+        with pytest.raises(IndexError):
+            road.vertex_at(i)
 
 
 def test_c6_road_from_n1(c6_trace):
@@ -378,3 +388,87 @@ def test_trace_sets_match_the_set_equations(d):
         for i in range(-1, 3 * trace.p + 6):
             assert trace.intermediate_at(i) == reference_intermediate(trace, i)
         assert trace.m_sets == reference_m_sets(trace)
+
+
+# -- lemma checkers and the method's verdict against distances ---------------
+
+
+def within_two(d, a, b):
+    """d(a, b) <= 2, read from the distance matrix."""
+    dist = d.distance(a, b)
+    return dist is not None and dist <= 2
+
+
+def is_shortest_path(d, path, a, b):
+    return (
+        path[0] == a
+        and path[-1] == b
+        and len(path) - 1 == d.distance(a, b)
+        and all((u, v) in d.arcs for u, v in zip(path, path[1:]))
+    )
+
+
+def reference_pre_kernel_report(trace):
+    """(absorption violations, shape violations without their paths), from
+    distances; each shape violation's path comes back from the checker."""
+    d, pre = trace.digraph, assemble_pre_3_kernel(trace)
+    absorption = tuple(
+        u for u in d.vertices() if u not in pre and not any(within_two(d, u, v) for v in pre)
+    )
+    shape = []
+    for a in pre:
+        for b in pre:
+            if a == b or not within_two(d, a, b):
+                continue
+            ka, kb = trace.added_round(a), trace.added_round(b)
+            if ka is None or kb is None:
+                shape.append((a, b, "endpoint outside the added sets"))
+            elif ka > kb:
+                shape.append((a, b, f"rounds out of order: {ka} > {kb}"))
+    return absorption, shape
+
+
+def reference_additive_inverse(trace, road):
+    d = trace.digraph
+    violations = []
+    for pos in range(road.length + 1):
+        dist = d.distance(trace.x0, road.vertex_at(pos))
+        if pos != 1 and (dist is None or dist % 3 != (-pos) % 3):
+            violations.append((pos, dist))
+    return tuple(violations)
+
+
+@given(
+    st.builds(
+        random_strongly_connected, st.integers(2, 9), st.floats(0, 1), st.integers(0, 2**32)
+    )
+)
+@example(DIGRAPH_A)
+@example(DIGRAPH_B)
+@example(DIGRAPH_C)
+@settings(max_examples=100, deadline=None)
+def test_checkers_and_verdict_match_the_distance_references(d):
+    for x0 in d.vertices():
+        try:
+            outcome = run_substitution_method(d, x0)
+        except (NoBaseKernelError, SubkernelMissingError):
+            continue
+        trace, pre = outcome.trace, outcome.pre_3_kernel
+
+        report = check_pre_kernel_properties(trace)
+        absorption, shape = reference_pre_kernel_report(trace)
+        assert report.absorption_violations == absorption
+        assert [(a, b, why) for a, b, _, why in report.shape_violations] == shape
+        assert all(is_shortest_path(d, path, a, b) for a, b, path, _ in report.shape_violations)
+
+        close = [(a, b) for a in pre for b in pre if a != b and within_two(d, a, b)]
+        assert outcome.is_3_kernel == (not close and not absorption)
+        if close:
+            assert is_shortest_path(d, outcome.failure_witness, *close[0])
+        else:
+            assert outcome.failure_witness is None
+
+        for _, _, road in roads_of(trace):
+            if road is not None:
+                report = check_additive_inverse_property(trace, road)
+                assert report.violations == reference_additive_inverse(trace, road)
