@@ -283,10 +283,8 @@ def _trace_campaign(
     if outside_class:
         occupancy["accepted"] = 0
     skips: Counter = Counter()
-    for trial in range(params.trials):
-        ts = derive_trial_seed(params.seed, trial)
-        d = random_strongly_connected(params.n, params.extra_arc_prob, ts)
-        x0 = SplitMix64(ts + 1).next_u64() % params.n
+    for trial, d in enumerate(_sc_stream(params)):
+        x0 = SplitMix64(derive_trial_seed(params.seed, trial) + 1).next_u64() % params.n
         occupancy["tried"] += 1
         if outside_class:
             if outside := outside_class(d, params):

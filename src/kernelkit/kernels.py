@@ -1,13 +1,14 @@
 """k-closures, (k,l)-kernel predicates, the kernel engine and perfection scans.
 
-One engine, `find_kl_kernel`, searches D or its induced subdigraph D[within]
-on int masks in lexicographic order with independence pruning, tractable to
-roughly 24 vertices, and reports its witness in D's labels.  It reads the
-adjacency masks D caches once per digraph, builds one in-ball per vertex
-when l = k-1 (it is both the vertex's in-conflict and what the vertex
-absorbs), and each search level walks the low bits of a mask of the
-candidates still free.  `kl_kernels` runs the same search to completion and
-lists every kernel; `k_closure` reads out-balls instead of distances.
+One search engine serves `find_kl_kernel`, which stops at the first kernel,
+and `kl_kernels`, which lists every kernel.  It searches D or its induced
+subdigraph D[within] on int masks in lexicographic order with independence
+pruning, tractable to roughly 24 vertices, and reports kernels in D's
+labels.  It reads the adjacency masks D caches once per digraph, builds one
+in-ball per vertex when l = k-1 (it is both the vertex's in-conflict and
+what the vertex absorbs), and each search level walks the low bits of a mask
+of the candidates still free.  `k_closure` reads out-balls instead of
+distances.
 
 A perfection scan decides each induced subdigraph D[S] by its weak
 components, which it tracks as S grows, and searches each distinct component
@@ -150,30 +151,41 @@ def is_kernel_within(d: Digraph, members: VertexSet, within: int, query: KernelQ
     return absorbed == within
 
 
-def find_kl_kernel(
-    d: Digraph, query: KernelQuery, within: Iterable[int] | None = None
-) -> KernelResult:
-    """Lexicographically least (k,l)-kernel of D, or of D[within], by pruned
-    subset search; the witness is in D's labels."""
-    vs = as_vertex_set(d.vertices() if within is None else within)
-    if vs and (vs[0] < 0 or vs[-1] >= d.vertex_count):
+def _kernel_search(
+    d: Digraph, query: KernelQuery, within: Iterable[int] | None, first: bool
+) -> tuple[list[VertexSet], int]:
+    """The (k,l)-kernels of D, or of D[within], in lexicographic order, and
+    the number of search nodes visited; with `first`, the search stops at
+    the first kernel.  Otherwise it descends past each kernel, since for
+    l >= k a superset of a kernel can be one too."""
+    if within is None:
+        vs, whole = d.vertices(), (1 << d.vertex_count) - 1
+    else:
+        vs = as_vertex_set(within)
+        if vs and (vs[0] < 0 or vs[-1] >= d.vertex_count):
+            for v in vs:
+                d.check_vertex(v)
+        whole = 0
         for v in vs:
-            d.check_vertex(v)
+            whole |= 1 << v
     if len(vs) > SUBSET_SEARCH_BOUND:
         raise SizeBoundError(
             f"{len(vs)} vertices exceeds subset-search bound {SUBSET_SEARCH_BOUND}"
         )
-    whole = sum(1 << v for v in vs)
     conflict, absorbed_by = _kernel_balls(d, vs, whole, query)
     examined = 0
+    found: list[VertexSet] = []
     members: list[int] = []
 
     def search(free: int, absorbed: int) -> bool:
-        """Extend `members` by candidates of `free`, lowest first."""
+        """Extend `members` by candidates of `free`, lowest first; True once
+        the first kernel is found and `first` is set."""
         nonlocal examined
         examined += 1
         if absorbed == whole:
-            return True
+            found.append(tuple(members))
+            if first:
+                return True
         while free:
             low = free & -free
             free ^= low
@@ -184,35 +196,23 @@ def find_kl_kernel(
             members.pop()
         return False
 
-    found = search(whole, 0)
-    return KernelResult(found, tuple(members) if found else None, examined)
+    search(whole, 0)
+    return found, examined
+
+
+def find_kl_kernel(
+    d: Digraph, query: KernelQuery, within: Iterable[int] | None = None
+) -> KernelResult:
+    """Lexicographically least (k,l)-kernel of D, or of D[within], by pruned
+    subset search; the witness is in D's labels."""
+    found, examined = _kernel_search(d, query, within, True)
+    return KernelResult(bool(found), found[0] if found else None, examined)
 
 
 def kl_kernels(d: Digraph, query: KernelQuery) -> list[VertexSet]:
     """Every (k,l)-kernel of D, as sorted tuples in lexicographic order:
-    `find_kl_kernel`'s search run to completion.  It descends past each
-    kernel, since for l >= k a superset of a kernel can be one too."""
-    n = d.vertex_count
-    if n > SUBSET_SEARCH_BOUND:
-        raise SizeBoundError(f"{n} vertices exceeds subset-search bound {SUBSET_SEARCH_BOUND}")
-    whole = (1 << n) - 1
-    conflict, absorbed_by = _kernel_balls(d, d.vertices(), whole, query)
-    found: list[VertexSet] = []
-    members: list[int] = []
-
-    def search(free: int, absorbed: int) -> None:
-        if absorbed == whole:
-            found.append(tuple(members))
-        while free:
-            low = free & -free
-            free ^= low
-            v = low.bit_length() - 1
-            members.append(v)
-            search(free & ~conflict[v], absorbed | absorbed_by[v])
-            members.pop()
-
-    search(whole, 0)
-    return found
+    `find_kl_kernel`'s search run to completion."""
+    return _kernel_search(d, query, None, False)[0]
 
 
 def find_kernel_via_closure(d: Digraph, k: int) -> KernelResult:

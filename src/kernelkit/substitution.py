@@ -3,8 +3,10 @@ per-lemma checkers the verification harness runs on concrete traces.
 
 Distances come from int masks, never a distance matrix: each round's sets
 are unions of in-neighbour masks and of `Digraph.in_balls2` (u reaches v
-within 2 exactly when bit u of v's ball is set), and hop counts from x0 come
-from one BFS on masks per trace.
+within 2 exactly when bit u of v's ball is set), a witness path between two
+such vertices is an arc or runs through the least vertex of u's out-mask
+and v's in-mask, and hop counts from x0 come from one BFS on masks per
+trace.
 
 Index conventions: set i of a sequence is N_i, with i = 3k, 3k+1, 3k+2 for
 round k; positions on a road count from x0 (position 0) to the far end
@@ -13,7 +15,6 @@ round k; positions on a road count from x0 (position 0) to the far end
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -252,8 +253,9 @@ def _road_conditions(trace: SubstitutionTrace, path: tuple[int, ...]) -> RoadVal
     bad_arcs = [
         (path[j], path[j + 1]) for j in range(s) if (path[j], path[j + 1]) not in d.arcs
     ]
-    if bad_arcs or len(set(path)) != len(path):
-        broken = ConditionResult(False, f"not a path: {bad_arcs or 'repeated vertex'}")
+    if not path or bad_arcs or len(set(path)) != len(path):
+        why = bad_arcs or ("repeated vertex" if path else "no vertex")
+        broken = ConditionResult(False, f"not a path: {why}")
         return RoadValidation((broken, broken, broken, broken))
 
     if s <= 3 * trace.p and at(s) in trace.set_at(s):
@@ -347,21 +349,13 @@ def roads_of(trace: SubstitutionTrace) -> Iterator[tuple[int, int, Road | None]]
 # -- lemma checkers ---------------------------------------------------------
 
 
-def _shortest_path(d: Digraph, a: int, b: int) -> tuple[int, ...] | None:
-    parents: dict[int, int] = {a: a}
-    queue = deque([a])
-    while queue:
-        u = queue.popleft()
-        if u == b:
-            out = [b]
-            while out[-1] != a:
-                out.append(parents[out[-1]])
-            return tuple(reversed(out))
-        for w in d.out_adj[u]:
-            if w not in parents:
-                parents[w] = u
-                queue.append(w)
-    return None
+def _close_path(d: Digraph, a: int, b: int) -> tuple[int, ...]:
+    """A shortest a -> b path when 0 < d(a, b) <= 2, through the least
+    middle vertex (the one a breadth-first search from a meets first)."""
+    if d.out_masks[a] >> b & 1:
+        return a, b
+    middle = d.out_masks[a] & d.in_masks[b]
+    return a, (middle & -middle).bit_length() - 1, b
 
 
 @dataclass(frozen=True)
@@ -388,7 +382,7 @@ def check_pre_kernel_properties(trace: SubstitutionTrace) -> PreKernelReport:
         for b in pre:
             if a == b or not balls[b] >> a & 1:
                 continue
-            witness = _shortest_path(d, a, b)
+            witness = _close_path(d, a, b)
             ka, kb = trace.added_round(a), trace.added_round(b)
             if ka is None or kb is None:
                 shape.append((a, b, witness, "endpoint outside the added sets"))
@@ -484,6 +478,6 @@ def run_substitution_method(d: Digraph, x0: int) -> MethodOutcome:
     pre = assemble_pre_3_kernel(trace)
     balls = d.in_balls2
     close = next(((a, b) for a in pre for b in pre if a != b and balls[b] >> a & 1), None)
-    witness = None if close is None else _shortest_path(d, *close)
+    witness = None if close is None else _close_path(d, *close)
     absorbing = _union(balls, pre) == (1 << d.vertex_count) - 1
     return MethodOutcome(pre, witness is None and absorbing, trace, witness)

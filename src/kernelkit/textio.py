@@ -32,10 +32,9 @@ def parse_digraph_text(text: str) -> Digraph:
             continue
         if len(tokens) != 2:
             raise DigraphSyntaxError(f"expected '<u> <v>', got {rawline!r}", lineno)
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise DigraphSyntaxError(f"non-integer arc {rawline!r}", lineno) from None
+        if not all(token.removeprefix("-").isdecimal() for token in tokens):
+            raise DigraphSyntaxError(f"non-integer arc {rawline!r}", lineno)
+        u, v = int(tokens[0]), int(tokens[1])
         try:
             add_arc(seen, vertex_count, u, v)
         except (LoopArcError, VertexOutOfRangeError, DuplicateArcError) as exc:

@@ -1,7 +1,8 @@
 """Golden report bodies: every campaign, at fixed small parameters, must
 reproduce its committed `body_json()` byte for byte, `substitute --trace`
-its committed trace document, and `analyze --format json` its committed
-summary (the full hypothesis reports, every violation listed).
+its committed trace document, `analyze --format json` its committed
+summary (the full hypothesis reports, every violation listed), and
+`kernel --format json` its committed payloads (witness and subsets examined).
 
 The files in tests/golden/ lock the campaigns' observable behaviour, so a
 refactor that changes any count, detail string, failure instance or road
@@ -10,6 +11,7 @@ shows up here.  To record them again after a deliberate, declared change:
     PYTHONPATH=src python tests/test_golden_reports.py
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -75,8 +77,33 @@ ANALYSES = {
     ),
 }
 
+# `kernel --format json` inputs, one golden file: each digraph with each
+# argument list.  (3,3) is the l >= k case, where a superset of a kernel can
+# be a kernel too.
+KERNEL_DIGRAPHS = {"c6": C6, "digraph_a": DIGRAPH_A, "digraph_b": DIGRAPH_B, "digraph_c": DIGRAPH_C}
+KERNEL_ARGS = (
+    ["--k", "3", "--l", "2"],
+    ["--k", "2", "--l", "1"],
+    ["--k", "3", "--l", "3"],
+    ["--k", "3", "--via-closure"],
+)
+
+
+def kernel_payloads(scratch: Path) -> str:
+    source, payload = scratch / "digraph.txt", scratch / "kernel.json"
+    payloads = {}
+    for tag, text in KERNEL_DIGRAPHS.items():
+        source.write_text(text, encoding="utf-8")
+        for args in KERNEL_ARGS:
+            argv = ["kernel", str(source), *args, "--format", "json", "--out", str(payload)]
+            assert main(argv) == 0
+            payloads[" ".join([tag, *args])] = json.loads(payload.read_text(encoding="utf-8"))
+    return json.dumps(payloads, indent=2) + "\n"
+
 
 def body(name: str, scratch: Path) -> str:
+    if name == "kernel__payloads":
+        return kernel_payloads(scratch)
     if name.startswith("analyze__"):
         text, extra = ANALYSES[name.removeprefix("analyze__")]
         source, summary = scratch / "digraph.txt", scratch / "analyze.json"
@@ -99,6 +126,7 @@ NAMES = sorted(
         *CASES,
         *(f"substitute__{tag}" for tag in TRACES),
         *(f"analyze__{tag}" for tag in ANALYSES),
+        "kernel__payloads",
     ]
 )
 

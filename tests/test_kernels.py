@@ -257,6 +257,7 @@ def test_kl_kernels_lists_every_kernel_in_lex_order(d, k, ell):
     query = KernelQuery(k, ell)
     expected = [s for s in subsets_lex(d.vertex_count) if is_kl_kernel(d, s, query)]
     assert kl_kernels(d, query) == expected
+    assert find_kl_kernel(d, query).witness == (expected[0] if expected else None)
 
 
 def test_kl_kernels_size_bound():

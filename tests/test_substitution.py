@@ -7,7 +7,9 @@ applies the set equations directly, one distance query per set or vertex,
 and its base-kernel check on D's masks against `is_kl_kernel` on an
 `induced` copy of D - x0.  The lemma checkers and the method's verdict read
 radius-2 in-ball masks and a BFS on masks; references in this file
-recompute them from `Digraph.distance`.
+recompute them from `Digraph.distance`.  Their witness paths come from
+adjacency masks and must equal those of the breadth-first search kept here
+as the reference.
 
 Three small strongly connected digraphs (A, B, C at the bottom) are frozen
 as regression inputs for the lemma checkers: on each of them one of the
@@ -19,6 +21,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -52,7 +55,8 @@ from kernelkit.errors import (
     NotAKernelError,
     SubkernelMissingError,
 )
-from kernelkit.generators import random_strongly_connected
+from kernelkit.generators import random_digraph, random_strongly_connected
+from kernelkit.substitution import _close_path
 
 
 @pytest.fixture
@@ -205,9 +209,10 @@ def test_validate_road_condition9_failure(c6_trace):
 
 
 def test_validate_road_rejects_non_path(c6_trace):
-    report = validate_road(c6_trace, (3, 5, 0))
-    assert not report.passed
-    assert all(not c.ok for c in report.conditions)
+    for path in [(3, 5, 0), ()]:
+        report = validate_road(c6_trace, path)
+        assert not report.passed
+        assert all(not c.ok for c in report.conditions)
 
 
 def test_c6_roads_pass_all_conditions(c6_trace):
@@ -472,3 +477,43 @@ def test_checkers_and_verdict_match_the_distance_references(d):
             if road is not None:
                 report = check_additive_inverse_property(trace, road)
                 assert report.violations == reference_additive_inverse(trace, road)
+
+
+def reference_shortest_path(d, a, b):
+    """Breadth-first search from a over sorted out-lists, first parent kept."""
+    parents = {a: a}
+    queue = deque([a])
+    while queue:
+        u = queue.popleft()
+        if u == b:
+            out = [b]
+            while out[-1] != a:
+                out.append(parents[out[-1]])
+            return tuple(reversed(out))
+        for w in d.out_adj[u]:
+            if w not in parents:
+                parents[w] = u
+                queue.append(w)
+    return None
+
+
+probabilities = st.sampled_from([0.0, 0.1, 0.3, 0.6, 0.9])
+seeds = st.integers(0, 2**32)
+
+
+@given(
+    st.one_of(
+        st.builds(random_strongly_connected, st.integers(2, 10), probabilities, seeds),
+        st.builds(random_digraph, st.integers(2, 10), probabilities, seeds),
+    )
+)
+@example(DIGRAPH_A)
+@example(DIGRAPH_B)
+@example(DIGRAPH_C)
+@settings(max_examples=150, deadline=None)
+def test_close_paths_match_the_breadth_first_reference(d):
+    balls = d.in_balls2
+    for a in d.vertices():
+        for b in d.vertices():
+            if a != b and balls[b] >> a & 1:
+                assert _close_path(d, a, b) == reference_shortest_path(d, a, b)

@@ -46,9 +46,13 @@ def test_bad_header_reports_line():
 
 
 def test_non_integer_arc():
-    with pytest.raises(DigraphSyntaxError) as exc:
-        parse_digraph_text("n 3\n0 x\n")
-    assert exc.value.line == 2
+    # arc tokens follow the header's rule, plus one optional leading '-'
+    for arc in ["0 x", "0 1_0", "+0 1", "0 --1", "- 1", "0 \u00b2"]:
+        with pytest.raises(DigraphSyntaxError) as exc:
+            parse_digraph_text(f"n 11\n{arc}\n")
+        assert exc.value.line == 2
+    with pytest.raises(VertexOutOfRangeError, match="line 2"):
+        parse_digraph_text("n 3\n0 -1\n")
 
 
 def test_wrong_token_count():
