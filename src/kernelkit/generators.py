@@ -3,18 +3,70 @@ labeled enumeration.  The campaigns decide hypothesis-class membership
 themselves.
 
 The PRNG is splitmix64 (published constants), so corpora are bit-identical
-across platforms and runs.
+across platforms and runs.  A random model draws all of an instance's values
+in one `next_u64s` call.  That call packs the states s + i·γ, i = 1..count,
+into lanes 128 bits apart of one Python int and applies each xor-shift and
+multiply of the mix once to the packed int.  Each lane is masked to its low
+64 bits before it is multiplied, so a 64 × 64-bit product stays inside its
+128-bit lane and no lane carries into the next.  The lanes are decoded in an
+explicit little-endian byte order, never the native one.
+
+A pair is an arc when its draw z has z / 2**64 < p.  `_threshold(p)` is the
+least z with z / 2**64 >= p, found once per p by bisection, so the integer
+test z < threshold is the same test without a float division.  It holds at
+p = 0 and p = 1 too: draws z >= 2**64 - 2**10 round to 1.0 and are never
+arcs, even at p = 1.
+
+Generated arcs are loopless, in range and distinct by construction (they
+come from `iter_arc_pairs`), so the models build `Digraph` directly.
+`build_digraph` and `add_arc` stay the one validation path for arcs from
+outside the program.
 """
 
 from __future__ import annotations
 
+import struct
+from functools import lru_cache
 from typing import Iterator
 
-from .digraph import Digraph, build_digraph, iter_arc_pairs
-from .errors import SizeBoundError
+from .digraph import Arc, Digraph, iter_arc_pairs
+from .errors import SizeBoundError, VertexOutOfRangeError
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 EXHAUSTIVE_BOUND = 4
+
+
+@lru_cache(maxsize=64)
+def _lanes(count: int) -> tuple[int, int, int, struct.Struct]:
+    """For `count` lanes 128 bits apart: a 1 in each lane, the low 64 bits of
+    each lane set, lane i holding (i + 1)·γ mod 2**64, and the little-endian
+    layout that reads each lane's low 64 bits."""
+    ones = sum(1 << 128 * i for i in range(count))
+    steps = sum(((i + 1) * _GAMMA & _MASK64) << 128 * i for i in range(count))
+    return ones, _MASK64 * ones, steps, struct.Struct("<" + "Q8x" * count)
+
+
+@lru_cache(maxsize=64)
+def _threshold(p: float) -> int:
+    """The least z in [0, 2**64] with z / 2**64 >= p, for 0 <= p <= 1."""
+    lo, hi = 0, 1 << 64
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid / 2**64 >= p:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@lru_cache(maxsize=64)
+def _arc_pairs(n: int) -> tuple[Arc, ...]:
+    """The candidate arcs on n vertices; a negative n is rejected as
+    `build_digraph` rejects it."""
+    if n < 0:
+        raise VertexOutOfRangeError("vertex_count must be non-negative")
+    return tuple(iter_arc_pairs(n))
 
 
 class SplitMix64:
@@ -24,28 +76,28 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
+    def next_u64s(self, count: int) -> tuple[int, ...]:
+        """The values of `count` calls to `next_u64()`, leaving the same
+        state; every lane of one packed int goes through the mix at once."""
+        if count <= 0:
+            return ()
+        ones, low, steps, layout = _lanes(count)
+        z = (self._state * ones + steps) & low
+        z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+        z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
+        z ^= z >> 31
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        return layout.unpack(z.to_bytes(16 * count, "little"))
+
     def unit(self) -> float:
         """Uniform in [0, 1)."""
         return self.next_u64() / 2**64
-
-    def units(self, count: int) -> list[float]:
-        """The values of `count` calls to `unit()`, leaving the same state;
-        `next_u64`'s steps in one loop on a local state."""
-        state = self._state
-        values = []
-        for _ in range(count):
-            state = (state + 0x9E3779B97F4A7C15) & _MASK64
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            values.append((z ^ (z >> 31)) / 2**64)
-        self._state = state
-        return values
 
     def below(self, bound: int) -> int:
         return self.next_u64() % bound
@@ -61,9 +113,10 @@ def random_digraph(n: int, arc_prob: float, seed: int) -> Digraph:
     visited in lexicographic order."""
     if not 0 <= arc_prob <= 1:
         raise ValueError("arc_prob must be in [0, 1]")
-    pairs = list(iter_arc_pairs(n))
-    draws = SplitMix64(seed).units(len(pairs))
-    return build_digraph(n, [pair for pair, x in zip(pairs, draws) if x < arc_prob])
+    pairs = _arc_pairs(n)
+    cut = _threshold(arc_prob)
+    draws = SplitMix64(seed).next_u64s(len(pairs))
+    return Digraph(n, frozenset([pair for pair, z in zip(pairs, draws) if z < cut]))
 
 
 def random_strongly_connected(n: int, extra_arc_prob: float, seed: int) -> Digraph:
@@ -81,18 +134,17 @@ def random_strongly_connected(n: int, extra_arc_prob: float, seed: int) -> Digra
     backbone = set()
     if n >= 2:
         backbone = {(perm[i], perm[(i + 1) % n]) for i in range(n)}
-    candidates = [pair for pair in iter_arc_pairs(n) if pair not in backbone]
-    draws = rng.units(len(candidates))
-    extras = [pair for pair, x in zip(candidates, draws) if x < extra_arc_prob]
-    return build_digraph(n, sorted(backbone) + extras)
+    candidates = [pair for pair in _arc_pairs(n) if pair not in backbone]
+    cut = _threshold(extra_arc_prob)
+    draws = rng.next_u64s(len(candidates))
+    backbone.update([pair for pair, z in zip(candidates, draws) if z < cut])
+    return Digraph(n, frozenset(backbone))
 
 
 def enumerate_labeled_digraphs(n: int) -> Iterator[Digraph]:
     """All labeled loopless digraphs on n vertices, in arc-bitmask order."""
     if n > EXHAUSTIVE_BOUND:
         raise SizeBoundError(f"exhaustive enumeration capped at n = {EXHAUSTIVE_BOUND}")
-    pairs = list(iter_arc_pairs(n))
+    pairs = _arc_pairs(n)
     for mask in range(1 << len(pairs)):
-        arcs = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        yield build_digraph(n, arcs)
-
+        yield Digraph(n, frozenset([pair for i, pair in enumerate(pairs) if mask >> i & 1]))

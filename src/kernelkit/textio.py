@@ -15,6 +15,12 @@ from .errors import (
 )
 
 
+def _is_digits(token: str) -> bool:
+    """ASCII 0-9 only, as `format_digraph_text` writes them: `isdecimal`
+    alone accepts other scripts' digits, such as '١', which `int` reads."""
+    return token.isascii() and token.isdecimal()
+
+
 def parse_digraph_text(text: str) -> Digraph:
     vertex_count: int | None = None
     seen: set[tuple[int, int]] = set()
@@ -26,13 +32,13 @@ def parse_digraph_text(text: str) -> Digraph:
         if not tokens:
             continue
         if vertex_count is None:
-            if len(tokens) != 2 or tokens[0] != "n" or not tokens[1].isdecimal():
+            if len(tokens) != 2 or tokens[0] != "n" or not _is_digits(tokens[1]):
                 raise DigraphSyntaxError(f"expected 'n <count>', got {rawline!r}", lineno)
             vertex_count = int(tokens[1])
             continue
         if len(tokens) != 2:
             raise DigraphSyntaxError(f"expected '<u> <v>', got {rawline!r}", lineno)
-        if not all(token.removeprefix("-").isdecimal() for token in tokens):
+        if not all(_is_digits(token.removeprefix("-")) for token in tokens):
             raise DigraphSyntaxError(f"non-integer arc {rawline!r}", lineno)
         u, v = int(tokens[0]), int(tokens[1])
         try:

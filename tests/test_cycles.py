@@ -31,6 +31,7 @@ from kernelkit import (
     short_chords,
 )
 from kernelkit.errors import BudgetExceededError
+from kernelkit.generators import enumerate_labeled_digraphs, random_digraph
 
 
 def complete_symmetric(n):
@@ -335,6 +336,24 @@ def test_digons_can_never_satisfy_chord_demands():
         k3, CycleHypothesisVariant.TWO_CONSECUTIVE, min_cycle_len=2, stop_at_first=True
     )
     assert first == HypothesisReport(False, report.violations[:1], 1)
+
+
+def test_cycle_hypotheses_at_min_length_two_hold_exactly_on_acyclic_digraphs():
+    # A shortest cycle has no short chord: a chord would close a shorter
+    # cycle (a digon when the cycle is a triangle), and a digon has none.
+    # Both variants demand a short chord on every cycle, so only acyclic
+    # digraphs satisfy them.
+    instances = [d for n in range(5) for d in enumerate_labeled_digraphs(n)]
+    instances += [
+        random_digraph(n, p, seed)
+        for n in range(1, 9)
+        for p in (0.05, 0.1, 0.2)
+        for seed in range(30)
+    ]
+    for d in instances:
+        acyclic = nx.is_directed_acyclic_graph(nx.DiGraph(list(d.arcs)))
+        for variant in CycleHypothesisVariant:
+            assert check_cycle_hypothesis(d, variant, min_cycle_len=2).satisfied == acyclic
 
 
 def assert_first_violation_only(check, *args):

@@ -1,11 +1,13 @@
 """Seeded generation: PRNG reference vectors, determinism, and enumeration.
 
-Batched draws (`SplitMix64.units`) are checked against repeated `unit()`
-calls, and both random models against per-pair-draw references.
+Batched draws (`SplitMix64.next_u64s`) are checked against repeated
+`next_u64()` calls, the integer arc threshold against the float compare it
+replaces, both random models against per-pair-draw references, and
+enumeration against `build_digraph`.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernelkit import (
@@ -16,8 +18,8 @@ from kernelkit import (
     random_strongly_connected,
 )
 from kernelkit.digraph import iter_arc_pairs
-from kernelkit.generators import derive_trial_seed
-from kernelkit.errors import SizeBoundError
+from kernelkit.generators import _threshold, derive_trial_seed
+from kernelkit.errors import SizeBoundError, VertexOutOfRangeError
 
 
 def test_splitmix64_reference_vector():
@@ -50,12 +52,35 @@ def test_unit_is_in_range():
         assert 0.0 <= rng.unit() < 1.0
 
 
-@given(st.integers(0, 2**64 - 1), st.integers(0, 60))
-@settings(max_examples=100, deadline=None)
-def test_units_are_repeated_unit_calls(seed, count):
-    batched, single = SplitMix64(seed), SplitMix64(seed)
-    assert batched.units(count) == [single.unit() for _ in range(count)]
-    assert batched.next_u64() == single.next_u64()  # same state afterwards
+@given(st.integers(0, 2**64 - 1))
+@example(0)
+@example(2**64 - 1)
+@settings(max_examples=10, deadline=None)
+def test_next_u64s_are_repeated_next_u64_calls(seed):
+    for count in range(201):
+        batched, single = SplitMix64(seed), SplitMix64(seed)
+        assert batched.next_u64s(count) == tuple(single.next_u64() for _ in range(count))
+        assert batched.next_u64() == single.next_u64()  # same state afterwards
+
+
+@given(st.floats(0, 1))
+@example(0.0)
+@example(5e-324)
+@example(0.15)
+@example(0.3)
+@example(1 - 2**-53)
+@example(1.0)
+@settings(max_examples=200, deadline=None)
+def test_threshold_is_the_float_compare(p):
+    cut = _threshold(p)
+    for z in (cut - 1, cut):
+        if 0 <= z < 2**64:  # the range of a draw
+            assert (z < cut) == (z / 2**64 < p)
+
+
+def test_threshold_excludes_draws_that_round_to_one():
+    assert _threshold(0.0) == 0
+    assert _threshold(1.0) == 2**64 - 2**10
 
 
 def test_derive_trial_seed_spreads():
@@ -90,6 +115,14 @@ def test_random_strongly_connected_is_strongly_connected(n, seed):
 def test_random_strongly_connected_deterministic():
     a = random_strongly_connected(7, 0.25, 3)
     assert a.arcs == random_strongly_connected(7, 0.25, 3).arcs
+
+
+def test_negative_vertex_count_is_rejected():
+    # generated digraphs skip build_digraph, which used to reject it
+    with pytest.raises(VertexOutOfRangeError):
+        random_digraph(-1, 0.5, 1)
+    with pytest.raises(VertexOutOfRangeError):
+        next(iter(enumerate_labeled_digraphs(-1)))
 
 
 def test_random_strongly_connected_validates():
@@ -134,6 +167,16 @@ def test_random_models_match_per_pair_draws(n, p, seed):
 @pytest.mark.parametrize("n,count", [(0, 1), (1, 1), (2, 4), (3, 64), (4, 4096)])
 def test_enumeration_counts(n, count):
     assert sum(1 for _ in enumerate_labeled_digraphs(n)) == count
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_enumeration_matches_build_digraph(n):
+    pairs = list(iter_arc_pairs(n))
+    reference = [
+        build_digraph(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+        for mask in range(1 << len(pairs))
+    ]
+    assert list(enumerate_labeled_digraphs(n)) == reference
 
 
 def test_enumeration_order_and_uniqueness():

@@ -43,11 +43,16 @@ def test_bad_header_reports_line():
     with pytest.raises(DigraphSyntaxError) as exc:
         parse_digraph_text("n \u00b2\n")
     assert exc.value.line == 1
+    # Arabic-Indic three: isdecimal() and int() both accept it
+    with pytest.raises(DigraphSyntaxError) as exc:
+        parse_digraph_text("# c\nn \u0663\n0 1\n")
+    assert exc.value.line == 2
 
 
 def test_non_integer_arc():
-    # arc tokens follow the header's rule, plus one optional leading '-'
-    for arc in ["0 x", "0 1_0", "+0 1", "0 --1", "- 1", "0 \u00b2"]:
+    # arc tokens follow the header's rule, plus one optional leading '-';
+    # Arabic-Indic and fullwidth digits are decimal, but not ASCII
+    for arc in ["0 x", "0 1_0", "+0 1", "0 --1", "- 1", "0 \u00b2", "0 \u0661", "0 \uff10", "-\u0661 0"]:
         with pytest.raises(DigraphSyntaxError) as exc:
             parse_digraph_text(f"n 11\n{arc}\n")
         assert exc.value.line == 2
