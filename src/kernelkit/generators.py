@@ -137,8 +137,8 @@ def random_strongly_connected(n: int, extra_arc_prob: float, seed: int) -> Digra
     candidates = [pair for pair in _arc_pairs(n) if pair not in backbone]
     cut = _threshold(extra_arc_prob)
     draws = rng.next_u64s(len(candidates))
-    backbone.update([pair for pair, z in zip(candidates, draws) if z < cut])
-    return Digraph(n, frozenset(backbone))
+    extras = [pair for pair, z in zip(candidates, draws) if z < cut]
+    return Digraph(n, frozenset(backbone).union(extras))
 
 
 def enumerate_labeled_digraphs(n: int) -> Iterator[Digraph]:

@@ -118,7 +118,7 @@ def test_random_strongly_connected_deterministic():
 
 
 def test_negative_vertex_count_is_rejected():
-    # generated digraphs skip build_digraph, which used to reject it
+    # generated digraphs skip build_digraph, so the generators reject it
     with pytest.raises(VertexOutOfRangeError):
         random_digraph(-1, 0.5, 1)
     with pytest.raises(VertexOutOfRangeError):
