@@ -3,18 +3,14 @@ the 3-substitution method, and an empirical verification harness."""
 
 from .digraph import Digraph, as_vertex_set, build_digraph, directed_cycle
 from .cycles import (
-    Chord,
     ClosedWalk,
     CycleHypothesisVariant,
     HypothesisReport,
-    are_consecutive,
-    are_crossed,
     check_circuit_hypothesis,
     check_cycle_hypothesis,
     enumerate_circuits,
     enumerate_cycles,
     every_cycle_has_symmetric_arc,
-    short_chords,
 )
 from .kernels import (
     KERNEL,

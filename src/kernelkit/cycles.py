@@ -1,13 +1,16 @@
-"""Cycle and circuit enumeration, chords, and chord-condition predicates.
+"""Cycle and circuit enumeration and the chord-condition predicates.
 
 Both are `ClosedWalk`s.  Cycles are simple directed cycles stored with their
 smallest vertex first.  Circuits are closed trails (arcs pairwise distinct,
 vertices may repeat) stored in their lexicographically least rotation;
-every cycle is also a circuit.  Chords are position-indexed so repeated
-vertices on a circuit contribute separately.
+every cycle is also a circuit.
 
-Every chord condition concerns only short chords (length 2), so the
-hypothesis checks find them with `short_chords`, one arc test per position.
+Every chord condition concerns only short chords (length 2), and the
+hypothesis checks read them by position: position i holds one when
+(seq[i], seq[i+2]) is an arc and not an arc of the walk, one test of
+`out_masks` each, so repeated vertices on a circuit contribute separately.
+The cycle checks keep the positions as an n-bit mask, where consecutive
+and crossing short chords are rotations of it.
 All three hypothesis checks take `stop_at_first`, which ends the check at
 the first violation (the full report's first one) for callers that read
 only `.satisfied`.
@@ -42,19 +45,6 @@ class ClosedWalk:
 
 
 @dataclass(frozen=True)
-class Chord:
-    """An off-cycle arc between positions of a cycle/circuit.
-
-    length is the along-cycle distance (head_pos - tail_pos) mod n, always
-    in 2..n-1.
-    """
-
-    tail_pos: int
-    head_pos: int
-    length: int
-
-
-@dataclass(frozen=True)
 class Violation:
     subject: tuple[int, ...]
     reason: str
@@ -86,7 +76,7 @@ def enumerate_cycles(
         max_len = d.vertex_count
     if min_len < 2:
         raise ValueError("min_len must be >= 2")
-    adj, out_masks, in_masks = d.out_adj, d.out_masks, d.in_masks
+    out_masks, in_masks = d.out_masks, d.in_masks
     for length in range(min_len, max_len + 1):
         found: list[tuple[int, ...]] = []
         reached = False
@@ -104,11 +94,13 @@ def enumerate_cycles(
                     found.append((*path, low.bit_length() - 1))
                     ends ^= low
                 return
-            for w in adj[u]:
-                if not on_path >> w & 1:
-                    path.append(w)
-                    extend(root, path, on_path | 1 << w)
-                    path.pop()
+            nexts = out_masks[u] & ~on_path
+            while nexts:
+                low = nexts & -nexts
+                path.append(low.bit_length() - 1)
+                extend(root, path, on_path | low)
+                path.pop()
+                nexts ^= low
 
         for root in d.vertices():
             extend(root, [root], (2 << root) - 1)
@@ -187,64 +179,38 @@ def enumerate_circuits(
             return
 
 
-def short_chords(d: Digraph, c: ClosedWalk) -> list[Chord]:
-    """The chords of length 2, sorted by position, by one arc test per
-    position.  The walk-arc test matters on circuits, whose vertices can
-    repeat."""
-    seq = c.vertices
-    n = len(seq)
-    if n < 3:
-        return []
-    walk_arcs = c.arcs()
-    result = []
-    for i in range(n):
-        arc = (seq[i], seq[(i + 2) % n])
-        if arc in d.arcs and arc not in walk_arcs:
-            result.append(Chord(i, (i + 2) % n, 2))
-    return result
-
-
-def are_consecutive(a: Chord, b: Chord) -> bool:
-    """True iff b starts where a ends (directional; test both orders for the
-    unordered notion)."""
-    return a.head_pos == b.tail_pos
-
-
-def are_crossed(a: Chord, b: Chord, c: ClosedWalk) -> bool:
-    """True iff some rotation lift satisfies j < j' < j+k < j'+k'."""
-    n = len(c.vertices)
-    gap_tail = (b.tail_pos - a.tail_pos) % n
-    gap_head = (a.head_pos - b.tail_pos) % n
-    return 0 < gap_tail < a.length and 0 < gap_head < b.length
+def _rotate(mask: int, j: int, n: int) -> int:
+    """The n-bit mask rotated so that bit i holds bit (i + j) mod n."""
+    j %= n
+    return (mask >> j | mask << (n - j)) & ((1 << n) - 1)
 
 
 def _cycle_ok(
-    d: Digraph, cyc: ClosedWalk, variant: CycleHypothesisVariant
+    out_masks: tuple[int, ...], seq: tuple[int, ...], variant: CycleHypothesisVariant
 ) -> Violation | None:
-    shorts = short_chords(d, cyc)
-    if len(cyc) % 3 == 0:
-        if shorts:
+    """Short chords at positions i and j are consecutive when j = i + 2 and
+    cross when j = i +- 1 (mod n)."""
+    n = len(seq)
+    # bit i: the short chord (seq[i], seq[i+2]), never an arc of a simple cycle
+    chords = 0
+    for i, (u, w) in enumerate(zip(seq, seq[2:] + seq[:2])):
+        if out_masks[u] >> w & 1:
+            chords |= 1 << i
+    if n % 3 == 0:
+        if chords:
             return None
-        return Violation(cyc.vertices, "length = 0 mod 3 but no short chord")
-    pairs = [(a, b) for a in shorts for b in shorts if a is not b and are_consecutive(a, b)]
+        return Violation(seq, "length = 0 mod 3 but no short chord")
+    pairs = chords & _rotate(chords, 2, n)  # bit i: chords at i and i + 2
     if not pairs:
-        return Violation(cyc.vertices, "length != 0 mod 3 but no two consecutive short chords")
+        return Violation(seq, "length != 0 mod 3 but no two consecutive short chords")
     if variant is CycleHypothesisVariant.TWO_CONSECUTIVE:
         return None
-    # need, for some consecutive pair, a third short chord crossing either member
-    for a, b in pairs:
-        for third in shorts:
-            if third is a or third is b:
-                continue
-            if (
-                are_crossed(third, a, cyc)
-                or are_crossed(a, third, cyc)
-                or are_crossed(third, b, cyc)
-                or are_crossed(b, third, cyc)
-            ):
-                return None
+    # a third chord crosses the pair at i, i + 2 from i - 1, i + 1 or i + 3,
+    # none of them i or i + 2 since n >= 4 here
+    if pairs & (_rotate(chords, -1, n) | _rotate(chords, 1, n) | _rotate(chords, 3, n)):
+        return None
     return Violation(
-        cyc.vertices, "length != 0 mod 3 but no third short chord crossing the consecutive pair"
+        seq, "length != 0 mod 3 but no third short chord crossing the consecutive pair"
     )
 
 
@@ -279,13 +245,23 @@ def check_cycle_hypothesis(
     full report's first one.
     """
     cycles = enumerate_cycles(d, min_len=min_cycle_len)
-    return _report(cycles, lambda cyc: _cycle_ok(d, cyc, variant), stop_at_first)
+    out_masks = d.out_masks
+    return _report(cycles, lambda cyc: _cycle_ok(out_masks, cyc.vertices, variant), stop_at_first)
 
 
 def _circuit_violation(d: Digraph, circ: ClosedWalk) -> Violation | None:
-    if len(circ) % 3 == 0 or len(shorts := short_chords(d, circ)) >= 4:
+    seq, n = circ.vertices, len(circ)
+    if n % 3 == 0:
         return None
-    return Violation(circ.vertices, f"length != 0 mod 3 with only {len(shorts)} short chords")
+    # only a circuit that repeats a vertex has walk arcs (seq[i], seq[i+2])
+    walk_arcs = circ.arcs() if len(set(seq)) < n else ()
+    out_masks, count = d.out_masks, 0
+    for u, w in zip(seq, seq[2:] + seq[:2]):
+        if out_masks[u] >> w & 1 and (u, w) not in walk_arcs:
+            count += 1
+            if count == 4:
+                return None
+    return Violation(seq, f"length != 0 mod 3 with only {count} short chords")
 
 
 def check_circuit_hypothesis(
@@ -295,7 +271,8 @@ def check_circuit_hypothesis(
     stop_at_first: bool = False,
 ) -> HypothesisReport:
     """Every circuit of length != 0 mod 3 (within the bounds) must have at
-    least four distinct short chords.
+    least four short chords, counted by position: an arc that is the short
+    chord at two positions counts twice.
 
     With stop_at_first the check ends at the first violation, which is the
     full report's first one; circuits longer than it are never enumerated,
@@ -306,10 +283,10 @@ def check_circuit_hypothesis(
     return _report(circuits, lambda circ: _circuit_violation(d, circ), stop_at_first)
 
 
-def _asymmetric_cycle(d: Digraph, cyc: ClosedWalk) -> Violation | None:
-    seq, n = cyc.vertices, len(cyc)
-    if any((seq[(i + 1) % n], seq[i]) in d.arcs for i in range(n)):
-        return None
+def _asymmetric_cycle(out_masks: tuple[int, ...], seq: tuple[int, ...]) -> Violation | None:
+    for u, w in zip(seq, seq[1:] + seq[:1]):
+        if out_masks[w] >> u & 1:
+            return None
     return Violation(seq, "cycle without symmetric arc")
 
 
@@ -317,4 +294,7 @@ def every_cycle_has_symmetric_arc(d: Digraph, stop_at_first: bool = False) -> Hy
     """Duchet's hypothesis: each simple cycle contains an arc whose reverse
     is also present.  With stop_at_first the check ends at the first
     violation."""
-    return _report(enumerate_cycles(d), lambda cyc: _asymmetric_cycle(d, cyc), stop_at_first)
+    out_masks = d.out_masks
+    return _report(
+        enumerate_cycles(d), lambda cyc: _asymmetric_cycle(out_masks, cyc.vertices), stop_at_first
+    )

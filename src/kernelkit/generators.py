@@ -95,10 +95,6 @@ class SplitMix64:
         self._state = (self._state + count * _GAMMA) & _MASK64
         return layout.unpack(z.to_bytes(16 * count, "little"))
 
-    def unit(self) -> float:
-        """Uniform in [0, 1)."""
-        return self.next_u64() / 2**64
-
     def below(self, bound: int) -> int:
         return self.next_u64() % bound
 

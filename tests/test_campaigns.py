@@ -10,10 +10,13 @@ from kernelkit import (
     KERNEL,
     THREE_KERNEL,
     CampaignParams,
+    CycleHypothesisVariant,
     Digraph,
     HypothesisReport,
     check_circuit_hypothesis,
+    check_cycle_hypothesis,
     directed_cycle,
+    every_cycle_has_symmetric_arc,
     format_digraph_text,
     is_kl_kernel,
     k_closure,
@@ -199,6 +202,33 @@ def test_trace_campaigns_build_no_distance_matrix(monkeypatch):
     assert rows == []
     directed_cycle(3).distance(0, 2)
     assert rows == [0, 1, 2]  # the counter sees a matrix when one is built
+
+
+def test_cycle_checks_build_no_adjacency_lists(monkeypatch):
+    # the cycle walk and the chord tests read `out_masks`; `out_adj` is a
+    # cached property, so a digraph that built it holds it in `vars(d)`
+    fresh = [random_strongly_connected(n, 0.3, seed) for n in (4, 5, 6) for seed in range(10)]
+    for d in fresh:
+        for variant in CycleHypothesisVariant:
+            check_cycle_hypothesis(d, variant)
+        every_cycle_has_symmetric_arc(d)
+    streamed = []
+    sc_stream = campaigns._sc_stream
+
+    def recording_stream(params):
+        for d in sc_stream(params):
+            streamed.append(d)
+            yield d
+
+    monkeypatch.setattr(campaigns, "_sc_stream", recording_stream)
+    for property_id in ("duchet", "theorem2", "reverse-path"):
+        for n in (4, 5, 6):
+            report = run_campaign(property_id, CampaignParams(n=n, trials=10, seed=1))
+            assert report.occupancy["tried"] == 10, (property_id, n)
+    assert len(streamed) == 90
+    assert [d for d in fresh + streamed if "out_adj" in vars(d)] == []
+    check_circuit_hypothesis(streamed[0], max_len=2)
+    assert "out_adj" in vars(streamed[0])  # the check sees a build when one happens
 
 
 def test_all_campaigns_run_small():

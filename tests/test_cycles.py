@@ -4,9 +4,16 @@ The independent oracle here is a naive closed-trail enumerator written
 differently from the library's (it walks raw arc sequences and dedupes by
 rotation at the end).  The length-layered circuit search is also compared
 with `single_pass_circuits`, the one-pass trail search it replaced, whose
-step count defines what fits a budget.  `short_chords` is compared with the
-short chords of `chords_of`, an all-pairs chord scan, and every
-`stop_at_first` report with the full report.  Simple cycles are compared with networkx's `simple_cycles`.
+step count defines what fits a budget.  Simple cycles are compared with
+networkx's `simple_cycles`, and every `stop_at_first` report with the full
+report.
+
+The library decides the chord hypotheses on chord-position masks.  The
+chord-object API it replaced lives here as the reference: `Chord`,
+`short_chords`, `are_consecutive` and `are_crossed`, with `short_chords`
+compared with the short chords of `chords_of`, an all-pairs chord scan.
+The three hypothesis checks must give the full reports that the
+reference violations built on them give.
 """
 
 import networkx as nx
@@ -14,13 +21,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dataclasses import dataclass
+
 from kernelkit import (
-    Chord,
     ClosedWalk,
     CycleHypothesisVariant,
     HypothesisReport,
-    are_consecutive,
-    are_crossed,
     build_digraph,
     check_circuit_hypothesis,
     check_cycle_hypothesis,
@@ -28,8 +34,8 @@ from kernelkit import (
     enumerate_circuits,
     enumerate_cycles,
     every_cycle_has_symmetric_arc,
-    short_chords,
 )
+from kernelkit.cycles import Violation
 from kernelkit.errors import BudgetExceededError
 from kernelkit.generators import enumerate_labeled_digraphs, random_digraph
 
@@ -236,6 +242,50 @@ def test_every_cycle_is_a_circuit():
 # -- chords ------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Chord:
+    """An off-cycle arc between positions of a cycle/circuit.
+
+    length is the along-cycle distance (head_pos - tail_pos) mod n, always
+    in 2..n-1.
+    """
+
+    tail_pos: int
+    head_pos: int
+    length: int
+
+
+def short_chords(d, c):
+    """Reference: the chords of length 2, sorted by position, by one arc
+    test per position.  The walk-arc test matters on circuits, whose
+    vertices can repeat."""
+    seq = c.vertices
+    n = len(seq)
+    if n < 3:
+        return []
+    walk_arcs = c.arcs()
+    result = []
+    for i in range(n):
+        arc = (seq[i], seq[(i + 2) % n])
+        if arc in d.arcs and arc not in walk_arcs:
+            result.append(Chord(i, (i + 2) % n, 2))
+    return result
+
+
+def are_consecutive(a, b):
+    """True iff b starts where a ends (directional; test both orders for the
+    unordered notion)."""
+    return a.head_pos == b.tail_pos
+
+
+def are_crossed(a, b, c):
+    """True iff some rotation lift satisfies j < j' < j+k < j'+k'."""
+    n = len(c.vertices)
+    gap_tail = (b.tail_pos - a.tail_pos) % n
+    gap_head = (a.head_pos - b.tail_pos) % n
+    return 0 < gap_tail < a.length and 0 < gap_head < b.length
+
+
 def chords_of(d, c):
     """Reference: all position-indexed chords of the cycle/circuit, sorted
     by position, from a scan of every position pair."""
@@ -391,3 +441,108 @@ def test_symmetric_arc_hypothesis():
     report = every_cycle_has_symmetric_arc(directed_cycle(3))
     assert not report.satisfied
     assert report.violations[0].subject == (0, 1, 2)
+
+
+# -- the mask checks against the chord-object references ---------------------
+
+
+def reference_cycle_violation(d, cyc, variant):
+    """Reference: the cycle hypothesis by pairing up `short_chords`."""
+    shorts = short_chords(d, cyc)
+    if len(cyc) % 3 == 0:
+        if shorts:
+            return None
+        return Violation(cyc.vertices, "length = 0 mod 3 but no short chord")
+    pairs = [(a, b) for a in shorts for b in shorts if a is not b and are_consecutive(a, b)]
+    if not pairs:
+        return Violation(cyc.vertices, "length != 0 mod 3 but no two consecutive short chords")
+    if variant is CycleHypothesisVariant.TWO_CONSECUTIVE:
+        return None
+    for a, b in pairs:
+        for third in shorts:
+            if third is a or third is b:
+                continue
+            if (
+                are_crossed(third, a, cyc)
+                or are_crossed(a, third, cyc)
+                or are_crossed(third, b, cyc)
+                or are_crossed(b, third, cyc)
+            ):
+                return None
+    return Violation(
+        cyc.vertices, "length != 0 mod 3 but no third short chord crossing the consecutive pair"
+    )
+
+
+def reference_circuit_violation(d, circ):
+    if len(circ) % 3 == 0 or len(shorts := short_chords(d, circ)) >= 4:
+        return None
+    return Violation(circ.vertices, f"length != 0 mod 3 with only {len(shorts)} short chords")
+
+
+def reference_asymmetric_cycle(d, cyc):
+    seq, n = cyc.vertices, len(cyc)
+    if any((seq[(i + 1) % n], seq[i]) in d.arcs for i in range(n)):
+        return None
+    return Violation(seq, "cycle without symmetric arc")
+
+
+def reference_report(walks, violation):
+    violations = tuple(v for v in map(violation, walks) if v is not None)
+    return HypothesisReport(not violations, violations, len(walks))
+
+
+def cycle_with_arcs(n, extra):
+    return build_digraph(n, [(i, (i + 1) % n) for i in range(n)] + extra)
+
+
+FIGURE_EIGHT = build_digraph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
+# the closed trail (0,1,2,4,0,3,2,5) meets the arc (0, 2) at positions 0 and 4
+REPEATED_VERTEX_CIRCUIT = (0, 1, 2, 4, 0, 3, 2, 5)
+REPEATED_VERTEX = build_digraph(
+    6,
+    [(0, 1), (1, 2), (2, 4), (4, 0), (0, 3), (3, 2), (2, 5), (5, 0), (0, 2)],
+)
+
+
+@given(digraphs, st.integers(2, 8))
+@example(complete_symmetric(3), 6)
+@example(cycle_with_arcs(6, [(0, 2), (1, 4)]), 6)
+@example(cycle_with_arcs(6, [(0, 2), (2, 4), (4, 0)]), 6)
+@example(cycle_with_arcs(5, [(0, 2), (2, 4)]), 5)
+@example(cycle_with_arcs(5, [(0, 2), (2, 4), (1, 3)]), 5)
+@example(cycle_with_arcs(7, [(0, 2), (2, 4), (6, 1)]), 7)
+@example(FIGURE_EIGHT, 6)
+@example(build_digraph(5, [(0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (4, 1)]), 6)
+@example(REPEATED_VERTEX, 8)
+@settings(max_examples=200, deadline=None)
+def test_mask_checks_give_the_reports_of_the_chord_references(d, max_len):
+    for m in (2, 3):
+        cycles = list(enumerate_cycles(d, min_len=m))
+        for variant in CycleHypothesisVariant:
+            expected = reference_report(
+                cycles, lambda cyc: reference_cycle_violation(d, cyc, variant)
+            )
+            assert check_cycle_hypothesis(d, variant, m) == expected
+    expected = reference_report(
+        list(enumerate_cycles(d)), lambda cyc: reference_asymmetric_cycle(d, cyc)
+    )
+    assert every_cycle_has_symmetric_arc(d) == expected
+    try:
+        circuits = list(enumerate_circuits(d, max_len, budget=3000))
+    except BudgetExceededError:
+        with pytest.raises(BudgetExceededError):
+            check_circuit_hypothesis(d, max_len, budget=3000)
+        return
+    expected = reference_report(circuits, lambda circ: reference_circuit_violation(d, circ))
+    assert check_circuit_hypothesis(d, max_len, budget=3000) == expected
+
+
+def test_circuit_short_chords_count_positions_not_arcs():
+    # one extra arc, the short chord at two positions of a repeated-vertex circuit
+    circuit = ClosedWalk(REPEATED_VERTEX_CIRCUIT)
+    assert circuit in enumerate_circuits(REPEATED_VERTEX, max_len=8)
+    assert short_chords(REPEATED_VERTEX, circuit) == [Chord(0, 2, 2), Chord(4, 6, 2)]
+    expected = Violation(REPEATED_VERTEX_CIRCUIT, "length != 0 mod 3 with only 2 short chords")
+    assert reference_circuit_violation(REPEATED_VERTEX, circuit) == expected
+    assert expected in check_circuit_hypothesis(REPEATED_VERTEX, max_len=8).violations

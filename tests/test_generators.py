@@ -46,10 +46,16 @@ def test_splitmix64_masks_seed_to_64_bits():
     assert SplitMix64(1 << 64).next_u64() == SplitMix64(0).next_u64()
 
 
+def unit(rng):
+    """Reference: one draw as a float uniform in [0, 1), the per-pair draw
+    the integer arc threshold replaced."""
+    return rng.next_u64() / 2**64
+
+
 def test_unit_is_in_range():
     rng = SplitMix64(99)
     for _ in range(100):
-        assert 0.0 <= rng.unit() < 1.0
+        assert 0.0 <= unit(rng) < 1.0
 
 
 @given(st.integers(0, 2**64 - 1))
@@ -133,13 +139,13 @@ def test_random_strongly_connected_validates():
 
 
 def per_pair_random_digraph(n, arc_prob, seed):
-    """Reference: one `unit()` call per ordered pair."""
+    """Reference: one `unit` draw per ordered pair."""
     rng = SplitMix64(seed)
-    return build_digraph(n, [pair for pair in iter_arc_pairs(n) if rng.unit() < arc_prob])
+    return build_digraph(n, [pair for pair in iter_arc_pairs(n) if unit(rng) < arc_prob])
 
 
 def per_pair_random_strongly_connected(n, extra_arc_prob, seed):
-    """Reference: the shuffled backbone, then one `unit()` call per other pair."""
+    """Reference: the shuffled backbone, then one `unit` draw per other pair."""
     rng = SplitMix64(seed)
     perm = list(range(n))
     for i in range(n - 1, 0, -1):
@@ -149,7 +155,7 @@ def per_pair_random_strongly_connected(n, extra_arc_prob, seed):
     extras = [
         pair
         for pair in iter_arc_pairs(n)
-        if pair not in backbone and rng.unit() < extra_arc_prob
+        if pair not in backbone and unit(rng) < extra_arc_prob
     ]
     return build_digraph(n, sorted(backbone) + extras)
 
