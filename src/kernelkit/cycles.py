@@ -7,10 +7,11 @@ every cycle is also a circuit.
 
 Every chord condition concerns only short chords (length 2), and the
 hypothesis checks read them by position: position i holds one when
-(seq[i], seq[i+2]) is an arc and not an arc of the walk, one test of
-`out_masks` each, so repeated vertices on a circuit contribute separately.
-The cycle checks keep the positions as an n-bit mask, where consecutive
-and crossing short chords are rotations of it.
+(seq[i], seq[i+2]) is an arc and not an arc of the walk, one arc test
+each, so repeated vertices on a circuit contribute separately.
+The cycle checks test the arcs on the `out_masks` their cycle walk reads
+and keep the positions as an n-bit mask, where consecutive and crossing
+short chords are rotations of it.
 All three hypothesis checks take `stop_at_first`, which ends the check at
 the first violation (the full report's first one) for callers that read
 only `.satisfied`.
@@ -253,11 +254,12 @@ def _circuit_violation(d: Digraph, circ: ClosedWalk) -> Violation | None:
     seq, n = circ.vertices, len(circ)
     if n % 3 == 0:
         return None
-    # only a circuit that repeats a vertex has walk arcs (seq[i], seq[i+2])
+    # only a circuit that repeats a vertex has walk arcs (seq[i], seq[i+2]);
+    # the arc set, not `out_masks`, since most digraphs checked here build no masks
     walk_arcs = circ.arcs() if len(set(seq)) < n else ()
-    out_masks, count = d.out_masks, 0
-    for u, w in zip(seq, seq[2:] + seq[:2]):
-        if out_masks[u] >> w & 1 and (u, w) not in walk_arcs:
+    arcs, count = d.arcs, 0
+    for arc in zip(seq, seq[2:] + seq[:2]):
+        if arc in arcs and arc not in walk_arcs:
             count += 1
             if count == 4:
                 return None
