@@ -171,11 +171,24 @@ def _closure_lemma(params: CampaignParams, failures: _Failures) -> dict:
     return {"instances_checked": checked, "occupancy": {"tried": checked}, "vacuous": checked == 0}
 
 
+def _with_budget_skips(occupancy: dict, budget_skips: int) -> dict:
+    """The occupancy with `skipped: {"budget": k}` when k > 0, so that a run
+    the budget never cuts reports as it did before cycle budgets existed."""
+    return {**occupancy, "skipped": {"budget": budget_skips}} if budget_skips else occupancy
+
+
 def _duchet(params: CampaignParams, failures: _Failures) -> dict:
-    tried = accepted = 0
+    tried = accepted = budget_skips = 0
     for d in _sc_stream(params):
         tried += 1
-        if not every_cycle_has_symmetric_arc(d, stop_at_first=True).satisfied:
+        try:
+            hypothesis = every_cycle_has_symmetric_arc(
+                d, stop_at_first=True, budget=params.budget
+            )
+        except BudgetExceededError:
+            budget_skips += 1
+            continue
+        if not hypothesis.satisfied:
             continue
         accepted += 1
         ok, counterexample = is_kernel_perfect(d)
@@ -183,7 +196,7 @@ def _duchet(params: CampaignParams, failures: _Failures) -> dict:
             failures.add(d, f"induced subdigraph {list(counterexample)} has no kernel")
     return {
         "instances_checked": accepted,
-        "occupancy": {"tried": tried, "accepted": accepted},
+        "occupancy": _with_budget_skips({"tried": tried, "accepted": accepted}, budget_skips),
         "vacuous": accepted == 0,
     }
 
@@ -191,19 +204,25 @@ def _duchet(params: CampaignParams, failures: _Failures) -> dict:
 def _reverse_path(params: CampaignParams, failures: _Failures) -> dict:
     if params.min_cycle_len not in (2, 3):
         raise ValueError("reverse-path needs min_cycle_len 2 or 3")
-    tried = accepted = 0
+    tried = accepted = budget_skips = 0
     occupancy_by_len = {2: 0, 3: 0}
     for d in _sc_stream(params):
         tried += 1
-        passing = {
-            m: check_cycle_hypothesis(
-                d, CycleHypothesisVariant.TWO_CONSECUTIVE, m, stop_at_first=True
-            ).satisfied
-            for m in (2, 3)
-        }
+        # None: undecided within the budget; such a length does not count d
+        passing: dict[int, bool | None] = {}
         for m in (2, 3):
+            try:
+                passing[m] = check_cycle_hypothesis(
+                    d, CycleHypothesisVariant.TWO_CONSECUTIVE, m,
+                    stop_at_first=True, budget=params.budget,
+                ).satisfied
+            except BudgetExceededError:
+                passing[m] = None
             if passing[m]:
                 occupancy_by_len[m] += 1
+        if passing[params.min_cycle_len] is None:
+            budget_skips += 1
+            continue
         if not passing[params.min_cycle_len]:
             continue
         accepted += 1
@@ -211,33 +230,39 @@ def _reverse_path(params: CampaignParams, failures: _Failures) -> dict:
         for u, v in sorted(d.arcs):
             if not _ball(d.out_masks, v, whole, 2) >> u & 1:
                 failures.add(d, f"arc ({u}, {v}) with d({v}, {u}) = {d.distance(v, u)}")
+    occupancy = {
+        "tried": tried,
+        "accepted": accepted,
+        "accepted_min_cycle_len_2": occupancy_by_len[2],
+        "accepted_min_cycle_len_3": occupancy_by_len[3],
+    }
     return {
         "instances_checked": accepted,
-        "occupancy": {
-            "tried": tried,
-            "accepted": accepted,
-            "accepted_min_cycle_len_2": occupancy_by_len[2],
-            "accepted_min_cycle_len_3": occupancy_by_len[3],
-        },
+        "occupancy": _with_budget_skips(occupancy, budget_skips),
         "vacuous": accepted == 0,
     }
 
 
 def _theorem2(params: CampaignParams, failures: _Failures) -> dict:
-    tried = accepted = 0
+    tried = accepted = budget_skips = 0
     for d in _sc_stream(params):
         tried += 1
-        if not check_cycle_hypothesis(
-            d, CycleHypothesisVariant.THREE_WITH_CROSSING, params.min_cycle_len,
-            stop_at_first=True,
-        ).satisfied:
+        try:
+            hypothesis = check_cycle_hypothesis(
+                d, CycleHypothesisVariant.THREE_WITH_CROSSING, params.min_cycle_len,
+                stop_at_first=True, budget=params.budget,
+            )
+        except BudgetExceededError:
+            budget_skips += 1
+            continue
+        if not hypothesis.satisfied:
             continue
         accepted += 1
         if not find_kl_kernel(d, THREE_KERNEL).found:
             failures.add(d, "hypothesis satisfied but no 3-kernel found")
     return {
         "instances_checked": accepted,
-        "occupancy": {"tried": tried, "accepted": accepted},
+        "occupancy": _with_budget_skips({"tried": tried, "accepted": accepted}, budget_skips),
         "vacuous": accepted == 0,
     }
 
@@ -421,7 +446,7 @@ CAMPAIGNS: dict[str, Callable[[CampaignParams, _Failures], dict]] = {
 
 # The campaigns that read each campaign-specific parameter; the others ignore it.
 PARAMETER_READERS = {
-    "budget": ("additive-inverse", "theorem4"),
+    "budget": ("additive-inverse", "duchet", "reverse-path", "theorem2", "theorem4"),
     "min_cycle_len": ("reverse-path", "theorem2"),
 }
 

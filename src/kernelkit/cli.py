@@ -93,21 +93,24 @@ def _cmd_analyze(args) -> int:
     if args.max_circuit_len is not None and args.max_circuit_len < 2:
         raise ValueError("--max-circuit-len must be >= 2")
     d = _load(args.file)
-    cycles = list(enumerate_cycles(d))
+    # a cycle search past the budget leaves every section below undecided: exit 3
+    cycles = list(enumerate_cycles(d, budget=args.budget))
     payload = {
         "n": d.vertex_count,
         "m": len(d.arcs),
         "strongly_connected": d.is_strongly_connected(),
         "cycles": len(cycles),
-        "duchet": _hypothesis_summary(every_cycle_has_symmetric_arc(d)),
+        "duchet": _hypothesis_summary(every_cycle_has_symmetric_arc(d, budget=args.budget)),
         "cycle_hypothesis_two_consecutive": _hypothesis_summary(
             check_cycle_hypothesis(
-                d, CycleHypothesisVariant.TWO_CONSECUTIVE, args.min_cycle_len
+                d, CycleHypothesisVariant.TWO_CONSECUTIVE, args.min_cycle_len,
+                budget=args.budget,
             )
         ),
         "cycle_hypothesis_three_with_crossing": _hypothesis_summary(
             check_cycle_hypothesis(
-                d, CycleHypothesisVariant.THREE_WITH_CROSSING, args.min_cycle_len
+                d, CycleHypothesisVariant.THREE_WITH_CROSSING, args.min_cycle_len,
+                budget=args.budget,
             )
         ),
     }
@@ -223,10 +226,11 @@ def _cmd_verify(args) -> int:
         if getattr(args, name) is not None
     }
     for name in given:
-        if args.property_id not in PARAMETER_READERS[name]:
+        readers = PARAMETER_READERS[name]
+        if args.property_id not in readers:
             raise ValueError(
                 f"unrecognized arguments: --{name.replace('_', '-')} "
-                f"(read only by {' and '.join(PARAMETER_READERS[name])})"
+                f"(read only by {', '.join(readers[:-1])} and {readers[-1]})"
             )
     if args.p is not None:
         given.update(arc_prob=args.p, extra_arc_prob=args.p)
@@ -279,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--min-cycle-len", type=int, default=2)
     p.add_argument("--max-circuit-len", type=int, default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="step budget of each length pass of the cycle and circuit searches")
     common(p)
     p.set_defaults(func=_cmd_analyze)
 
@@ -317,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="arc probability (default: the campaign parameters' own)")
     p.add_argument("--max-failures", type=int, default=10)
     p.add_argument("--budget", type=int, default=None,
-                   help="circuit-search step budget (additive-inverse and theorem4 only)")
+                   help="step budget of each length pass of the cycle and circuit searches "
+                   "(additive-inverse, duchet, reverse-path, theorem2 and theorem4 only)")
     common(p, fmt=False)
     p.set_defaults(func=_cmd_verify)
 

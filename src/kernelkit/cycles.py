@@ -14,7 +14,7 @@ and keep the positions as an n-bit mask, where consecutive and crossing
 short chords are rotations of it.
 All three hypothesis checks take `stop_at_first`, which ends the check at
 the first violation (the full report's first one) for callers that read
-only `.satisfied`.
+only `.satisfied`, and a `budget` of steps per length pass of their search.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class CycleHypothesisVariant(enum.Enum):
 
 
 def enumerate_cycles(
-    d: Digraph, min_len: int = 2, max_len: int | None = None
+    d: Digraph, min_len: int = 2, max_len: int | None = None, budget: int = DEFAULT_BUDGET
 ) -> Iterator[ClosedWalk]:
     """Yield every simple directed cycle with min_len <= length <= max_len,
     sorted by length then lexicographically, each in canonical rotation.
@@ -72,19 +72,32 @@ def enumerate_cycles(
     One path search per length L from min_len up, as in `enumerate_circuits`;
     each pass meets its cycles in lexicographic order and yields them before
     the next starts, and the search ends after a pass in which no path from
-    a root through larger vertices reaches L vertices."""
+    a root through larger vertices reaches L vertices.
+
+    `budget` bounds the steps (paths extended) of each pass, not their sum;
+    BudgetExceededError is raised from the first pass that exceeds it.  On a
+    complete symmetric digraph every cycle passes the hypothesis checks, so
+    only the budget ends a dense search early."""
     if max_len is None:
         max_len = d.vertex_count
     if min_len < 2:
         raise ValueError("min_len must be >= 2")
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     out_masks, in_masks = d.out_masks, d.in_masks
     for length in range(min_len, max_len + 1):
         found: list[tuple[int, ...]] = []
+        steps = 0
         reached = False
 
         def extend(root: int, path: list[int], on_path: int) -> None:
             # on_path: the path and every vertex below the root, none of them free
-            nonlocal reached
+            nonlocal steps, reached
+            steps += 1
+            if steps > budget:
+                raise BudgetExceededError(
+                    f"cycle enumeration exceeded {budget} steps at length {length}"
+                )
             u = path[-1]
             if len(path) == length - 1:
                 ends = out_masks[u] & ~on_path
@@ -238,14 +251,16 @@ def check_cycle_hypothesis(
     variant: CycleHypothesisVariant,
     min_cycle_len: int = 2,
     stop_at_first: bool = False,
+    budget: int = DEFAULT_BUDGET,
 ) -> HypothesisReport:
     """Check the short-chord hypothesis over every simple cycle of length
     >= min_cycle_len (ValueError below 2).
 
     With stop_at_first the check ends at the first violation, which is the
-    full report's first one.
+    full report's first one.  `budget` bounds each pass of
+    `enumerate_cycles`.
     """
-    cycles = enumerate_cycles(d, min_len=min_cycle_len)
+    cycles = enumerate_cycles(d, min_len=min_cycle_len, budget=budget)
     out_masks = d.out_masks
     return _report(cycles, lambda cyc: _cycle_ok(out_masks, cyc.vertices, variant), stop_at_first)
 
@@ -292,11 +307,15 @@ def _asymmetric_cycle(out_masks: tuple[int, ...], seq: tuple[int, ...]) -> Viola
     return Violation(seq, "cycle without symmetric arc")
 
 
-def every_cycle_has_symmetric_arc(d: Digraph, stop_at_first: bool = False) -> HypothesisReport:
+def every_cycle_has_symmetric_arc(
+    d: Digraph, stop_at_first: bool = False, budget: int = DEFAULT_BUDGET
+) -> HypothesisReport:
     """Duchet's hypothesis: each simple cycle contains an arc whose reverse
     is also present.  With stop_at_first the check ends at the first
-    violation."""
+    violation.  `budget` bounds each pass of `enumerate_cycles`."""
     out_masks = d.out_masks
     return _report(
-        enumerate_cycles(d), lambda cyc: _asymmetric_cycle(out_masks, cyc.vertices), stop_at_first
+        enumerate_cycles(d, budget=budget),
+        lambda cyc: _asymmetric_cycle(out_masks, cyc.vertices),
+        stop_at_first,
     )

@@ -10,9 +10,15 @@ what the vertex absorbs), and each search level walks the low bits of a mask
 of the candidates still free.  `k_closure` reads out-balls instead of
 distances.
 
-A perfection scan decides each induced subdigraph D[S] by its weak
-components, which it tracks as S grows, and searches each distinct component
-once per scan; nothing is kept between scans.
+Kernel-perfection is decided in one walk over D's independent sets.  D[S]
+keeps exactly D's arcs among S, so I is a kernel of D[S] exactly when I is
+independent in D and I <= S <= I | N-(I): the induced subdigraphs with a
+kernel are a union of intervals, one per independent set, which the walk
+marks in a table of 2**n flags.  This holds only at radius 1: distances in
+D[S] depend on S, so 3-kernel-perfection has no such intervals, and its
+scans decide each D[S] by its weak components, which they track as S grows,
+searching each distinct component once per scan; nothing is kept between
+scans.
 """
 
 from __future__ import annotations
@@ -250,8 +256,56 @@ def _perfection_scan(
 
 
 def is_kernel_perfect(d: Digraph) -> tuple[bool, VertexSet | None]:
-    """Every nonempty induced subdigraph has a classic kernel."""
-    return _perfection_scan(d, KERNEL, proper_only=False)
+    """Every nonempty induced subdigraph has a classic kernel: (True, None),
+    or (False, the first nonempty subset S in lexicographic order whose D[S]
+    has none), the verdict of `_perfection_scan(d, KERNEL, False)`.
+
+    D[S] keeps D's arcs among S, so I is a kernel of D[S] exactly when I is
+    independent in D and I <= S <= I | N-(I).  One walk over D's
+    independent sets, the kernel engine's free-candidate recursion on its
+    conflict and absorbed-by balls, marks every such interval; the
+    counterexample is the first unmarked subset in the scan's order.  At
+    radius 2 the distances of D[S] depend on S, so the 3-kernel scans have
+    no such intervals and keep `_perfection_scan`."""
+    n = d.vertex_count
+    if n > PERFECTION_BOUND:
+        raise SizeBoundError(f"{n} vertices exceeds perfection bound {PERFECTION_BOUND}")
+    whole = (1 << n) - 1
+    conflict, absorbed_by = _kernel_balls(d, d.vertices(), whole, KERNEL)
+    has_kernel = bytearray(1 << n)
+
+    def walk(chosen: int, free: int, absorbed: int) -> None:
+        """Mark every S with chosen <= S <= absorbed, then extend `chosen`
+        by candidates of `free`, lowest first."""
+        outside = absorbed ^ chosen
+        extra = outside
+        while extra:
+            has_kernel[chosen | extra] = 1
+            extra = (extra - 1) & outside
+        has_kernel[chosen] = 1
+        while free:
+            low = free & -free
+            free ^= low
+            v = low.bit_length() - 1
+            walk(chosen | low, free & ~conflict[v], absorbed | absorbed_by[v])
+
+    walk(0, whole, 0)
+    if 0 not in has_kernel:
+        return True, None
+    prefix: list[int] = []
+
+    def first_without(start: int, subset: int) -> bool:
+        """Extend `prefix` in lexicographic order until D[prefix] has no kernel."""
+        for v in range(start, n):
+            grown = subset | 1 << v
+            prefix.append(v)
+            if not has_kernel[grown] or first_without(v + 1, grown):
+                return True
+            prefix.pop()
+        return False
+
+    first_without(0, 0)
+    return False, tuple(prefix)
 
 
 def is_quasi_3_kernel_perfect(d: Digraph) -> tuple[bool, VertexSet | None]:

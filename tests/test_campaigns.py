@@ -167,6 +167,35 @@ def test_criterion_10_budget_instance_is_decided_by_its_first_layer():
     assert occupancy["skipped"] == {"circuit hypothesis": 29}
 
 
+def complete_symmetric_occupancy(property_id, budget, min_cycle_len):
+    """Occupancy of three K5* trials: the cycle search's length-5 pass
+    extends 65 paths, every shorter pass fewer."""
+    params = CampaignParams(
+        n=5, trials=3, extra_arc_prob=1.0, budget=budget, min_cycle_len=min_cycle_len
+    )
+    return run_campaign(property_id, params).occupancy
+
+
+@pytest.mark.parametrize(
+    "property_id, min_cycle_len", [("duchet", 2), ("theorem2", 3), ("reverse-path", 3)]
+)
+def test_cycle_checks_past_the_budget_are_counted_as_budget_skips(property_id, min_cycle_len):
+    # every cycle of K5* passes these hypotheses, so only the budget stops the search
+    cut = complete_symmetric_occupancy(property_id, 64, min_cycle_len)
+    assert cut["tried"] == 3 and cut["accepted"] == 0
+    assert cut["skipped"] == {"budget": 3}
+    whole = complete_symmetric_occupancy(property_id, 65, min_cycle_len)
+    assert whole["accepted"] == 3 and "skipped" not in whole
+
+
+def test_reverse_path_decided_at_its_own_length_is_no_budget_skip():
+    # K5*'s digons violate the hypothesis at length 2 before the budget runs
+    # out; the length-3 check is undecided, so it accepts nothing
+    assert complete_symmetric_occupancy("reverse-path", 64, 2) == {
+        "tried": 3, "accepted": 0, "accepted_min_cycle_len_2": 0, "accepted_min_cycle_len_3": 0,
+    }
+
+
 def test_additive_inverse_builds_traces_only_inside_the_class(monkeypatch):
     starts = []
 

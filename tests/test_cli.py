@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import kernelkit
 from kernelkit import build_digraph
-from kernelkit.campaigns import CAMPAIGNS
+from kernelkit.campaigns import CAMPAIGNS, PARAMETER_READERS
 from kernelkit.cli import EXIT_FAILURE, EXIT_PASS, EXIT_RESOURCE, EXIT_USAGE, main
 from kernelkit.generators import random_strongly_connected
 from kernelkit.textio import format_digraph_text
@@ -201,9 +201,12 @@ def test_negative_p_in_exponent_notation_needs_the_equals_spelling(capsys):
         ["substitute", "C6", "--x0", "0", "--budget", "10"],
         ["verify", "closure-lemma", "--n", "2", "--exhaustive", "--format", "text"],
         ["verify", "roads", "--n", "4", "--trials", "3", "--budget", "1", "--min-cycle-len", "7"],
+        ["analyze", "C6", "--trials", "3"],
+        ["kernel", "C6", "--k", "2", "--min-cycle-len", "3"],
+        ["generate", "--kind", "cycle", "--n", "3", "--out", "c3.txt", "--budget", "5"],
         *(
             ["verify", property_id, "--n", "3", "--trials", "2", "--budget", "5"]
-            for property_id in sorted(set(CAMPAIGNS) - {"additive-inverse", "theorem4"})
+            for property_id in sorted(set(CAMPAIGNS) - set(PARAMETER_READERS["budget"]))
         ),
         *(
             ["verify", property_id, "--n", "3", "--trials", "2", "--min-cycle-len", "3"]
@@ -220,7 +223,8 @@ def test_options_a_command_does_not_read_are_rejected(argv, c6_file, capsys):
 @pytest.mark.parametrize(
     "property_id, option",
     [("additive-inverse", "--budget"), ("theorem4", "--budget"),
-     ("reverse-path", "--min-cycle-len"), ("theorem2", "--min-cycle-len")],
+     ("reverse-path", "--min-cycle-len"), ("theorem2", "--min-cycle-len"),
+     ("duchet", "--budget"), ("reverse-path", "--budget"), ("theorem2", "--budget")],
 )
 def test_campaign_options_reach_the_campaigns_that_read_them(property_id, option, capsys):
     code, out, _ = run(capsys, "verify", property_id, "--n", "4", "--trials", "3", option, "3")
@@ -240,6 +244,19 @@ def test_analyze_writes_the_decided_sections_when_the_circuit_budget_runs_out(tm
                        "--max-circuit-len", "5")
     assert code == EXIT_PASS
     assert partial == {**json.loads(out), "circuit_hypothesis": None}
+
+
+def test_analyze_exits_3_when_the_cycle_budget_runs_out(tmp_path, capsys):
+    # K5*: its length-5 pass extends 65 paths, the others fewer
+    path = tmp_path / "k5.txt"
+    path.write_text(format_digraph_text(
+        build_digraph(5, [(u, v) for u in range(5) for v in range(5) if u != v])
+    ))
+    code, out, err = run(capsys, "analyze", str(path), "--budget", "64")
+    assert code == EXIT_RESOURCE and out == ""
+    assert err == "resource bound: cycle enumeration exceeded 64 steps at length 5\n"
+    code, out, _ = run(capsys, "analyze", str(path), "--budget", "65", "--max-circuit-len", "2")
+    assert code == EXIT_PASS and "cycles: 84\n" in out
 
 
 def test_package_runs_as_a_module(tmp_path):

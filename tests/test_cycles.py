@@ -146,6 +146,61 @@ def test_first_cycle_comes_before_any_longer_one_is_searched():
     assert next(enumerate_cycles(complete_symmetric(12))).vertices == (0, 1)
 
 
+def cycle_pass_steps(d, min_len):
+    """The steps of each pass of `enumerate_cycles`, by length: pass L
+    extends every path of 1..L-1 vertices that starts at its least vertex,
+    and runs when L = min_len or some such path has L-1 vertices."""
+    sizes = []
+
+    def walk(path):
+        sizes.append(len(path))
+        for w in d.out_adj[path[-1]]:
+            if w > path[0] and w not in path:
+                walk(path + [w])
+
+    for root in d.vertices():
+        walk([root])
+    steps = {}
+    for length in range(min_len, d.vertex_count + 1):
+        if length > min_len and max(sizes) < length - 1:
+            break
+        steps[length] = sum(size < length for size in sizes)
+    return steps
+
+
+@given(digraphs, st.integers(2, 4), st.integers(1, 80))
+@settings(max_examples=150, deadline=None)
+def test_cycle_budget_bounds_the_steps_of_each_pass(d, min_len, budget):
+    steps = cycle_pass_steps(d, min_len)
+    over = [length for length, count in steps.items() if count > budget]
+    if over:
+        with pytest.raises(BudgetExceededError) as raised:
+            list(enumerate_cycles(d, min_len, budget=budget))
+        assert str(raised.value) == (
+            f"cycle enumeration exceeded {budget} steps at length {over[0]}"
+        )
+    else:
+        assert list(enumerate_cycles(d, min_len, budget=budget)) == list(
+            enumerate_cycles(d, min_len)
+        )
+
+
+def test_cycle_budget_reaches_the_cycle_checks():
+    k5 = complete_symmetric(5)  # its length-5 pass extends 65 paths
+    assert cycle_pass_steps(k5, 2)[5] == 65
+    for check in (
+        lambda budget: every_cycle_has_symmetric_arc(k5, budget=budget),
+        lambda budget: check_cycle_hypothesis(
+            k5, CycleHypothesisVariant.THREE_WITH_CROSSING, 3, budget=budget
+        ),
+    ):
+        assert check(65).satisfied
+        with pytest.raises(BudgetExceededError):
+            check(64)
+    with pytest.raises(ValueError):
+        list(enumerate_cycles(k5, budget=0))
+
+
 def test_acyclic_has_no_cycles():
     d = build_digraph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
     assert list(enumerate_cycles(d)) == []

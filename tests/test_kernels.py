@@ -358,9 +358,68 @@ def searched(monkeypatch):
     "d, counterexample",
     [(ISOLATED_AND_TRIANGLE, (0, 1, 2, 3)), (PATH_AND_TRIANGLE, (0, 1, 2, 3, 4))],
 )
-def test_first_failing_subset_may_be_disconnected(d, counterexample, searched):
+def test_first_failing_subset_may_be_disconnected(d, counterexample):
     assert is_kernel_perfect(d) == (False, counterexample)
-    assert searched[-1] == counterexample[-3:]  # the triangle, the one failing component
+
+
+def test_last_3_kernel_search_is_the_failing_component(searched):
+    # an isolated vertex and the directed C4, which has no 3-kernel
+    d = build_digraph(5, [(1, 2), (2, 3), (3, 4), (4, 1)])
+    assert is_3_kernel_perfect(d) == (False, (0, 1, 2, 3, 4))
+    assert searched[-1] == (1, 2, 3, 4)
+
+
+@pytest.mark.parametrize("d", [ISOLATED_AND_TRIANGLE, PATH_AND_TRIANGLE, directed_cycle(6)])
+def test_kernel_perfection_makes_no_kernel_search(d, searched):
+    is_kernel_perfect(d)
+    assert searched == []
+    # positive control: the recording reaches the 3-kernel scan's searches
+    is_3_kernel_perfect(d)
+    assert searched
+
+
+def sym(arcs):
+    return [arc for u, v in arcs for arc in ((u, v), (v, u))]
+
+
+def test_interval_walk_matches_the_component_scan_on_every_digraph_up_to_4():
+    for n in range(5):
+        for d in enumerate_labeled_digraphs(n):
+            assert is_kernel_perfect(d) == kernels._perfection_scan(d, KERNEL, False)
+
+
+@pytest.mark.parametrize("model", [random_digraph, random_strongly_connected])
+@pytest.mark.parametrize("prob", [0.05, 0.15, 0.3, 0.6])
+def test_interval_walk_matches_the_component_scan_on_random_digraphs(model, prob):
+    for n in range(1, 11):
+        for seed in range(4):
+            d = model(n, prob, seed)
+            assert is_kernel_perfect(d) == kernels._perfection_scan(d, KERNEL, False)
+
+
+@given(digraphs_up_to(5))
+@example(build_digraph(1, []))
+@example(build_digraph(3, sym([(0, 1), (1, 2), (0, 2)])))
+@settings(max_examples=150, deadline=None)
+def test_interval_walk_matches_brute_force(d):
+    assert is_kernel_perfect(d) == scan_reference(d, KERNEL, proper_only=False)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        build_digraph(16, []),
+        build_digraph(15, sym([(3 * i + a, 3 * i + b) for i in range(5)
+                               for a, b in ((0, 1), (1, 2), (0, 2))])),
+        build_digraph(16, sym([(2 * i, 2 * i + 1) for i in range(8)])),
+        build_digraph(16, sym([(i, (i + 1) % 16) for i in range(16)])),
+        directed_cycle(16),
+        random_digraph(16, 0.1, 3),  # fails: the walk has no early exit
+    ],
+    ids=["empty", "symmetric-triangles", "digons", "symmetric-C16", "C16", "random-failing"],
+)
+def test_interval_walk_matches_the_component_scan_at_the_size_bound(d):
+    assert is_kernel_perfect(d) == kernels._perfection_scan(d, KERNEL, False)
 
 
 @pytest.mark.parametrize("d", [build_digraph(4, [(0, 1), (2, 3)]), directed_cycle(6)])
