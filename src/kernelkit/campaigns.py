@@ -20,6 +20,7 @@ from typing import Callable, Iterator
 from .cycles import (
     DEFAULT_BUDGET,
     CycleHypothesisVariant,
+    HypothesisReport,
     check_circuit_hypothesis,
     check_cycle_hypothesis,
     every_cycle_has_symmetric_arc,
@@ -171,9 +172,16 @@ def _closure_lemma(params: CampaignParams, failures: _Failures) -> dict:
     return {"instances_checked": checked, "occupancy": {"tried": checked}, "vacuous": checked == 0}
 
 
+def _within_budget(check: Callable[[], HypothesisReport]) -> bool | None:
+    """Whether the hypothesis holds, or None when its search exceeds the budget."""
+    try:
+        return check().satisfied
+    except BudgetExceededError:
+        return None
+
+
 def _with_budget_skips(occupancy: dict, budget_skips: int) -> dict:
-    """The occupancy with `skipped: {"budget": k}` when k > 0, so that a run
-    the budget never cuts reports as it did before cycle budgets existed."""
+    """The occupancy, with `skipped: {"budget": k}` only when k > 0."""
     return {**occupancy, "skipped": {"budget": budget_skips}} if budget_skips else occupancy
 
 
@@ -181,14 +189,12 @@ def _duchet(params: CampaignParams, failures: _Failures) -> dict:
     tried = accepted = budget_skips = 0
     for d in _sc_stream(params):
         tried += 1
-        try:
-            hypothesis = every_cycle_has_symmetric_arc(
-                d, stop_at_first=True, budget=params.budget
-            )
-        except BudgetExceededError:
+        satisfied = _within_budget(
+            lambda: every_cycle_has_symmetric_arc(d, stop_at_first=True, budget=params.budget)
+        )
+        if satisfied is None:
             budget_skips += 1
-            continue
-        if not hypothesis.satisfied:
+        if not satisfied:
             continue
         accepted += 1
         ok, counterexample = is_kernel_perfect(d)
@@ -208,21 +214,21 @@ def _reverse_path(params: CampaignParams, failures: _Failures) -> dict:
     occupancy_by_len = {2: 0, 3: 0}
     for d in _sc_stream(params):
         tried += 1
-        # None: undecided within the budget; such a length does not count d
-        passing: dict[int, bool | None] = {}
-        for m in (2, 3):
-            try:
-                passing[m] = check_cycle_hypothesis(
+        # None: undecided within the budget, so that length does not count d
+        passing = {
+            m: _within_budget(
+                lambda: check_cycle_hypothesis(
                     d, CycleHypothesisVariant.TWO_CONSECUTIVE, m,
                     stop_at_first=True, budget=params.budget,
-                ).satisfied
-            except BudgetExceededError:
-                passing[m] = None
+                )
+            )
+            for m in (2, 3)
+        }
+        for m in (2, 3):
             if passing[m]:
                 occupancy_by_len[m] += 1
         if passing[params.min_cycle_len] is None:
             budget_skips += 1
-            continue
         if not passing[params.min_cycle_len]:
             continue
         accepted += 1
@@ -247,15 +253,15 @@ def _theorem2(params: CampaignParams, failures: _Failures) -> dict:
     tried = accepted = budget_skips = 0
     for d in _sc_stream(params):
         tried += 1
-        try:
-            hypothesis = check_cycle_hypothesis(
+        satisfied = _within_budget(
+            lambda: check_cycle_hypothesis(
                 d, CycleHypothesisVariant.THREE_WITH_CROSSING, params.min_cycle_len,
                 stop_at_first=True, budget=params.budget,
             )
-        except BudgetExceededError:
+        )
+        if satisfied is None:
             budget_skips += 1
-            continue
-        if not hypothesis.satisfied:
+        if not satisfied:
             continue
         accepted += 1
         if not find_kl_kernel(d, THREE_KERNEL).found:

@@ -228,6 +228,11 @@ def find_kernel_via_closure(d: Digraph, k: int) -> KernelResult:
     return find_kl_kernel(k_closure(d, k - 1), KERNEL)
 
 
+def _check_perfection_bound(n: int) -> None:
+    if n > PERFECTION_BOUND:
+        raise SizeBoundError(f"{n} vertices exceeds perfection bound {PERFECTION_BOUND}")
+
+
 def _perfection_scan(
     d: Digraph, query: KernelQuery, proper_only: bool
 ) -> tuple[bool, VertexSet | None]:
@@ -239,8 +244,7 @@ def _perfection_scan(
     those of S without that vertex, a subset visited earlier that passed.
     `has_kernel` holds each component's verdict for this scan only."""
     n = d.vertex_count
-    if n > PERFECTION_BOUND:
-        raise SizeBoundError(f"{n} vertices exceeds perfection bound {PERFECTION_BOUND}")
+    _check_perfection_bound(n)
     has_kernel: dict[int, bool] = {}
     for subset, components in _subsets_with_components(d):
         if proper_only and len(subset) == n:
@@ -260,16 +264,14 @@ def is_kernel_perfect(d: Digraph) -> tuple[bool, VertexSet | None]:
     or (False, the first nonempty subset S in lexicographic order whose D[S]
     has none), the verdict of `_perfection_scan(d, KERNEL, False)`.
 
-    D[S] keeps D's arcs among S, so I is a kernel of D[S] exactly when I is
-    independent in D and I <= S <= I | N-(I).  One walk over D's
-    independent sets, the kernel engine's free-candidate recursion on its
-    conflict and absorbed-by balls, marks every such interval; the
-    counterexample is the first unmarked subset in the scan's order.  At
-    radius 2 the distances of D[S] depend on S, so the 3-kernel scans have
-    no such intervals and keep `_perfection_scan`."""
+    I is a kernel of D[S] exactly when I is independent in D and
+    I <= S <= I | N-(I).  The kernel engine's free-candidate recursion, on
+    its conflict and absorbed-by balls, walks every independent set I and
+    marks that interval; the counterexample is the first unmarked subset in
+    the scan's order.  The walk has no early exit.  At radius 2 distances in
+    D[S] depend on S, so the 3-kernel scans have no such intervals."""
     n = d.vertex_count
-    if n > PERFECTION_BOUND:
-        raise SizeBoundError(f"{n} vertices exceeds perfection bound {PERFECTION_BOUND}")
+    _check_perfection_bound(n)
     whole = (1 << n) - 1
     conflict, absorbed_by = _kernel_balls(d, d.vertices(), whole, KERNEL)
     has_kernel = bytearray(1 << n)
