@@ -25,7 +25,7 @@ from .cycles import (
     check_cycle_hypothesis,
     every_cycle_has_symmetric_arc,
 )
-from .digraph import Digraph, _ball, directed_cycle
+from .digraph import Digraph, _hops, directed_cycle
 from .errors import BudgetExceededError, NoBaseKernelError, SubkernelMissingError
 from .generators import (
     SplitMix64,
@@ -232,10 +232,10 @@ def _reverse_path(params: CampaignParams, failures: _Failures) -> dict:
         if not passing[params.min_cycle_len]:
             continue
         accepted += 1
-        whole = (1 << d.vertex_count) - 1
+        balls = d.in_balls2
         for u, v in sorted(d.arcs):
-            if not _ball(d.out_masks, v, whole, 2) >> u & 1:
-                failures.add(d, f"arc ({u}, {v}) with d({v}, {u}) = {d.distance(v, u)}")
+            if not balls[u] >> v & 1:
+                failures.add(d, f"arc ({u}, {v}) with d({v}, {u}) = {_hops(d.out_masks, v)[u]}")
     occupancy = {
         "tried": tried,
         "accepted": accepted,

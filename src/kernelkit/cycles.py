@@ -9,9 +9,10 @@ Every chord condition concerns only short chords (length 2), and the
 hypothesis checks read them by position: position i holds one when
 (seq[i], seq[i+2]) is an arc and not an arc of the walk, one arc test
 each, so repeated vertices on a circuit contribute separately.
-The cycle checks test the arcs on the `out_masks` their cycle walk reads
-and keep the positions as an n-bit mask, where consecutive and crossing
-short chords are rotations of it.
+The cycle and circuit walks and every chord test read the adjacency
+masks of `Digraph`.  The cycle checks keep the chord positions as an
+n-bit mask, where consecutive and crossing short chords are rotations of
+it.
 All three hypothesis checks take `stop_at_first`, which ends the check at
 the first violation (the full report's first one) for callers that read
 only `.satisfied`, and a `budget` of steps per length pass of their search.
@@ -157,18 +158,21 @@ def enumerate_circuits(
         raise ValueError("min_len must be >= 2")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    adj = d.out_adj
+    # unused[u]: u's out-arcs not on the trail; each step restores what it takes
+    unused = list(d.out_masks)
     for length in range(min_len, max_len + 1):
         found: set[tuple[int, ...]] = set()
         steps = 0
         reached = False
 
-        def extend(root: int, u: int, trail: list[int], used: set) -> None:
+        def extend(root: int, u: int, trail: list[int]) -> None:
             nonlocal steps, reached
             last = len(trail) == length
-            for w in adj[u]:
-                if w < root or (u, w) in used:
-                    continue
+            nexts = unused[u] >> root << root
+            while nexts:
+                low = nexts & -nexts
+                nexts ^= low
+                w = low.bit_length() - 1
                 steps += 1
                 if steps > budget:
                     raise BudgetExceededError(
@@ -180,13 +184,13 @@ def enumerate_circuits(
                         found.add(_canonical_rotation(tuple(trail)))
                 else:
                     trail.append(w)
-                    used.add((u, w))
-                    extend(root, w, trail, used)
-                    used.discard((u, w))
+                    unused[u] ^= low
+                    extend(root, w, trail)
+                    unused[u] ^= low
                     trail.pop()
 
         for root in d.vertices():
-            extend(root, root, [root], set())
+            extend(root, root, [root])
         for seq in sorted(found):
             yield ClosedWalk(seq)
         if not reached:
@@ -265,16 +269,15 @@ def check_cycle_hypothesis(
     return _report(cycles, lambda cyc: _cycle_ok(out_masks, cyc.vertices, variant), stop_at_first)
 
 
-def _circuit_violation(d: Digraph, circ: ClosedWalk) -> Violation | None:
+def _circuit_violation(out_masks: tuple[int, ...], circ: ClosedWalk) -> Violation | None:
     seq, n = circ.vertices, len(circ)
     if n % 3 == 0:
         return None
-    # only a circuit that repeats a vertex has walk arcs (seq[i], seq[i+2]);
-    # the arc set, not `out_masks`, since most digraphs checked here build no masks
+    # only a circuit that repeats a vertex has walk arcs (seq[i], seq[i+2])
     walk_arcs = circ.arcs() if len(set(seq)) < n else ()
-    arcs, count = d.arcs, 0
-    for arc in zip(seq, seq[2:] + seq[:2]):
-        if arc in arcs and arc not in walk_arcs:
+    count = 0
+    for u, w in zip(seq, seq[2:] + seq[:2]):
+        if out_masks[u] >> w & 1 and (u, w) not in walk_arcs:
             count += 1
             if count == 4:
                 return None
@@ -297,7 +300,8 @@ def check_circuit_hypothesis(
     full enumeration would exceed `budget`.
     """
     circuits = enumerate_circuits(d, max_len=max_len, budget=budget)
-    return _report(circuits, lambda circ: _circuit_violation(d, circ), stop_at_first)
+    out_masks = d.out_masks
+    return _report(circuits, lambda circ: _circuit_violation(out_masks, circ), stop_at_first)
 
 
 def _asymmetric_cycle(out_masks: tuple[int, ...], seq: tuple[int, ...]) -> Violation | None:

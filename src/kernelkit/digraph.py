@@ -1,18 +1,19 @@
 """Immutable digraph representation with distances and neighbourhood operators.
 
 Vertices are dense integers 0..n-1.  All values are frozen after construction
-and safe to share; derived structures (adjacency lists, adjacency masks,
-radius-2 in-balls, distance matrix) are cached lazily on the instance, so
-every search on one digraph builds them once.  A distance is a hop count, or
-None when the target is unreachable.  The kernel engine, closures, strong
-connectivity and the substitution method read balls from `_ball`, the one
-breadth-first walk on masks, not distances; the distance matrix serves
-`distance`, the neighbourhood operators and the list predicates.
+and safe to share; derived structures (adjacency masks, radius-2 in-balls,
+distance matrix) are cached lazily on the instance, so every search on one
+digraph builds them once.  The masks are the one adjacency format every walk
+reads.  A distance is a hop count, or None when the target is unreachable.
+Two breadth-first walks on masks serve the package: `_ball` gives the
+vertices within a radius, which the kernel engine, closures, strong
+connectivity and the substitution method read, and `_hops` gives hop counts
+from one source, which build the distance matrix behind `distance`, the
+neighbourhood operators and the list predicates.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -39,13 +40,6 @@ class Digraph:
 
     vertex_count: int
     arcs: frozenset  # frozenset[Arc]
-
-    @cached_property
-    def out_adj(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.arcs:
-            adj[u].append(v)
-        return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
     def out_masks(self) -> tuple[int, ...]:
@@ -78,22 +72,10 @@ class Digraph:
 
     # -- distances ---------------------------------------------------------
 
-    def _bfs(self, source: int, adj: tuple[tuple[int, ...], ...]) -> tuple:
-        dist: list[int | None] = [None] * self.vertex_count
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if dist[w] is None:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return tuple(dist)
-
     @cached_property
     def _raw_matrix(self) -> tuple[tuple, ...]:
         """Entry [u][v]: hop count from u to v, or None when unreachable."""
-        return tuple(self._bfs(u, self.out_adj) for u in self.vertices())
+        return tuple(_hops(self.out_masks, u) for u in self.vertices())
 
     def distance(self, u: int, v: int) -> int | None:
         """Hop count from u to v, or None when v is unreachable from u."""
@@ -174,6 +156,26 @@ def _ball(adj: Sequence[int], v: int, within: int, radius: int) -> int:
         frontier = step & within & ~ball
         ball |= frontier
     return ball
+
+
+def _hops(adj: Sequence[int], source: int) -> tuple[int | None, ...]:
+    """Entry v: the hop count from `source` to v along `adj`, or None when
+    v is unreachable; one layer of the walk per hop."""
+    hops: list[int | None] = [None] * len(adj)
+    frontier = seen = 1 << source
+    depth = 0
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            v = low.bit_length() - 1
+            hops[v] = depth
+            step |= adj[v]
+            frontier ^= low
+        frontier = step & ~seen
+        seen |= frontier
+        depth += 1
+    return tuple(hops)
 
 
 def add_arc(seen: set[Arc], vertex_count: int, u: int, v: int) -> None:

@@ -1,12 +1,13 @@
 """The 3-substitution method: sequences, pre-3-kernels, roads, and the
 per-lemma checkers the verification harness runs on concrete traces.
 
-Distances come from int masks, never a distance matrix: each round's sets
-are unions of in-neighbour masks and of `Digraph.in_balls2` (u reaches v
-within 2 exactly when bit u of v's ball is set), a witness path between two
-such vertices is an arc or runs through the least vertex of u's out-mask
-and v's in-mask, and hop counts from x0 come from one BFS on masks per
-trace.
+Every walk reads int masks, never adjacency lists or a distance matrix:
+each round's sets are unions of in-neighbour masks and of
+`Digraph.in_balls2` (u reaches v within 2 exactly when bit u of v's ball is
+set), a witness path between two such vertices is an arc or runs through
+the least vertex of u's out-mask and v's in-mask, a road search extends a
+path by the out-mask bits off the path, and hop counts from x0 come from
+one `digraph._hops` walk per trace.
 
 Index conventions: set i of a sequence is N_i, with i = 3k, 3k+1, 3k+2 for
 round k; positions on a road count from x0 (position 0) to the far end
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .digraph import Digraph, VertexSet, as_vertex_set
+from .digraph import Digraph, VertexSet, _hops, as_vertex_set
 from .errors import (
     NoBaseKernelError,
     NoRoadFoundError,
@@ -67,18 +68,9 @@ class SubstitutionTrace:
         return {v: k for k, vs in enumerate(self.added) for v in vs}
 
     @cached_property
-    def _hops_from_x0(self) -> dict[int, int]:
-        """d(x0, v) for every v that x0 reaches: one BFS on masks."""
-        hops: dict[int, int] = {}
-        frontier = seen = 1 << self.x0
-        depth = 0
-        while frontier:
-            layer = _members(frontier)
-            hops.update(dict.fromkeys(layer, depth))
-            frontier = _union(self.digraph.out_masks, layer) & ~seen
-            seen |= frontier
-            depth += 1
-        return hops
+    def _hops_from_x0(self) -> tuple[int | None, ...]:
+        """Entry v: d(x0, v), or None when x0 does not reach v."""
+        return _hops(self.digraph.out_masks, self.x0)
 
     def added_round(self, v: int) -> int | None:
         """k such that v is in N_{3k}, if any."""
@@ -306,29 +298,30 @@ def find_road(trace: SubstitutionTrace, v: int, s: int) -> Road:
     """
     if v not in trace.set_at(s):
         raise ValueError(f"vertex {v} is not in N_{s}")
-    d = trace.digraph
-    adj = d.out_adj
+    out_masks = trace.digraph.out_masks
     path = [v]  # built far-end first
 
-    def descend(pos: int):
+    def descend(pos: int, on_path: int):
         if pos == 0:
             candidate = tuple(path)
             if _road_conditions(trace, candidate).passed:
                 return candidate
             return None
-        for w in adj[path[-1]]:
-            if w in path:
-                continue
+        nexts = out_masks[path[-1]] & ~on_path
+        while nexts:
+            low = nexts & -nexts
+            nexts ^= low
+            w = low.bit_length() - 1
             if (pos - 1) % 3 == 0 and w not in trace.set_at(pos - 1):
                 continue
             path.append(w)
-            hit = descend(pos - 1)
+            hit = descend(pos - 1, on_path | low)
             if hit is not None:
                 return hit
             path.pop()
         return None
 
-    found = descend(s)
+    found = descend(s, 1 << v)
     if found is None:
         raise NoRoadFoundError(f"no road of length {s} from {v} to {trace.x0}")
     return Road(found, tuple(trace.label_of(w, s - j) for j, w in enumerate(found)))
@@ -443,7 +436,7 @@ def check_additive_inverse_property(
     for pos in range(road.length + 1):
         if pos == 1:
             continue
-        dist = hops.get(road.vertex_at(pos))
+        dist = hops[road.vertex_at(pos)]
         if dist is None or dist % 3 != (-pos) % 3:
             violations.append((pos, dist))
     return AdditiveInverseReport(tuple(violations))

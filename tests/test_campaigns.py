@@ -4,19 +4,17 @@ failure-collection contract."""
 import json
 from itertools import chain, combinations
 
+import networkx as nx
 import pytest
 
 from kernelkit import (
     KERNEL,
     THREE_KERNEL,
     CampaignParams,
-    CycleHypothesisVariant,
     Digraph,
     HypothesisReport,
     check_circuit_hypothesis,
-    check_cycle_hypothesis,
     directed_cycle,
-    every_cycle_has_symmetric_arc,
     format_digraph_text,
     is_kl_kernel,
     k_closure,
@@ -78,12 +76,14 @@ def test_reverse_path_reports_every_arc_without_a_short_return(monkeypatch):
         campaigns, "check_cycle_hypothesis", lambda *args, **kw: HypothesisReport(True, (), 0)
     )
     report = run_campaign("reverse-path", CampaignParams(n=4, exhaustive=True, max_failures=10**6))
+    # networkx gives the hop counts, since the campaign and `Digraph.distance`
+    # share one mask walk
     expected = [
         {"instance": format_digraph_text(d), "detail": f"arc ({u}, {v}) with d({v}, {u}) = {back}"}
         for d in enumerate_labeled_digraphs(4)
         if d.is_strongly_connected()
         for u, v in sorted(d.arcs)
-        if (back := d.distance(v, u)) > 2
+        if (back := nx.shortest_path_length(nx.DiGraph(d.arcs), v, u)) > 2
     ]
     assert expected and report.failures == expected
 
@@ -210,54 +210,37 @@ def test_additive_inverse_builds_traces_only_inside_the_class(monkeypatch):
 
 
 def test_trace_campaigns_build_no_distance_matrix(monkeypatch):
-    # the substitution layer reads in-ball masks; each row of a distance
-    # matrix is one `Digraph._bfs` call
-    rows = []
-    bfs = Digraph._bfs
+    # the substitution layer reads in-ball masks and reverse-path hop counts
+    # from one mask walk; `_raw_matrix` is a cached property, so its `func`
+    # runs once per digraph that builds a matrix
+    raw_matrix = vars(Digraph)["_raw_matrix"]
+    build = raw_matrix.func
+    built = []
 
-    def counting_bfs(self, source, adj):
-        rows.append(source)
-        return bfs(self, source, adj)
+    def counting_build(self):
+        built.append(self)
+        return build(self)
 
-    monkeypatch.setattr(Digraph, "_bfs", counting_bfs)
+    monkeypatch.setattr(raw_matrix, "func", counting_build)
+    # accept every strongly connected digraph, so reverse-path writes the
+    # hop count of every arc without a short return
+    monkeypatch.setattr(
+        campaigns, "check_cycle_hypothesis", lambda *args, **kw: HypothesisReport(True, (), 0)
+    )
     for property_id, params in [
         ("roads", CampaignParams(n=6, trials=6, seed=1)),
         ("unique-chord", CampaignParams(n=7, trials=6, seed=1)),
         ("pre-kernel-props", CampaignParams(n=8, trials=6, seed=1)),
         ("additive-inverse", CampaignParams(n=6, trials=40, seed=7)),
         ("theorem4", CampaignParams(n=6, trials=4, seed=1)),
+        ("reverse-path", CampaignParams(n=4, exhaustive=True)),
     ]:
-        assert run_campaign(property_id, params).instances_checked > 0, property_id
-    assert rows == []
+        report = run_campaign(property_id, params)
+        assert report.instances_checked > 0, property_id
+    assert report.failures_total > 0  # reverse-path wrote hop counts
+    assert built == []
     directed_cycle(3).distance(0, 2)
-    assert rows == [0, 1, 2]  # the counter sees a matrix when one is built
-
-
-def test_cycle_checks_build_no_adjacency_lists(monkeypatch):
-    # the cycle walk and the chord tests read `out_masks`; `out_adj` is a
-    # cached property, so a digraph that built it holds it in `vars(d)`
-    fresh = [random_strongly_connected(n, 0.3, seed) for n in (4, 5, 6) for seed in range(10)]
-    for d in fresh:
-        for variant in CycleHypothesisVariant:
-            check_cycle_hypothesis(d, variant)
-        every_cycle_has_symmetric_arc(d)
-    streamed = []
-    sc_stream = campaigns._sc_stream
-
-    def recording_stream(params):
-        for d in sc_stream(params):
-            streamed.append(d)
-            yield d
-
-    monkeypatch.setattr(campaigns, "_sc_stream", recording_stream)
-    for property_id in ("duchet", "theorem2", "reverse-path"):
-        for n in (4, 5, 6):
-            report = run_campaign(property_id, CampaignParams(n=n, trials=10, seed=1))
-            assert report.occupancy["tried"] == 10, (property_id, n)
-    assert len(streamed) == 90
-    assert [d for d in fresh + streamed if "out_adj" in vars(d)] == []
-    check_circuit_hypothesis(streamed[0], max_len=2)
-    assert "out_adj" in vars(streamed[0])  # the check sees a build when one happens
+    assert len(built) == 1  # the counter sees a matrix when one is built
 
 
 def test_all_campaigns_run_small():

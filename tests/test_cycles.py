@@ -65,14 +65,20 @@ def naive_circuits(d, max_len):
     return found
 
 
+def out_lists(d):
+    """Entry v: v's out-neighbours ascending, read from the arc set."""
+    return [sorted(w for u, w in d.arcs if u == v) for v in d.vertices()]
+
+
 def single_pass_circuits(d, max_len, budget):
     """Reference: one trail search to max_len arcs, then one sort by (length,
     lex); raises BudgetExceededError past `budget` tried arcs."""
     found, steps = set(), 0
+    adj = out_lists(d)
 
     def extend(root, u, trail, used):
         nonlocal steps
-        for w in d.out_adj[u]:
+        for w in adj[u]:
             if w < root or (u, w) in used:
                 continue
             steps += 1
@@ -151,10 +157,11 @@ def cycle_pass_steps(d, min_len):
     extends every path of 1..L-1 vertices that starts at its least vertex,
     and runs when L = min_len or some such path has L-1 vertices."""
     sizes = []
+    adj = out_lists(d)
 
     def walk(path):
         sizes.append(len(path))
-        for w in d.out_adj[path[-1]]:
+        for w in adj[path[-1]]:
             if w > path[0] and w not in path:
                 walk(path + [w])
 

@@ -62,11 +62,28 @@ def test_as_vertex_set_sorts_and_dedupes():
 # -- distances against the networkx oracle -----------------------------------
 
 
+arc_lists = st.integers(1, 7).flatmap(
+    lambda n: st.builds(
+        lambda picks: build_digraph(n, [p for p, keep in zip(iter_arc_pairs(n), picks) if keep]),
+        st.lists(st.booleans(), min_size=n * (n - 1), max_size=n * (n - 1)),
+    )
+)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_distance_matrix_matches_networkx(seed):
     d = random_digraph(8, 0.25, seed)
     g = to_networkx(d)
     oracle = dict(nx.all_pairs_shortest_path_length(g))
+    for u in d.vertices():
+        for v in d.vertices():
+            assert d.distance(u, v) == oracle[u].get(v)
+
+
+@given(arc_lists)
+@settings(max_examples=150, deadline=None)
+def test_hop_counts_match_networkx_with_unreachable_pairs(d):
+    oracle = dict(nx.all_pairs_shortest_path_length(to_networkx(d)))
     for u in d.vertices():
         for v in d.vertices():
             assert d.distance(u, v) == oracle[u].get(v)
@@ -108,14 +125,6 @@ def test_cycle_distances():
     assert d.distance(4, 4) == 0
 
 
-arc_lists = st.integers(1, 7).flatmap(
-    lambda n: st.builds(
-        lambda picks: build_digraph(n, [p for p, keep in zip(iter_arc_pairs(n), picks) if keep]),
-        st.lists(st.booleans(), min_size=n * (n - 1), max_size=n * (n - 1)),
-    )
-)
-
-
 @given(arc_lists)
 @settings(max_examples=60, deadline=None)
 def test_triangle_inequality(d):
@@ -136,8 +145,10 @@ def test_adjacency_masks_hold_exactly_the_adjacency_lists(d):
         return {w for w in range(mask.bit_length()) if mask >> w & 1}
 
     for v in d.vertices():
-        assert bits(d.out_masks[v]) == set(d.out_adj[v]) == {w for u, w in d.arcs if u == v}
+        assert bits(d.out_masks[v]) == {w for u, w in d.arcs if u == v}
         assert bits(d.in_masks[v]) == {u for u, w in d.arcs if w == v}
+    # the masks are the only adjacency: no adjacency lists, no list BFS
+    assert not hasattr(Digraph, "out_adj") and not hasattr(Digraph, "_bfs")
 
 
 # -- subdigraphs and neighbourhoods ------------------------------------------

@@ -6,10 +6,11 @@ The trace builder's N' sets and M-sets are checked against a reference that
 applies the set equations directly, one distance query per set or vertex,
 and its base-kernel check on D's masks against `is_kl_kernel` on an
 `induced` copy of D - x0.  The lemma checkers and the method's verdict read
-radius-2 in-ball masks and a BFS on masks; references in this file
-recompute them from `Digraph.distance`.  Their witness paths come from
-adjacency masks and must equal those of the breadth-first search kept here
-as the reference.
+radius-2 in-ball masks and hop counts on masks; references in this file
+recompute them from `Digraph.distance` and, for the hop counts from x0,
+from networkx.  Their witness paths and the road search read adjacency
+masks and must equal the breadth-first and depth-first searches over
+sorted out-lists kept here as references.
 
 Three small strongly connected digraphs (A, B, C at the bottom) are frozen
 as regression inputs for the lemma checkers: on each of them one of the
@@ -24,6 +25,7 @@ import textwrap
 from collections import deque
 from pathlib import Path
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -434,10 +436,13 @@ def reference_pre_kernel_report(trace):
 
 
 def reference_additive_inverse(trace, road):
-    d = trace.digraph
+    """The checker's violations from networkx's hop counts out of x0."""
+    g = nx.DiGraph(trace.digraph.arcs)
+    g.add_nodes_from(trace.digraph.vertices())
+    hops = nx.single_source_shortest_path_length(g, trace.x0)
     violations = []
     for pos in range(road.length + 1):
-        dist = d.distance(trace.x0, road.vertex_at(pos))
+        dist = hops.get(road.vertex_at(pos))
         if pos != 1 and (dist is None or dist % 3 != (-pos) % 3):
             violations.append((pos, dist))
     return tuple(violations)
@@ -479,8 +484,14 @@ def test_checkers_and_verdict_match_the_distance_references(d):
                 assert report.violations == reference_additive_inverse(trace, road)
 
 
+def out_lists(d):
+    """Entry v: v's out-neighbours ascending, read from the arc set."""
+    return [sorted(w for u, w in d.arcs if u == v) for v in d.vertices()]
+
+
 def reference_shortest_path(d, a, b):
     """Breadth-first search from a over sorted out-lists, first parent kept."""
+    adj = out_lists(d)
     parents = {a: a}
     queue = deque([a])
     while queue:
@@ -490,7 +501,7 @@ def reference_shortest_path(d, a, b):
             while out[-1] != a:
                 out.append(parents[out[-1]])
             return tuple(reversed(out))
-        for w in d.out_adj[u]:
+        for w in adj[u]:
             if w not in parents:
                 parents[w] = u
                 queue.append(w)
@@ -517,3 +528,56 @@ def test_close_paths_match_the_breadth_first_reference(d):
         for b in d.vertices():
             if a != b and balls[b] >> a & 1:
                 assert _close_path(d, a, b) == reference_shortest_path(d, a, b)
+
+
+# -- road search against the list search --------------------------------------
+
+
+def reference_find_road(trace, v, s):
+    """Depth-first search over sorted out-lists for a length-s road from v
+    down to x0, far end first: the first path that passes `validate_road`,
+    or None."""
+    adj = out_lists(trace.digraph)
+    path = [v]
+
+    def descend(pos):
+        if pos == 0:
+            return tuple(path) if validate_road(trace, path).passed else None
+        for w in adj[path[-1]]:
+            if w in path:
+                continue
+            if (pos - 1) % 3 == 0 and w not in trace.set_at(pos - 1):
+                continue
+            path.append(w)
+            hit = descend(pos - 1)
+            if hit is not None:
+                return hit
+            path.pop()
+        return None
+
+    return descend(s)
+
+
+@given(
+    st.builds(
+        random_strongly_connected, st.integers(2, 9), probabilities, st.integers(0, 2**32)
+    )
+)
+@example(directed_cycle(6))
+@example(DIGRAPH_A)
+@example(DIGRAPH_B)
+@example(DIGRAPH_C)
+@settings(max_examples=100, deadline=None)
+def test_mask_road_search_matches_the_list_search(d):
+    for x0 in d.vertices():
+        try:
+            trace = start_substitution(d, x0)
+        except (NoBaseKernelError, SubkernelMissingError):
+            continue
+        for s, v, road in roads_of(trace):
+            expected = reference_find_road(trace, v, s)
+            if expected is None:
+                assert road is None
+            else:
+                labels = tuple(trace.label_of(w, s - j) for j, w in enumerate(expected))
+                assert (road.path, road.labels) == (expected, labels)
