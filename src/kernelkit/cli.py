@@ -346,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_PASS
     try:
         return args.func(args)
-    except (SizeBoundError, BudgetExceededError) as exc:
+    except (SizeBoundError, BudgetExceededError, OverflowError) as exc:
         print(f"resource bound: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (NoBaseKernelError, SubkernelMissingError) as exc:

@@ -9,7 +9,8 @@ Two breadth-first walks on masks serve the package: `_ball` gives the
 vertices within a radius, which the kernel engine, closures, strong
 connectivity and the substitution method read, and `_hops` gives hop counts
 from one source, which build the distance matrix behind `distance`, the
-neighbourhood operators and the list predicates.
+neighbourhood operators and the list predicates.  `_members` lists a
+mask's vertices for the callers that need them as a vertex set.
 """
 
 from __future__ import annotations
@@ -156,6 +157,16 @@ def _ball(adj: Sequence[int], v: int, within: int, radius: int) -> int:
         frontier = step & within & ~ball
         ball |= frontier
     return ball
+
+
+def _members(mask: int) -> VertexSet:
+    """The set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _hops(adj: Sequence[int], source: int) -> tuple[int | None, ...]:

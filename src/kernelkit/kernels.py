@@ -16,17 +16,18 @@ independent in D and I <= S <= I | N-(I): the induced subdigraphs with a
 kernel are a union of intervals, one per independent set, which the walk
 marks in a table of 2**n flags.  This holds only at radius 1: distances in
 D[S] depend on S, so 3-kernel-perfection has no such intervals, and its
-scans decide each D[S] by its weak components, which they track as S grows,
-searching each distinct component once per scan; nothing is kept between
-scans.
+scans decide each D[S] by the weak component of S's largest vertex, one
+`_ball` on the undirected masks, searching each distinct component once per
+scan; nothing is kept between scans.  All three scans take their
+counterexample from one walk over D's subsets in lexicographic order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable
 
-from .digraph import Digraph, VertexSet, _ball, as_vertex_set
+from .digraph import Digraph, VertexSet, _ball, _members, as_vertex_set
 from .errors import SizeBoundError
 
 SUBSET_SEARCH_BOUND = 24
@@ -98,35 +99,6 @@ def is_kl_kernel(d: Digraph, subset: Iterable[int], query: KernelQuery) -> bool:
     return is_k_independent(d, subset, query.k) and is_l_absorbent(d, subset, query.l)
 
 
-def _subsets_with_components(d: Digraph) -> Iterator[tuple[VertexSet, tuple[int, ...]]]:
-    """Every nonempty subset S of D's vertices, in lexicographic order, with
-    the weak components of D[S] as masks.  Adding v to a subset merges v with
-    the components it has an arc to or from and leaves the others as they are;
-    the merged component, the one holding v, comes last."""
-    n = d.vertex_count
-    linked = [out | in_ for out, in_ in zip(d.out_masks, d.in_masks)]
-    prefix: list[int] = []
-
-    def rec(
-        start: int, components: tuple[int, ...]
-    ) -> Iterator[tuple[VertexSet, tuple[int, ...]]]:
-        for v in range(start, n):
-            prefix.append(v)
-            merged = 1 << v
-            kept = []
-            for component in components:
-                if component & linked[v]:
-                    merged |= component
-                else:
-                    kept.append(component)
-            grown = (*kept, merged)
-            yield tuple(prefix), grown
-            yield from rec(v + 1, grown)
-            prefix.pop()
-
-    return rec(0, ())
-
-
 def _kernel_balls(
     d: Digraph, vs: Iterable[int], within: int, query: KernelQuery
 ) -> tuple[list[int], list[int]]:
@@ -157,6 +129,13 @@ def is_kernel_within(d: Digraph, members: VertexSet, within: int, query: KernelQ
     return absorbed == within
 
 
+def _check_search_bound(n: int) -> None:
+    """SizeBoundError past the subset-search bound; checked before anything
+    of size n is built, since a huge n fits in no list."""
+    if n > SUBSET_SEARCH_BOUND:
+        raise SizeBoundError(f"{n} vertices exceeds subset-search bound {SUBSET_SEARCH_BOUND}")
+
+
 def _kernel_search(
     d: Digraph, query: KernelQuery, within: Iterable[int] | None, first: bool
 ) -> tuple[list[VertexSet], int]:
@@ -165,19 +144,17 @@ def _kernel_search(
     the first kernel.  Otherwise it descends past each kernel, since for
     l >= k a superset of a kernel can be one too."""
     if within is None:
+        _check_search_bound(d.vertex_count)
         vs, whole = d.vertices(), (1 << d.vertex_count) - 1
     else:
         vs = as_vertex_set(within)
         if vs and (vs[0] < 0 or vs[-1] >= d.vertex_count):
             for v in vs:
                 d.check_vertex(v)
+        _check_search_bound(len(vs))
         whole = 0
         for v in vs:
             whole |= 1 << v
-    if len(vs) > SUBSET_SEARCH_BOUND:
-        raise SizeBoundError(
-            f"{len(vs)} vertices exceeds subset-search bound {SUBSET_SEARCH_BOUND}"
-        )
     conflict, absorbed_by = _kernel_balls(d, vs, whole, query)
     examined = 0
     found: list[VertexSet] = []
@@ -233,6 +210,27 @@ def _check_perfection_bound(n: int) -> None:
         raise SizeBoundError(f"{n} vertices exceeds perfection bound {PERFECTION_BOUND}")
 
 
+def _first_failing_subset(
+    n: int, ok: Callable[[int, int], bool]
+) -> tuple[bool, VertexSet | None]:
+    """(False, the first nonempty subset S of 0..n-1 in lexicographic order
+    with not ok(S as a mask, max S)), or (True, None).  Each S is asked
+    before the subsets that extend it, and the walk stops at the first no."""
+    prefix: list[int] = []
+
+    def walk(start: int, subset: int) -> bool:
+        """Extend `prefix` in lexicographic order until `ok` says no."""
+        for v in range(start, n):
+            grown = subset | 1 << v
+            prefix.append(v)
+            if not ok(grown, v) or walk(v + 1, grown):
+                return True
+            prefix.pop()
+        return False
+
+    return (False, tuple(prefix)) if walk(0, 0) else (True, None)
+
+
 def _perfection_scan(
     d: Digraph, query: KernelQuery, proper_only: bool
 ) -> tuple[bool, VertexSet | None]:
@@ -240,23 +238,27 @@ def _perfection_scan(
     has no (k,l)-kernel), or (True, None).  Deciding S by the weak components
     of D[S] is exact: members of different components are unreachable from
     each other, so they are k-independent and never absorb each other.  Only
-    the component holding S's largest vertex is undecided: the others are
-    those of S without that vertex, a subset visited earlier that passed.
+    the component holding S's largest vertex v is undecided: the others are
+    those of S without v, a subset visited earlier that passed.  That
+    component is one `_ball` from v inside S on the undirected masks.
     `has_kernel` holds each component's verdict for this scan only."""
     n = d.vertex_count
     _check_perfection_bound(n)
+    linked = [out | in_ for out, in_ in zip(d.out_masks, d.in_masks)]
+    whole = (1 << n) - 1
     has_kernel: dict[int, bool] = {}
-    for subset, components in _subsets_with_components(d):
-        if proper_only and len(subset) == n:
-            continue
-        component = components[-1]
+
+    def ok(subset: int, v: int) -> bool:
+        if proper_only and subset == whole:
+            return True
+        component = _ball(linked, v, subset, n)
         found = has_kernel.get(component)
         if found is None:
-            members = [v for v in subset if component >> v & 1]
-            found = has_kernel[component] = find_kl_kernel(d, query, within=members).found
-        if not found:
-            return False, subset
-    return True, None
+            within = _members(component)
+            found = has_kernel[component] = find_kl_kernel(d, query, within=within).found
+        return found
+
+    return _first_failing_subset(n, ok)
 
 
 def is_kernel_perfect(d: Digraph) -> tuple[bool, VertexSet | None]:
@@ -268,8 +270,9 @@ def is_kernel_perfect(d: Digraph) -> tuple[bool, VertexSet | None]:
     I <= S <= I | N-(I).  The kernel engine's free-candidate recursion, on
     its conflict and absorbed-by balls, walks every independent set I and
     marks that interval; the counterexample is the first unmarked subset in
-    the scan's order.  The walk has no early exit.  At radius 2 distances in
-    D[S] depend on S, so the 3-kernel scans have no such intervals."""
+    the scans' order.  The interval walk has no early exit.  At radius 2
+    distances in D[S] depend on S, so the 3-kernel scans have no such
+    intervals."""
     n = d.vertex_count
     _check_perfection_bound(n)
     whole = (1 << n) - 1
@@ -294,20 +297,7 @@ def is_kernel_perfect(d: Digraph) -> tuple[bool, VertexSet | None]:
     walk(0, whole, 0)
     if 0 not in has_kernel:
         return True, None
-    prefix: list[int] = []
-
-    def first_without(start: int, subset: int) -> bool:
-        """Extend `prefix` in lexicographic order until D[prefix] has no kernel."""
-        for v in range(start, n):
-            grown = subset | 1 << v
-            prefix.append(v)
-            if not has_kernel[grown] or first_without(v + 1, grown):
-                return True
-            prefix.pop()
-        return False
-
-    first_without(0, 0)
-    return False, tuple(prefix)
+    return _first_failing_subset(n, lambda subset, _: has_kernel[subset])
 
 
 def is_quasi_3_kernel_perfect(d: Digraph) -> tuple[bool, VertexSet | None]:

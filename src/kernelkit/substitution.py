@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .digraph import Digraph, VertexSet, _hops, as_vertex_set
+from .digraph import Digraph, VertexSet, _hops, _members, as_vertex_set
 from .errors import (
     NoBaseKernelError,
     NoRoadFoundError,
@@ -30,6 +30,7 @@ from .errors import (
 )
 from .kernels import (
     THREE_KERNEL,
+    _check_search_bound,
     find_kl_kernel,
     is_kernel_within,
 )
@@ -90,16 +91,6 @@ class SubstitutionTrace:
         if v in self.intermediate_at(i):
             return f"N'{i}"
         return "-"
-
-
-def _members(mask: int) -> VertexSet:
-    """The set bits of `mask`, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 def _union(masks: tuple[int, ...], vs: VertexSet) -> int:
@@ -457,6 +448,7 @@ def start_substitution(d: Digraph, x0: int) -> SubstitutionTrace:
     """The trace from x0 and the least 3-kernel of D - x0; NoBaseKernelError
     when D - x0 has none, SubkernelMissingError when some D[M_i] has none."""
     d.check_vertex(x0)
+    _check_search_bound(d.vertex_count - 1)
     rest = as_vertex_set(v for v in d.vertices() if v != x0)
     base = find_kl_kernel(d, THREE_KERNEL, within=rest).witness
     if base is None:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -303,6 +304,27 @@ def test_resource_exit_code(capsys, tmp_path):
     assert code == EXIT_RESOURCE
     assert "resource" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze"], ["closure", "--k", "2"], ["kernel", "--k", "2"], ["substitute", "--x0", "0"]],
+    ids=["analyze", "closure", "kernel", "substitute"],
+)
+def test_oversized_header_is_a_resource_bound(tmp_path, argv):
+    """Nothing of the header's size is built before a bound is checked, so
+    the command exits 3 within 1 GiB of address space, with no traceback."""
+    path = tmp_path / "huge.txt"
+    path.write_text("n 100000000000000000000\n0 1\n")
+    src = str(Path(kernelkit.__file__).resolve().parents[1])
+    gib = 1 << 30
+    done = subprocess.run(
+        [sys.executable, "-m", "kernelkit", argv[0], str(path), *argv[1:]],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (gib, gib)),
+    )
+    assert done.returncode == EXIT_RESOURCE, done.stderr
+    assert done.stderr.startswith("resource bound: ") and "Traceback" not in done.stderr
 
 
 def test_substitute_without_base_kernel(tmp_path, capsys):

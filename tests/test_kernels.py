@@ -5,8 +5,9 @@ The solver's lex-least claim is checked against a dumb itertools oracle, its
 back), `kl_kernels` against `is_kl_kernel` on every subset, the perfection
 scans against a brute-force scan over every subset of every induced
 subdigraph, and the closure distance law against networkx shortest paths.
-The perfection scans decide each subset by the weak components of D[S];
-their component walk is checked against networkx.
+The 3-kernel scans decide each subset S by the weak component of its largest
+vertex, a `_ball` on the undirected masks, which is checked against networkx;
+the subset walk behind all three scans is checked against `subsets_lex`.
 """
 
 import math
@@ -42,7 +43,8 @@ from kernelkit.generators import (
     random_digraph,
     random_strongly_connected,
 )
-from kernelkit.kernels import _subsets_with_components
+from kernelkit.digraph import _ball
+from kernelkit.kernels import _first_failing_subset
 
 
 def all_subsets(n):
@@ -362,11 +364,20 @@ def test_first_failing_subset_may_be_disconnected(d, counterexample):
     assert is_kernel_perfect(d) == (False, counterexample)
 
 
+def weakly_connected_subsets(d):
+    """Every nonempty S whose D[S] is weakly connected, per networkx."""
+    g = nx.DiGraph(d.arcs)
+    g.add_nodes_from(d.vertices())
+    return [s for s in subsets_lex(d.vertex_count) if s and nx.is_weakly_connected(g.subgraph(s))]
+
+
 def test_last_3_kernel_search_is_the_failing_component(searched):
     # an isolated vertex and the directed C4, which has no 3-kernel
     d = build_digraph(5, [(1, 2), (2, 3), (3, 4), (4, 1)])
     assert is_3_kernel_perfect(d) == (False, (0, 1, 2, 3, 4))
     assert searched[-1] == (1, 2, 3, 4)
+    assert len(set(searched)) == len(searched)
+    assert set(searched) <= set(weakly_connected_subsets(d))
 
 
 @pytest.mark.parametrize("d", [ISOLATED_AND_TRIANGLE, PATH_AND_TRIANGLE, directed_cycle(6)])
@@ -422,31 +433,44 @@ def test_interval_walk_matches_the_component_scan_at_the_size_bound(d):
     assert is_kernel_perfect(d) == kernels._perfection_scan(d, KERNEL, False)
 
 
-@pytest.mark.parametrize("d", [build_digraph(4, [(0, 1), (2, 3)]), directed_cycle(6)])
+# the last two fail kernel-perfection on a disconnected subset (see above)
+@pytest.mark.parametrize(
+    "d",
+    [build_digraph(4, [(0, 1), (2, 3)]), directed_cycle(6), ISOLATED_AND_TRIANGLE,
+     PATH_AND_TRIANGLE],
+)
 def test_passing_scan_searches_each_weakly_connected_subset_once(d, searched):
     assert is_3_kernel_perfect(d) == (True, None)
-    g = nx.DiGraph(d.arcs)
-    g.add_nodes_from(d.vertices())
-    connected = [
-        s for s in subsets_lex(d.vertex_count) if s and nx.is_weakly_connected(g.subgraph(s))
-    ]
-    assert sorted(searched) == sorted(connected)
+    assert len(set(searched)) == len(searched)
+    assert sorted(searched) == sorted(weakly_connected_subsets(d))
 
 
 @given(digraphs_up_to(6))
 @settings(max_examples=100, deadline=None)
-def test_component_walk_yields_every_subset_with_its_weak_components(d):
-    walked = list(_subsets_with_components(d))
-    assert [subset for subset, _ in walked] == [s for s in subsets_lex(d.vertex_count) if s]
-    for subset, components in walked:
-        sub, mapping = d.induced(subset)
-        g = nx.DiGraph()
-        g.add_nodes_from(sub.vertices())
-        g.add_edges_from(sub.arcs)
-        label = {new: old for old, new in mapping.items()}
-        expected = {sum(1 << label[v] for v in c) for c in nx.weakly_connected_components(g)}
-        assert len(components) == len(expected) and set(components) == expected
-        assert components[-1] >> subset[-1] & 1  # the scan decides this one
+def test_undirected_ball_of_the_largest_vertex_is_its_weak_component(d):
+    n = d.vertex_count
+    linked = [out | in_ for out, in_ in zip(d.out_masks, d.in_masks)]
+    g = nx.DiGraph(d.arcs)
+    g.add_nodes_from(d.vertices())
+    for subset in subsets_lex(n):
+        if not subset:
+            continue
+        v = subset[-1]
+        component = next(c for c in nx.weakly_connected_components(g.subgraph(subset)) if v in c)
+        ball = _ball(linked, v, sum(1 << u for u in subset), n)
+        assert ball == sum(1 << u for u in component)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_subset_walk_asks_each_subset_in_lexicographic_order_and_stops_at_the_first_no(n):
+    subsets = [s for s in subsets_lex(n) if s]
+    asked = []
+    assert _first_failing_subset(n, lambda mask, v: asked.append((mask, v)) or True) == (True, None)
+    assert asked == [(sum(1 << u for u in s), s[-1]) for s in subsets]
+    for stop, subset in enumerate(subsets):
+        asked.clear()
+        verdict = _first_failing_subset(n, lambda mask, v: asked.append(mask) or len(asked) <= stop)
+        assert verdict == (False, subset) and len(asked) == stop + 1
 
 
 def test_perfection_size_bound():
