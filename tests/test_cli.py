@@ -306,16 +306,25 @@ def test_resource_exit_code(capsys, tmp_path):
     assert not out.exists()
 
 
+HUGE = 10**20
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [["analyze"], ["closure", "--k", "2"], ["kernel", "--k", "2"], ["substitute", "--x0", "0"]],
+    "argv, message",
+    [
+        (["analyze"], None),
+        (["closure", "--k", "2"], None),
+        (["kernel", "--k", "2"], f"{HUGE} vertices exceeds subset-search bound 24"),
+        (["substitute", "--x0", "0"], f"{HUGE - 1} vertices exceeds subset-search bound 24"),
+    ],
     ids=["analyze", "closure", "kernel", "substitute"],
 )
-def test_oversized_header_is_a_resource_bound(tmp_path, argv):
+def test_oversized_header_is_a_resource_bound(tmp_path, argv, message):
     """Nothing of the header's size is built before a bound is checked, so
-    the command exits 3 within 1 GiB of address space, with no traceback."""
+    the command exits 3 within 1 GiB of address space, with no traceback;
+    a kernel search names its own bound."""
     path = tmp_path / "huge.txt"
-    path.write_text("n 100000000000000000000\n0 1\n")
+    path.write_text(f"n {HUGE}\n0 1\n")
     src = str(Path(kernelkit.__file__).resolve().parents[1])
     gib = 1 << 30
     done = subprocess.run(
@@ -325,6 +334,8 @@ def test_oversized_header_is_a_resource_bound(tmp_path, argv):
     )
     assert done.returncode == EXIT_RESOURCE, done.stderr
     assert done.stderr.startswith("resource bound: ") and "Traceback" not in done.stderr
+    if message is not None:
+        assert done.stderr == f"resource bound: {message}\n"
 
 
 def test_substitute_without_base_kernel(tmp_path, capsys):
