@@ -4,7 +4,10 @@ Each campaign draws or enumerates instances deterministically, filters by
 the relevant hypothesis class (reporting occupancy, with vacuous passes
 flagged distinctly), checks the property, and collects failures up to a cap
 instead of aborting.  Report bodies are byte-stable for fixed parameters;
-wall time lives in a separate footer.
+wall time lives in a separate footer.  Class membership is decided only by
+the table `CLASSES`.  `_class_campaign` runs a verdict on each member of a
+class (duchet, reverse-path, theorem2); `_trace_campaign` runs a check on
+each substitution trace, of a class's members only when named one.
 """
 
 from __future__ import annotations
@@ -157,6 +160,75 @@ def _plain_stream(params: CampaignParams) -> Iterator[Digraph]:
             yield random_digraph(params.n, params.arc_prob, derive_trial_seed(params.seed, trial))
 
 
+# -- hypothesis classes ----------------------------------------------------
+
+
+# A member test, `member(d, budget, min_cycle_len)`: whether d is in its
+# class, or None when the class check's search exceeds the budget.
+_Member = Callable[[Digraph, int, int], bool | None]
+
+
+def _member(check: Callable[..., HypothesisReport]) -> _Member:
+    """The member test of the class that `check(d, min_cycle_len, budget=...,
+    stop_at_first=True)` decides."""
+    def member(d: Digraph, budget: int, min_cycle_len: int) -> bool | None:
+        try:
+            return check(d, min_cycle_len, budget=budget, stop_at_first=True).satisfied
+        except BudgetExceededError:
+            return None
+
+    return member
+
+
+# The hypothesis classes: theorem4's circuit hypothesis, the two cycle
+# hypotheses (theorem2's and reverse-path's) and Duchet's.  Each check is
+# looked up in this module at call time, so replacing it here reaches the table.
+CLASSES: dict[str, _Member] = {
+    "circuit": _member(lambda d, m, **kw: check_circuit_hypothesis(d, len(d.arcs), **kw)),
+    "theorem1": _member(
+        lambda d, m, **kw: check_cycle_hypothesis(
+            d, CycleHypothesisVariant.THREE_WITH_CROSSING, m, **kw
+        )
+    ),
+    "two-consecutive": _member(
+        lambda d, m, **kw: check_cycle_hypothesis(
+            d, CycleHypothesisVariant.TWO_CONSECUTIVE, m, **kw
+        )
+    ),
+    "duchet": _member(lambda d, m, **kw: every_cycle_has_symmetric_arc(d, **kw)),
+}
+
+
+def _skip_reason(name: str, is_member: bool | None) -> str:
+    """Why an instance outside the class `name` is skipped: its member test
+    ran out of budget, or it fails the class's hypothesis."""
+    return "budget" if is_member is None else f"{name} hypothesis"
+
+
+def _class_campaign(
+    params: CampaignParams,
+    failures: _Failures,
+    member: _Member,
+    verdict: Callable[[Digraph, _Failures], None],
+) -> dict:
+    """`verdict` on each strongly connected instance that `member` puts in
+    its class.  An instance whose member test runs out of budget is skipped;
+    the occupancy lists budget skips only when there are some."""
+    tried = accepted = budget_skips = 0
+    for d in _sc_stream(params):
+        tried += 1
+        is_member = member(d, params.budget, params.min_cycle_len)
+        if is_member is None:
+            budget_skips += 1
+        elif is_member:
+            accepted += 1
+            verdict(d, failures)
+    occupancy: dict = {"tried": tried, "accepted": accepted}
+    if budget_skips:
+        occupancy["skipped"] = {"budget": budget_skips}
+    return {"instances_checked": accepted, "occupancy": occupancy, "vacuous": accepted == 0}
+
+
 # -- individual campaigns ---------------------------------------------------
 
 
@@ -172,105 +244,40 @@ def _closure_lemma(params: CampaignParams, failures: _Failures) -> dict:
     return {"instances_checked": checked, "occupancy": {"tried": checked}, "vacuous": checked == 0}
 
 
-def _within_budget(check: Callable[[], HypothesisReport]) -> bool | None:
-    """Whether the hypothesis holds, or None when its search exceeds the budget."""
-    try:
-        return check().satisfied
-    except BudgetExceededError:
-        return None
+def _kernel_perfect(d: Digraph, failures: _Failures) -> None:
+    ok, counterexample = is_kernel_perfect(d)
+    if not ok:
+        failures.add(d, f"induced subdigraph {list(counterexample)} has no kernel")
 
 
-def _with_budget_skips(occupancy: dict, budget_skips: int) -> dict:
-    """The occupancy, with `skipped: {"budget": k}` only when k > 0."""
-    return {**occupancy, "skipped": {"budget": budget_skips}} if budget_skips else occupancy
+def _has_3_kernel(d: Digraph, failures: _Failures) -> None:
+    if not find_kl_kernel(d, THREE_KERNEL).found:
+        failures.add(d, "hypothesis satisfied but no 3-kernel found")
 
 
-def _duchet(params: CampaignParams, failures: _Failures) -> dict:
-    tried = accepted = budget_skips = 0
-    for d in _sc_stream(params):
-        tried += 1
-        satisfied = _within_budget(
-            lambda: every_cycle_has_symmetric_arc(d, stop_at_first=True, budget=params.budget)
-        )
-        if satisfied is None:
-            budget_skips += 1
-        if not satisfied:
-            continue
-        accepted += 1
-        ok, counterexample = is_kernel_perfect(d)
-        if not ok:
-            failures.add(d, f"induced subdigraph {list(counterexample)} has no kernel")
-    return {
-        "instances_checked": accepted,
-        "occupancy": _with_budget_skips({"tried": tried, "accepted": accepted}, budget_skips),
-        "vacuous": accepted == 0,
-    }
+def _short_returns(d: Digraph, failures: _Failures) -> None:
+    balls = d.in_balls2
+    for u, v in sorted(d.arcs):
+        if not balls[u] >> v & 1:
+            failures.add(d, f"arc ({u}, {v}) with d({v}, {u}) = {_hops(d.out_masks, v)[u]}")
 
 
 def _reverse_path(params: CampaignParams, failures: _Failures) -> dict:
     if params.min_cycle_len not in (2, 3):
         raise ValueError("reverse-path needs min_cycle_len 2 or 3")
-    tried = accepted = budget_skips = 0
-    occupancy_by_len = {2: 0, 3: 0}
-    for d in _sc_stream(params):
-        tried += 1
-        # None: undecided within the budget, so that length does not count d
-        passing = {
-            m: _within_budget(
-                lambda: check_cycle_hypothesis(
-                    d, CycleHypothesisVariant.TWO_CONSECUTIVE, m,
-                    stop_at_first=True, budget=params.budget,
-                )
-            )
-            for m in (2, 3)
-        }
-        for m in (2, 3):
-            if passing[m]:
-                occupancy_by_len[m] += 1
-        if passing[params.min_cycle_len] is None:
-            budget_skips += 1
-        if not passing[params.min_cycle_len]:
-            continue
-        accepted += 1
-        balls = d.in_balls2
-        for u, v in sorted(d.arcs):
-            if not balls[u] >> v & 1:
-                failures.add(d, f"arc ({u}, {v}) with d({v}, {u}) = {_hops(d.out_masks, v)[u]}")
-    occupancy = {
-        "tried": tried,
-        "accepted": accepted,
-        "accepted_min_cycle_len_2": occupancy_by_len[2],
-        "accepted_min_cycle_len_3": occupancy_by_len[3],
-    }
-    return {
-        "instances_checked": accepted,
-        "occupancy": _with_budget_skips(occupancy, budget_skips),
-        "vacuous": accepted == 0,
-    }
+    accepted_by_len: Counter = Counter()
 
+    def member(d: Digraph, budget: int, min_cycle_len: int) -> bool | None:
+        """The two-consecutive class at min_cycle_len, after counting d at
+        each length that decides it a member."""
+        passing = {m: CLASSES["two-consecutive"](d, budget, m) for m in (2, 3)}
+        accepted_by_len.update(m for m in (2, 3) if passing[m])
+        return passing[min_cycle_len]
 
-def _theorem2(params: CampaignParams, failures: _Failures) -> dict:
-    tried = accepted = budget_skips = 0
-    for d in _sc_stream(params):
-        tried += 1
-        satisfied = _within_budget(
-            lambda: check_cycle_hypothesis(
-                d, CycleHypothesisVariant.THREE_WITH_CROSSING, params.min_cycle_len,
-                stop_at_first=True, budget=params.budget,
-            )
-        )
-        if satisfied is None:
-            budget_skips += 1
-        if not satisfied:
-            continue
-        accepted += 1
-        if not find_kl_kernel(d, THREE_KERNEL).found:
-            failures.add(d, "hypothesis satisfied but no 3-kernel found")
-    return {
-        "instances_checked": accepted,
-        "occupancy": _with_budget_skips({"tried": tried, "accepted": accepted}, budget_skips),
-        "vacuous": accepted == 0,
-    }
+    summary = _class_campaign(params, failures, member, _short_returns)
+    for m in (2, 3):
+        summary["occupancy"][f"accepted_min_cycle_len_{m}"] = accepted_by_len[m]
+    return summary
 
 
 def _found_roads(
@@ -286,40 +293,30 @@ def _found_roads(
             yield road
 
 
-def _outside_circuit_class(d: Digraph, params: CampaignParams) -> str | None:
-    """Why d fails the circuit hypothesis ("budget" when undecided), or None."""
-    try:
-        hypothesis = check_circuit_hypothesis(
-            d, max_len=len(d.arcs), budget=params.budget, stop_at_first=True
-        )
-    except BudgetExceededError:
-        return "budget"
-    return None if hypothesis.satisfied else "circuit hypothesis"
-
-
 def _trace_campaign(
     params: CampaignParams,
     failures: _Failures,
     check: Callable[[Digraph, int, SubstitutionTrace, _Failures, Counter], None],
     counters: tuple[str, ...] = (),
-    outside_class: Callable[[Digraph, CampaignParams], str | None] | None = None,
+    class_name: str | None = None,
 ) -> dict:
-    """One (D, x0) attempt per trial: D is skipped when `outside_class` gives
-    a reason, else its substitution starts and `check` runs on the trace.
-    `check` adds to the named counters; the campaign is vacuous when the
+    """One (D, x0) attempt per trial: D is skipped when it is not a member
+    of `CLASSES[class_name]`, else its substitution starts and `check` runs
+    on the trace.  `check` adds to the named counters; the campaign is vacuous when the
     last of them (traces_built when there are none) stays 0."""
     if params.exhaustive:
         raise ValueError("the trace campaigns have no exhaustive mode")
     occupancy = Counter(dict.fromkeys(("tried", "traces_built", *counters), 0))
-    if outside_class:
+    if class_name:
         occupancy["accepted"] = 0
     skips: Counter = Counter()
     for trial, d in enumerate(_sc_stream(params)):
         x0 = SplitMix64(derive_trial_seed(params.seed, trial) + 1).next_u64() % params.n
         occupancy["tried"] += 1
-        if outside_class:
-            if outside := outside_class(d, params):
-                skips[outside] += 1
+        if class_name:
+            is_member = CLASSES[class_name](d, params.budget, params.min_cycle_len)
+            if not is_member:
+                skips[_skip_reason(class_name, is_member)] += 1
                 continue
             occupancy["accepted"] += 1
         try:
@@ -385,9 +382,9 @@ def _theorem4(params: CampaignParams, failures: _Failures) -> dict:
     # occupied at all, deterministically contains it.
     for d in chain([directed_cycle(params.n)], _sc_stream(params)):
         tried += 1
-        outside = _outside_circuit_class(d, params)
-        if outside:
-            skips[outside] += 1
+        is_member = CLASSES["circuit"](d, params.budget, params.min_cycle_len)
+        if not is_member:
+            skips[_skip_reason("circuit", is_member)] += 1
             continue
         if not is_quasi_3_kernel_perfect(d)[0]:
             skips["not quasi-3-kernel-perfect"] += 1
@@ -431,9 +428,9 @@ def _theorem4(params: CampaignParams, failures: _Failures) -> dict:
 
 CAMPAIGNS: dict[str, Callable[[CampaignParams, _Failures], dict]] = {
     "closure-lemma": _closure_lemma,
-    "duchet": _duchet,
+    "duchet": partial(_class_campaign, member=CLASSES["duchet"], verdict=_kernel_perfect),
     "reverse-path": _reverse_path,
-    "theorem2": _theorem2,
+    "theorem2": partial(_class_campaign, member=CLASSES["theorem1"], verdict=_has_3_kernel),
     "pre-kernel-props": partial(_trace_campaign, check=_pre_kernel_props),
     "roads": partial(_trace_campaign, check=_roads, counters=("roads_checked",)),
     "unique-chord": partial(
@@ -445,7 +442,7 @@ CAMPAIGNS: dict[str, Callable[[CampaignParams, _Failures], dict]] = {
         _trace_campaign,
         check=_additive_inverse,
         counters=("roads_checked",),
-        outside_class=_outside_circuit_class,
+        class_name="circuit",
     ),
     "theorem4": _theorem4,
 }

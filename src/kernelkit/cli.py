@@ -346,8 +346,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_PASS
     try:
         return args.func(args)
-    except (SizeBoundError, BudgetExceededError, OverflowError) as exc:
-        print(f"resource bound: {exc}", file=sys.stderr)
+    except (SizeBoundError, BudgetExceededError, OverflowError, MemoryError) as exc:
+        print(f"resource bound: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except (NoBaseKernelError, SubkernelMissingError) as exc:
         print(f"substitution cannot run: {exc}", file=sys.stderr)

@@ -202,6 +202,7 @@ def find_kernel_via_closure(d: Digraph, k: int) -> KernelResult:
     """k-kernel of D via a classic kernel of its (k-1)-closure."""
     if k < 3:
         raise ValueError("closure reduction applies for k >= 3")
+    _check_search_bound(d.vertex_count)  # before the closure is built
     return find_kl_kernel(k_closure(d, k - 1), KERNEL)
 
 

@@ -22,7 +22,7 @@ from kernelkit import (
     start_substitution,
 )
 from kernelkit import campaigns
-from kernelkit.campaigns import CAMPAIGNS
+from kernelkit.campaigns import CAMPAIGNS, PARAMETER_READERS
 from kernelkit.errors import BudgetExceededError
 from kernelkit.generators import (
     derive_trial_seed,
@@ -186,6 +186,36 @@ def test_cycle_checks_past_the_budget_are_counted_as_budget_skips(property_id, m
     assert cut["skipped"] == {"budget": 3}
     whole = complete_symmetric_occupancy(property_id, 65, min_cycle_len)
     assert whole["accepted"] == 3 and "skipped" not in whole
+
+
+@pytest.mark.parametrize("answer", [True, False, None])
+def test_class_table_looks_its_checks_up_at_call_time(monkeypatch, answer):
+    # a check replaced in the module's namespace reaches every table entry;
+    # None stands for a search that runs out of budget
+    def check(*args, **kw):
+        if answer is None:
+            raise BudgetExceededError("budget")
+        return HypothesisReport(answer, (), 0)
+
+    for name in ("check_circuit_hypothesis", "check_cycle_hypothesis",
+                 "every_cycle_has_symmetric_arc"):
+        monkeypatch.setattr(campaigns, name, check)
+    d = directed_cycle(3)
+    for name, member in campaigns.CLASSES.items():
+        assert member(d, 10**6, 2) is answer, name
+
+
+@pytest.mark.parametrize("property_id", sorted(CAMPAIGNS))
+def test_the_budget_reaches_every_class_check(property_id):
+    # one search step decides no instance of these sizes, so a campaign that
+    # reads the budget skips every instance for it, and the others ignore it
+    cut = run_campaign(property_id, CampaignParams(n=5, trials=6, seed=1, budget=1))
+    if property_id in PARAMETER_READERS["budget"]:
+        assert cut.occupancy["tried"] > 0
+        assert cut.occupancy["skipped"]["budget"] == cut.occupancy["tried"]
+    else:
+        default = run_campaign(property_id, CampaignParams(n=5, trials=6, seed=1))
+        assert (cut.occupancy, cut.failures) == (default.occupancy, default.failures)
 
 
 def test_reverse_path_decided_at_its_own_length_is_no_budget_skip():

@@ -306,25 +306,39 @@ def test_resource_exit_code(capsys, tmp_path):
     assert not out.exists()
 
 
-HUGE = 10**20
+HUGE = 10**20  # fits in no machine index
+BEYOND_MEMORY = 10**10  # fits in one, but its vertex masks alone take 80 GB
+SEARCH_BOUND = "vertices exceeds subset-search bound 24"
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "n, argv, message",
     [
-        (["analyze"], None),
-        (["closure", "--k", "2"], None),
-        (["kernel", "--k", "2"], f"{HUGE} vertices exceeds subset-search bound 24"),
-        (["substitute", "--x0", "0"], f"{HUGE - 1} vertices exceeds subset-search bound 24"),
+        (HUGE, ["analyze"], None),
+        (HUGE, ["closure", "--k", "2"], None),
+        (HUGE, ["kernel", "--k", "2"], f"{HUGE} {SEARCH_BOUND}"),
+        (HUGE, ["substitute", "--x0", "0"], f"{HUGE - 1} {SEARCH_BOUND}"),
+        (HUGE, ["kernel", "--k", "3", "--via-closure"], f"{HUGE} {SEARCH_BOUND}"),
+        # analyze and closure have no size bound: they run out of memory
+        (BEYOND_MEMORY, ["analyze"], "out of memory"),
+        (BEYOND_MEMORY, ["closure", "--k", "2"], "out of memory"),
+        (BEYOND_MEMORY, ["kernel", "--k", "3"], f"{BEYOND_MEMORY} {SEARCH_BOUND}"),
+        (BEYOND_MEMORY, ["kernel", "--k", "3", "--via-closure"], f"{BEYOND_MEMORY} {SEARCH_BOUND}"),
+        (BEYOND_MEMORY, ["substitute", "--x0", "0"], f"{BEYOND_MEMORY - 1} {SEARCH_BOUND}"),
     ],
-    ids=["analyze", "closure", "kernel", "substitute"],
+    ids=[
+        "analyze", "closure", "kernel", "substitute", "kernel-via-closure",
+        "analyze-beyond-memory", "closure-beyond-memory", "kernel-beyond-memory",
+        "kernel-via-closure-beyond-memory", "substitute-beyond-memory",
+    ],
 )
-def test_oversized_header_is_a_resource_bound(tmp_path, argv, message):
-    """Nothing of the header's size is built before a bound is checked, so
-    the command exits 3 within 1 GiB of address space, with no traceback;
-    a kernel search names its own bound."""
+def test_oversized_header_is_a_resource_bound(tmp_path, n, argv, message):
+    """A command with a size bound checks it before it builds anything of the
+    header's size, and names it; analyze and closure, which have none, run
+    out of memory.  Either way the command exits 3 within 1 GiB of address
+    space, with no traceback."""
     path = tmp_path / "huge.txt"
-    path.write_text(f"n {HUGE}\n0 1\n")
+    path.write_text(f"n {n}\n0 1\n")
     src = str(Path(kernelkit.__file__).resolve().parents[1])
     gib = 1 << 30
     done = subprocess.run(

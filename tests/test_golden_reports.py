@@ -29,7 +29,8 @@ PARAMETER_SETS = {
     "n6_t40_s7": dict(n=6, trials=40, seed=7),
     # sparse n=9: inner skip arcs, theorem4 failures, roads on accepted instances
     "n9_t60_s2_p010": dict(n=9, trials=60, seed=2, arc_prob=0.1, extra_arc_prob=0.1),
-    # dense n=7 with a small budget: budget skips, min_cycle_len=3, failure cap
+    # dense n=7 with a small budget that still decides every instance (none of
+    # these bodies has a budget skip), min_cycle_len=3, failure cap
     "n7_t40_s3_dense": dict(
         n=7, trials=40, seed=3, arc_prob=0.45, extra_arc_prob=0.35,
         budget=3000, min_cycle_len=3, max_failures=3,
