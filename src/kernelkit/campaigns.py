@@ -345,6 +345,8 @@ def _pre_kernel_props(d, x0, trace, failures, occupancy) -> None:
 
 
 def _roads(d, x0, trace, failures, occupancy) -> None:
+    # `find_road` checks each condition on a prefix as it descends; this
+    # validation of the whole path is the cross-check of those prefix checks
     for road in _found_roads(d, x0, trace, failures, occupancy):
         validation = validate_road(trace, road.path)
         if not validation.passed:

@@ -5,9 +5,22 @@ Every walk reads int masks, never adjacency lists or a distance matrix:
 each round's sets are unions of in-neighbour masks and of
 `Digraph.in_balls2` (u reaches v within 2 exactly when bit u of v's ball is
 set), a witness path between two such vertices is an arc or runs through
-the least vertex of u's out-mask and v's in-mask, a road search extends a
-path by the out-mask bits off the path, and hop counts from x0 come from
-one `digraph._hops` walk per trace.
+the least vertex of u's out-mask and v's in-mask, and hop counts from x0
+come from one `digraph._hops` walk per trace.  The trace keeps its labels
+as masks too, one (N_i, N'_i) pair per index i = 0..3p+2, and the road
+layer (`find_road`, `validate_road`, `label_of`, `check_unique_short_chord`)
+tests label bits of those masks and arc bits of the out-masks.
+
+A road search extends a path by the out-mask bits off the path, lowest
+first, and drops each candidate as soon as the positions a road condition
+reads are placed, so the first full path is the first road:
+- condition 9 (t_s in N_s) is checked at entry;
+- condition 11 when a position q = 0 mod 3 is placed (t_q in N_q);
+- condition 10 when a position q = 3i+1 is placed
+  (t_q in N_q exactly when t_{q+1} in N'_{q+1});
+- condition 12 when a position q is placed and (t_{q+2}, t_q) is an arc:
+  some j = 1..p-1 with 3j < s has t_{q+2} in N'_{3j+1} and t_q in
+  N'_{3j-1}.  j is not tied to q.
 
 Index conventions: set i of a sequence is N_i, with i = 3k, 3k+1, 3k+2 for
 round k; positions on a road count from x0 (position 0) to the far end
@@ -84,13 +97,34 @@ class SubstitutionTrace:
             return ()
         return (self.primed_one, self.primed_two)[r - 1][k]
 
+    @cached_property
+    def _label_masks(self) -> tuple[tuple[int, int], ...]:
+        """Entry i, for i = 0..3p+2: the masks of N_i and N'_i."""
+        return tuple(
+            (_mask(self.set_at(i)), _mask(self.intermediate_at(i)))
+            for i in range(3 * self.p + 3)
+        )
+
+    def _labels_at(self, i: int) -> tuple[int, int]:
+        """The masks of N_i and N'_i, empty beyond the sequence."""
+        masks = self._label_masks
+        return masks[i] if 0 <= i < len(masks) else (0, 0)
+
     def label_of(self, v: int, i: int) -> str:
         """Display label of v relative to position/index i."""
-        if v in self.set_at(i):
+        n_i, primed_i = self._labels_at(i)
+        if n_i >> v & 1:
             return f"N{i}"
-        if v in self.intermediate_at(i):
+        if primed_i >> v & 1:
             return f"N'{i}"
         return "-"
+
+
+def _mask(vs: VertexSet) -> int:
+    out = 0
+    for v in vs:
+        out |= 1 << v
+    return out
 
 
 def _union(masks: tuple[int, ...], vs: VertexSet) -> int:
@@ -114,7 +148,7 @@ def build_substitution_sequence(d: Digraph, x0: int, kernel: VertexSet) -> Subst
         raise NotAKernelError(f"{kernel} is not a 3-kernel of D - {x0}")
 
     in_masks, balls = d.in_masks, d.in_balls2
-    kernel_mask = sum(1 << v for v in kernel)
+    kernel_mask = _mask(kernel)
     added: list[VertexSet] = [(x0,)]
     removed_one: list[VertexSet] = []
     removed_two: list[VertexSet] = []
@@ -150,7 +184,7 @@ def build_substitution_sequence(d: Digraph, x0: int, kernel: VertexSet) -> Subst
         m_sets.append(m_next)
         added.append(n_next)
         outside_m &= reach
-        current = sum(1 << v for v in n_next)
+        current = _mask(n_next)
         added_union |= current
         k += 1
 
@@ -228,49 +262,59 @@ class RoadValidation:
         return all(c.ok for c in self.conditions)
 
 
+def _allowed_skips(trace: SubstitutionTrace, s: int) -> list[int]:
+    """Entry u: the vertices w for which a skip arc (t_i, t_{i-2}) = (u, w)
+    on a length-s road meets condition 12, that is w in N'_{3j-1} for some
+    j = 1..p-1 with 3j < s and u in N'_{3j+1}, whatever i is."""
+    labels = trace._label_masks
+    allowed = [0] * trace.digraph.vertex_count
+    for j in range(1, trace.p):
+        if 3 * j < s:
+            for u in _members(labels[3 * j + 1][1]):
+                allowed[u] |= labels[3 * j - 1][1]
+    return allowed
+
+
 def _road_conditions(trace: SubstitutionTrace, path: tuple[int, ...]) -> RoadValidation:
     d = trace.digraph
+    n, out_masks = d.vertex_count, d.out_masks
     s = len(path) - 1
-    at = lambda i: path[s - i]
+    bits = [1 << v if 0 <= v < n else 0 for v in reversed(path)]  # bits[i]: t_i's bit
+    labels = trace._label_masks
+    labels += ((0, 0),) * (s + 1 - len(labels))  # empty beyond the sequence
 
-    bad_arcs = [
-        (path[j], path[j + 1]) for j in range(s) if (path[j], path[j + 1]) not in d.arcs
-    ]
+    bad_arcs = []
+    for j in range(s):
+        if not (bits[s - j] and out_masks[path[j]] & bits[s - j - 1]):
+            bad_arcs.append((path[j], path[j + 1]))
     if not path or bad_arcs or len(set(path)) != len(path):
         why = bad_arcs or ("repeated vertex" if path else "no vertex")
         broken = ConditionResult(False, f"not a path: {why}")
         return RoadValidation((broken, broken, broken, broken))
 
-    if s <= 3 * trace.p and at(s) in trace.set_at(s):
+    if s <= 3 * trace.p and labels[s][0] & bits[s]:
         c9 = ConditionResult(True)
     else:
-        c9 = ConditionResult(False, f"t_{s}={at(s)} not in N_{s}")
+        c9 = ConditionResult(False, f"t_{s}={path[0]} not in N_{s}")
 
-    bad10 = []
-    i = 0
-    while 3 * i + 2 <= s:
-        lhs = at(3 * i + 1) in trace.set_at(3 * i + 1)
-        rhs = at(3 * i + 2) in trace.intermediate_at(3 * i + 2)
-        if lhs != rhs:
-            bad10.append(3 * i + 1)
-        i += 1
+    bad10, bad11 = [], []
+    for q in range(0, s + 1, 3):
+        if not labels[q][0] & bits[q]:
+            bad11.append(q)
+        if q + 2 <= s:
+            if bool(labels[q + 1][0] & bits[q + 1]) != bool(labels[q + 2][1] & bits[q + 2]):
+                bad10.append(q + 1)
     c10 = ConditionResult(not bad10, f"biconditional fails at positions {bad10}" if bad10 else "")
-
-    bad11 = [3 * i for i in range(s // 3 + 1) if at(3 * i) not in trace.set_at(3 * i)]
     c11 = ConditionResult(not bad11, f"t_i not in N_i at positions {bad11}" if bad11 else "")
 
     bad12 = []
+    allowed = None  # built at the first skip arc
     for i in range(2, s + 1):
-        if (at(i), at(i - 2)) not in d.arcs:
-            continue
-        ok = any(
-            at(i) in trace.intermediate_at(3 * j + 1)
-            and at(i - 2) in trace.intermediate_at(3 * (j - 1) + 2)
-            for j in range(1, trace.p + 1)
-            if 3 * j < s
-        )
-        if not ok:
-            bad12.append(i)
+        if out_masks[path[s - i]] & bits[i - 2]:
+            if allowed is None:
+                allowed = _allowed_skips(trace, s)
+            if not allowed[path[s - i]] & bits[i - 2]:
+                bad12.append(i)
     c12 = ConditionResult(not bad12, f"skip-arc label fails at positions {bad12}" if bad12 else "")
 
     return RoadValidation((c9, c10, c11, c12))
@@ -284,29 +328,35 @@ def validate_road(trace: SubstitutionTrace, path: tuple[int, ...]) -> RoadValida
 def find_road(trace: SubstitutionTrace, v: int, s: int) -> Road:
     """Backtracking search for a length-s road from v down to x0.
 
+    Each candidate for position q is dropped as soon as a road condition
+    fails on the placed positions (see the module docstring), so the first
+    full path is the first road in depth-first, lowest-vertex-first order.
     Raises NoRoadFoundError when no labeled path satisfies the conditions;
     for a valid trace that is itself a lemma violation worth reporting.
     """
     if v not in trace.set_at(s):
         raise ValueError(f"vertex {v} is not in N_{s}")
-    out_masks = trace.digraph.out_masks
+    out_masks, labels = trace.digraph.out_masks, trace._label_masks
+    allowed = _allowed_skips(trace, s)
     path = [v]  # built far-end first
 
     def descend(pos: int, on_path: int):
         if pos == 0:
-            candidate = tuple(path)
-            if _road_conditions(trace, candidate).passed:
-                return candidate
-            return None
-        nexts = out_masks[path[-1]] & ~on_path
+            return tuple(path)
+        q, tail = pos - 1, path[-1]
+        nexts = out_masks[tail] & ~on_path
+        if q % 3 == 0:  # condition 11
+            nexts &= labels[q][0]
+        elif q % 3 == 1:  # condition 10
+            nexts &= labels[q][0] if labels[pos][1] >> tail & 1 else ~labels[q][0]
+        if pos < s:  # condition 12, on the arc from t_{q+2}
+            skipper = path[-2]
+            nexts &= ~out_masks[skipper] | allowed[skipper]
         while nexts:
             low = nexts & -nexts
             nexts ^= low
-            w = low.bit_length() - 1
-            if (pos - 1) % 3 == 0 and w not in trace.set_at(pos - 1):
-                continue
-            path.append(w)
-            hit = descend(pos - 1, on_path | low)
+            path.append(low.bit_length() - 1)
+            hit = descend(q, on_path | low)
             if hit is not None:
                 return hit
             path.pop()
@@ -389,11 +439,9 @@ class UniqueChordReport:
 def check_unique_short_chord(trace: SubstitutionTrace, road: Road) -> UniqueChordReport:
     """When a road carries an inner position-skip arc, it must be the only
     skip arc, and positions 3k'+2 beyond it must carry plain N labels."""
-    d = trace.digraph
-    s = road.length
-    skips = tuple(
-        i for i in range(2, s + 1) if (road.vertex_at(i), road.vertex_at(i - 2)) in d.arcs
-    )
+    out_masks = trace.digraph.out_masks
+    s, t = road.length, road.path[::-1]  # t[i] = t_i
+    skips = tuple(i for i in range(2, s + 1) if out_masks[t[i]] >> t[i - 2] & 1)
     inner = tuple(i for i in skips if 2 < i < s)
     violations = []
     if inner:
@@ -402,8 +450,8 @@ def check_unique_short_chord(trace: SubstitutionTrace, road: Road) -> UniqueChor
             violations.append(f"multiple skip arcs at positions {list(skips)}")
         q = 2
         while q <= s:
-            if q > i and road.vertex_at(q) not in trace.set_at(q):
-                violations.append(f"t_{q}={road.vertex_at(q)} beyond the skip arc not in N_{q}")
+            if q > i and not trace._labels_at(q)[0] >> t[q] & 1:
+                violations.append(f"t_{q}={t[q]} beyond the skip arc not in N_{q}")
             q += 3
     return UniqueChordReport(skips, inner, tuple(violations))
 

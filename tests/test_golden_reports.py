@@ -45,6 +45,11 @@ CASES = {
 for property_id in ("closure-lemma", "duchet"):
     for n in (1, 2, 3):
         CASES[f"{property_id}__exhaustive_n{n}"] = (property_id, dict(n=n, exhaustive=True))
+# a budget that cuts some instances but not all: 11 of the 20 draws are
+# skipped with `skipped: {"budget": 11}`, 3 are accepted
+CASES["duchet__n6_t20_s5_budget100"] = (
+    "duchet", dict(n=6, trials=20, seed=5, extra_arc_prob=0.7, budget=100)
+)
 
 C6 = "n 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n"
 # the frozen counterexamples of tests/test_substitution.py

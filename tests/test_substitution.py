@@ -10,7 +10,10 @@ radius-2 in-ball masks and hop counts on masks; references in this file
 recompute them from `Digraph.distance` and, for the hop counts from x0,
 from networkx.  Their witness paths and the road search read adjacency
 masks and must equal the breadth-first and depth-first searches over
-sorted out-lists kept here as references.
+sorted out-lists kept here as references.  The road conditions, the labels
+and the unique-chord checker read the trace's label masks; the references
+here test membership in the trace's sorted set tuples and arcs in
+`Digraph.arcs`, and the reference road search checks only whole paths.
 
 Three small strongly connected digraphs (A, B, C at the bottom) are frozen
 as regression inputs for the lemma checkers: on each of them one of the
@@ -18,6 +21,7 @@ method's claimed properties genuinely fails, and the checkers must *report*
 that rather than mask it.  See the README section on reported findings.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -33,6 +37,7 @@ from hypothesis import strategies as st
 import kernelkit
 from kernelkit import (
     THREE_KERNEL,
+    SubstitutionTrace,
     as_vertex_set,
     assemble_pre_3_kernel,
     build_digraph,
@@ -58,7 +63,7 @@ from kernelkit.errors import (
     SubkernelMissingError,
 )
 from kernelkit.generators import random_digraph, random_strongly_connected
-from kernelkit.substitution import _close_path
+from kernelkit.substitution import ConditionResult, _close_path
 
 
 @pytest.fixture
@@ -220,6 +225,74 @@ def test_validate_road_rejects_non_path(c6_trace):
 def test_c6_roads_pass_all_conditions(c6_trace):
     for path in [(3, 4, 5, 0), (5, 0)]:
         assert validate_road(c6_trace, path).passed
+
+
+def test_skip_arc_condition_reads_every_round_not_the_skip_position():
+    # p = 3; N'_5 = (2, 5, 6, 7), N'_7 = (7, 10), and N_3 = (3,)
+    t = start_substitution(random_strongly_connected(12, 0.15, 1560055), 0)
+    assert t.p == 3
+    cases = {
+        # the skip arc (7, 5) at position 5 is allowed by j = 2 (7 in N'_7,
+        # 5 in N'_5), although 5 is not 3j + 1 for any j
+        (9, 10, 11, 7, 8, 5, 6, 4, 0): [
+            (True, ""),
+            (True, ""),
+            (False, "t_i not in N_i at positions [3]"),
+            (True, ""),
+        ],
+        (9, 10, 7, 8, 5, 6, 1, 4, 0): [
+            (True, ""),
+            (True, ""),
+            (False, "t_i not in N_i at positions [3, 6]"),
+            (False, "skip-arc label fails at positions [3]"),
+        ],
+        (9, 10, 7, 11, 5, 6, 1, 4, 0): [
+            (True, ""),
+            (True, ""),
+            (False, "t_i not in N_i at positions [3, 6]"),
+            (False, "skip-arc label fails at positions [3, 7]"),
+        ],
+    }
+    for path, expected in cases.items():
+        assert [(c.ok, c.detail) for c in validate_road(t, path).conditions] == expected
+        assert reference_road_conditions(t, path) == expected
+
+
+def skip_arc_trace():
+    """A hand-built trace (p = 3) whose only length-7 path from 7 to x0 = 0,
+    7 6 5 4 3 2 1 0, has the skip arc (4, 2) at position 4.  Round j = 2
+    allows it (4 in N'_7, 2 in N'_5); round j = 1, the one with 3j + 1 = 4,
+    does not (N'_4 is empty)."""
+    d = build_digraph(8, [(v, v - 1) for v in range(1, 8)] + [(4, 2)])
+    return SubstitutionTrace(
+        digraph=d, x0=0, base_kernel=(7,),
+        added=((0,), (3,), (6,), ()), removed_one=((), (), (7,), ()),
+        removed_two=((), (), (), ()), m_sets=((0,), (3,), (6,), ()),
+        primed_one=((), (), (4,)), primed_two=((), (2,), ()), p=3,
+    )
+
+
+def test_road_search_allows_a_skip_arc_from_another_round():
+    t = skip_arc_trace()
+    road = find_road(t, 7, 7)
+    assert road.path == (7, 6, 5, 4, 3, 2, 1, 0)
+    assert road.labels == ("N7", "N6", "-", "-", "N3", "-", "-", "N0")
+    assert validate_road(t, road.path).passed
+    assert road.path == reference_find_road(t, 7, 7)
+    report = check_unique_short_chord(t, road)
+    assert (report.skip_positions, report.inner_positions) == ((4,), (4,))
+    assert report.violations == ("t_5=5 beyond the skip arc not in N_5",)
+    assert report.violations == reference_unique_chord(t, road)[2]
+
+
+def test_road_search_refuses_a_skip_arc_no_round_allows():
+    t = dataclasses.replace(skip_arc_trace(), primed_two=((), (), ()))  # N'_5 emptied
+    with pytest.raises(NoRoadFoundError):
+        find_road(t, 7, 7)
+    assert reference_find_road(t, 7, 7) is None
+    assert validate_road(t, (7, 6, 5, 4, 3, 2, 1, 0)).conditions[3] == ConditionResult(
+        False, "skip-arc label fails at positions [4]"
+    )
 
 
 # -- lemma checkers on well-behaved traces -----------------------------------
@@ -533,16 +606,90 @@ def test_close_paths_match_the_breadth_first_reference(d):
 # -- road search against the list search --------------------------------------
 
 
+def reference_road_conditions(trace, path):
+    """[(ok, detail)] of road conditions 9-12, membership read from the
+    trace's sorted set tuples and arcs from `Digraph.arcs`."""
+    d = trace.digraph
+    s = len(path) - 1
+    at = lambda i: path[s - i]
+
+    bad_arcs = [
+        (path[j], path[j + 1]) for j in range(s) if (path[j], path[j + 1]) not in d.arcs
+    ]
+    if not path or bad_arcs or len(set(path)) != len(path):
+        why = bad_arcs or ("repeated vertex" if path else "no vertex")
+        return [(False, f"not a path: {why}")] * 4
+
+    if s <= 3 * trace.p and at(s) in trace.set_at(s):
+        c9 = (True, "")
+    else:
+        c9 = (False, f"t_{s}={at(s)} not in N_{s}")
+
+    bad10 = []
+    i = 0
+    while 3 * i + 2 <= s:
+        lhs = at(3 * i + 1) in trace.set_at(3 * i + 1)
+        rhs = at(3 * i + 2) in trace.intermediate_at(3 * i + 2)
+        if lhs != rhs:
+            bad10.append(3 * i + 1)
+        i += 1
+    c10 = (not bad10, f"biconditional fails at positions {bad10}" if bad10 else "")
+
+    bad11 = [3 * i for i in range(s // 3 + 1) if at(3 * i) not in trace.set_at(3 * i)]
+    c11 = (not bad11, f"t_i not in N_i at positions {bad11}" if bad11 else "")
+
+    bad12 = []
+    for i in range(2, s + 1):
+        if (at(i), at(i - 2)) not in d.arcs:
+            continue
+        ok = any(
+            at(i) in trace.intermediate_at(3 * j + 1)
+            and at(i - 2) in trace.intermediate_at(3 * (j - 1) + 2)
+            for j in range(1, trace.p + 1)
+            if 3 * j < s
+        )
+        if not ok:
+            bad12.append(i)
+    c12 = (not bad12, f"skip-arc label fails at positions {bad12}" if bad12 else "")
+
+    return [c9, c10, c11, c12]
+
+
+def reference_label(trace, v, i):
+    if v in trace.set_at(i):
+        return f"N{i}"
+    if v in trace.intermediate_at(i):
+        return f"N'{i}"
+    return "-"
+
+
+def reference_unique_chord(trace, road):
+    """(skip positions, inner positions, violations), from `Digraph.arcs`
+    and the sorted set tuples."""
+    s, at = road.length, road.vertex_at
+    skips = tuple(i for i in range(2, s + 1) if (at(i), at(i - 2)) in trace.digraph.arcs)
+    inner = tuple(i for i in skips if 2 < i < s)
+    violations = []
+    if inner:
+        if len(skips) > 1:
+            violations.append(f"multiple skip arcs at positions {list(skips)}")
+        for q in range(2, s + 1, 3):
+            if q > inner[0] and at(q) not in trace.set_at(q):
+                violations.append(f"t_{q}={at(q)} beyond the skip arc not in N_{q}")
+    return skips, inner, tuple(violations)
+
+
 def reference_find_road(trace, v, s):
     """Depth-first search over sorted out-lists for a length-s road from v
-    down to x0, far end first: the first path that passes `validate_road`,
-    or None."""
+    down to x0, far end first: the first path whose conditions all hold by
+    `reference_road_conditions`, or None."""
     adj = out_lists(trace.digraph)
     path = [v]
 
     def descend(pos):
         if pos == 0:
-            return tuple(path) if validate_road(trace, path).passed else None
+            passed = all(ok for ok, _ in reference_road_conditions(trace, path))
+            return tuple(path) if passed else None
         for w in adj[path[-1]]:
             if w in path:
                 continue
@@ -558,6 +705,11 @@ def reference_find_road(trace, v, s):
     return descend(s)
 
 
+# the golden traces of tests/test_golden_reports.py: p = 2 at x0 = 1, p = 4 at x0 = 6
+N12_S0 = random_strongly_connected(12, 0.08, 0)
+N12_S39 = random_strongly_connected(12, 0.08, 39)
+
+
 @given(
     st.builds(
         random_strongly_connected, st.integers(2, 9), probabilities, st.integers(0, 2**32)
@@ -567,6 +719,8 @@ def reference_find_road(trace, v, s):
 @example(DIGRAPH_A)
 @example(DIGRAPH_B)
 @example(DIGRAPH_C)
+@example(N12_S0)
+@example(N12_S39)
 @settings(max_examples=100, deadline=None)
 def test_mask_road_search_matches_the_list_search(d):
     for x0 in d.vertices():
@@ -578,6 +732,78 @@ def test_mask_road_search_matches_the_list_search(d):
             expected = reference_find_road(trace, v, s)
             if expected is None:
                 assert road is None
-            else:
-                labels = tuple(trace.label_of(w, s - j) for j, w in enumerate(expected))
-                assert (road.path, road.labels) == (expected, labels)
+                continue
+            labels = tuple(reference_label(trace, w, s - j) for j, w in enumerate(expected))
+            assert (road.path, road.labels) == (expected, labels)
+            report = check_unique_short_chord(trace, road)
+            assert (report.skip_positions, report.inner_positions, report.violations) == (
+                reference_unique_chord(trace, road)
+            )
+
+
+def simple_paths(d, v, length):
+    """Every simple path of `length` arcs from v, over sorted out-lists."""
+    adj = out_lists(d)
+    path = [v]
+
+    def extend():
+        if len(path) == length + 1:
+            yield tuple(path)
+            return
+        for w in adj[path[-1]]:
+            if w not in path:
+                path.append(w)
+                yield from extend()
+                path.pop()
+
+    return extend()
+
+
+def assert_validation_matches_the_reference(trace):
+    for s in range(3 * trace.p + 1):
+        for v in trace.set_at(s):
+            for path in simple_paths(trace.digraph, v, s):
+                report = validate_road(trace, path)
+                assert [(c.ok, c.detail) for c in report.conditions] == (
+                    reference_road_conditions(trace, path)
+                )
+
+
+@given(
+    st.builds(
+        random_strongly_connected,
+        st.integers(9, 12),
+        st.sampled_from([0.08, 0.12, 0.16]),
+        st.integers(0, 2**32),
+    )
+)
+@example(N12_S0)
+@example(N12_S39)
+@example(random_strongly_connected(12, 0.15, 1560055))  # x0 = 0: p = 3
+@settings(max_examples=40, deadline=None)
+def test_road_conditions_match_the_reference_on_every_simple_path(d):
+    for x0 in d.vertices():
+        try:
+            trace = start_substitution(d, x0)
+        except (NoBaseKernelError, SubkernelMissingError):
+            continue
+        if trace.p >= 2:
+            assert_validation_matches_the_reference(trace)
+
+
+def test_road_conditions_read_the_last_pair_of_a_length_3i_plus_2_path():
+    # t_5 = 7 is in N'_5 and t_4 = 11 is not in N_4; no set N_5 holds a far
+    # end, so the path is not among those the test above walks
+    t = start_substitution(random_strongly_connected(12, 0.15, 1560055), 0)
+    path = (7, 11, 5, 6, 4, 0)
+    report = validate_road(t, path)
+    assert report.conditions[1] == ConditionResult(False, "biconditional fails at positions [4]")
+    assert [(c.ok, c.detail) for c in report.conditions] == reference_road_conditions(t, path)
+
+
+def test_road_conditions_match_the_reference_on_a_hand_built_trace():
+    t = skip_arc_trace()
+    assert_validation_matches_the_reference(t)
+    for path in [(), (7,), (0,), (99,), (-1,), (7, 6, 7), (7, 5), (7, 6, 5, 4, 2, 1, 0)]:
+        report = validate_road(t, path)
+        assert [(c.ok, c.detail) for c in report.conditions] == reference_road_conditions(t, path)
