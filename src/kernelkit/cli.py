@@ -178,7 +178,8 @@ def _trace_document(outcome) -> dict:
         if road is None:
             roads.append({"s": s, "v": v, "path": None, "labels": None})
             continue
-        roads.append({"s": s, "v": v, "path": list(road.path), "labels": list(road.labels)})
+        labels = [trace.label_of(w, s - j) for j, w in enumerate(road.path)]
+        roads.append({"s": s, "v": v, "path": list(road.path), "labels": labels})
         if not check_unique_short_chord(trace, road).passed:
             road_checks["unique_chord"] = False
         if not check_additive_inverse_property(trace, road).passed:

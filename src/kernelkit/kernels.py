@@ -15,11 +15,13 @@ keeps exactly D's arcs among S, so I is a kernel of D[S] exactly when I is
 independent in D and I <= S <= I | N-(I): the induced subdigraphs with a
 kernel are a union of intervals, one per independent set, which the walk
 marks in a table of 2**n flags.  This holds only at radius 1: distances in
-D[S] depend on S, so 3-kernel-perfection has no such intervals, and its
-scans decide each D[S] by the weak component of S's largest vertex, one
-`_ball` on the undirected masks, searching each distinct component once per
-scan; nothing is kept between scans.  All three scans take their
-counterexample from one walk over D's subsets in lexicographic order.
+D[S] depend on S, so 3-kernel-perfection has no such intervals.  D[S] has a
+kernel exactly when each of its weak components does, so the 3-kernel scans
+decide their verdict by one search per weakly connected vertex set of D,
+each enumerated once (Wernicke's ESU) on the undirected masks; nothing is
+kept between scans.  The verdict never needs D's other subsets: a walk over
+them in lexicographic order, shared by all three scans, only names the
+counterexample of a failing scan.
 """
 
 from __future__ import annotations
@@ -147,14 +149,12 @@ def _kernel_search(
         _check_search_bound(d.vertex_count)
         vs, whole = d.vertices(), (1 << d.vertex_count) - 1
     else:
-        vs = as_vertex_set(within)
-        if vs and (vs[0] < 0 or vs[-1] >= d.vertex_count):
-            for v in vs:
-                d.check_vertex(v)
-        _check_search_bound(len(vs))
-        whole = 0
+        vs, n, whole = tuple(within), d.vertex_count, 0  # `within` may be an iterator
         for v in vs:
+            if not 0 <= v < n:  # name the least out-of-range vertex
+                d.check_vertex(min(u for u in vs if not 0 <= u < n))
             whole |= 1 << v
+        _check_search_bound(whole.bit_count())
     conflict, absorbed_by = _kernel_balls(d, vs, whole, query)
     examined = 0
     found: list[VertexSet] = []
@@ -232,34 +232,69 @@ def _first_failing_subset(
     return (False, tuple(prefix)) if walk(0, 0) else (True, None)
 
 
+def _every_connected_set(linked: list[int], ok: Callable[[int], bool]) -> bool:
+    """Whether ok(C) holds for every nonempty vertex set C that is connected
+    along the undirected masks `linked`; each C is asked once, and the walk
+    stops at the first no.  The sets whose least vertex is v grow from v by
+    the neighbours above v that are not yet adjacent to the set (Wernicke's
+    ESU), so no set is reached twice and no disconnected set is visited."""
+
+    def grow(subset: int, extension: int, reached: int) -> bool:
+        """Ask `subset`, then each extension of it by one vertex of
+        `extension`, lowest first; `reached` holds the subset, its
+        neighbours and every vertex up to the least one."""
+        if not ok(subset):
+            return False
+        while extension:
+            low = extension & -extension
+            extension ^= low
+            fresh = linked[low.bit_length() - 1] & ~reached
+            if not grow(subset | low, extension | fresh, reached | fresh):
+                return False
+        return True
+
+    for v, neighbours in enumerate(linked):
+        below = (2 << v) - 1  # v and the vertices below it
+        if not grow(1 << v, neighbours & ~below, neighbours | below):
+            return False
+    return True
+
+
 def _perfection_scan(
     d: Digraph, query: KernelQuery, proper_only: bool
 ) -> tuple[bool, VertexSet | None]:
     """(False, the first nonempty subset S in lexicographic order whose D[S]
-    has no (k,l)-kernel), or (True, None).  Deciding S by the weak components
-    of D[S] is exact: members of different components are unreachable from
-    each other, so they are k-independent and never absorb each other.  Only
-    the component holding S's largest vertex v is undecided: the others are
-    those of S without v, a subset visited earlier that passed.  That
-    component is one `_ball` from v inside S on the undirected masks.
-    `has_kernel` holds each component's verdict for this scan only."""
+    has no (k,l)-kernel), or (True, None).
+
+    D[S] has a kernel exactly when each weak component of D[S] has one:
+    members of different components are unreachable from each other, so
+    they are k-independent and never absorb each other.  Every weakly
+    connected C is the component of D[C] that holds max C, so the verdict is
+    decided by searching each weakly connected vertex set once, in
+    `_every_connected_set`'s order.  Only a failing scan walks D's subsets in
+    lexicographic order, to name its counterexample: it decides S by the
+    component of S's largest vertex v (the others are those of S without v,
+    a subset visited earlier that passed), one `_ball` from v inside S on the
+    undirected masks.  `has_kernel` holds each component's verdict for this
+    scan only, so the walk repeats none of the searches already made."""
     n = d.vertex_count
     _check_perfection_bound(n)
     linked = [out | in_ for out, in_ in zip(d.out_masks, d.in_masks)]
     whole = (1 << n) - 1
     has_kernel: dict[int, bool] = {}
 
-    def ok(subset: int, v: int) -> bool:
-        if proper_only and subset == whole:
-            return True
-        component = _ball(linked, v, subset, n)
+    def decide(component: int) -> bool:
         found = has_kernel.get(component)
         if found is None:
             within = _members(component)
             found = has_kernel[component] = find_kl_kernel(d, query, within=within).found
         return found
 
-    return _first_failing_subset(n, ok)
+    if _every_connected_set(linked, lambda c: proper_only and c == whole or decide(c)):
+        return True, None
+    return _first_failing_subset(
+        n, lambda subset, v: proper_only and subset == whole or decide(_ball(linked, v, subset, n))
+    )
 
 
 def is_kernel_perfect(d: Digraph) -> tuple[bool, VertexSet | None]:

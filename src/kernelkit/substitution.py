@@ -9,7 +9,8 @@ the least vertex of u's out-mask and v's in-mask, and hop counts from x0
 come from one `digraph._hops` walk per trace.  The trace keeps its labels
 as masks too, one (N_i, N'_i) pair per index i = 0..3p+2, and the road
 layer (`find_road`, `validate_road`, `label_of`, `check_unique_short_chord`)
-tests label bits of those masks and arc bits of the out-masks.
+tests label bits of those masks and arc bits of the out-masks.  A road is
+its path only; `label_of` gives a position's display label on request.
 
 A road search extends a path by the out-mask bits off the path, lowest
 first, and drops each candidate as soon as the positions a road condition
@@ -231,10 +232,9 @@ def assemble_pre_3_kernel(trace: SubstitutionTrace) -> VertexSet:
 
 @dataclass(frozen=True)
 class Road:
-    """A (v, x0)-path (stored far-end first) with per-position set labels."""
+    """A (v, x0)-path, stored far-end first."""
 
     path: tuple[int, ...]  # (t_s, ..., t_0)
-    labels: tuple[str, ...]  # aligned with path: labels[j] labels path[j]
 
     @property
     def length(self) -> int:
@@ -365,7 +365,7 @@ def find_road(trace: SubstitutionTrace, v: int, s: int) -> Road:
     found = descend(s, 1 << v)
     if found is None:
         raise NoRoadFoundError(f"no road of length {s} from {v} to {trace.x0}")
-    return Road(found, tuple(trace.label_of(w, s - j) for j, w in enumerate(found)))
+    return Road(found)
 
 
 def roads_of(trace: SubstitutionTrace) -> Iterator[tuple[int, int, Road | None]]:

@@ -43,8 +43,8 @@ from kernelkit.generators import (
     random_digraph,
     random_strongly_connected,
 )
-from kernelkit.digraph import _ball
-from kernelkit.kernels import _first_failing_subset
+from kernelkit.digraph import _ball, _members
+from kernelkit.kernels import _every_connected_set, _first_failing_subset
 
 
 def all_subsets(n):
@@ -163,6 +163,17 @@ def test_within_names_its_smallest_out_of_range_vertex(within, message):
     with pytest.raises(VertexOutOfRangeError) as raised:
         find_kl_kernel(directed_cycle(5), KERNEL, within=within)
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("query", [KERNEL, THREE_KERNEL])
+def test_within_reads_any_iterable_once_in_any_order(query):
+    d = random_digraph(9, 0.3, 4)
+    expected = find_kl_kernel(d, query, within=(1, 2, 4, 6, 7))
+    for within in ((v for v in (7, 2, 4, 1, 6)), [1, 2, 2, 4, 6, 7, 1], [6, 4, 7, 1, 2]):
+        assert find_kl_kernel(d, query, within=within) == expected
+    with pytest.raises(VertexOutOfRangeError) as raised:
+        find_kl_kernel(directed_cycle(5), query, within=(v for v in (9, 1, 7)))
+    assert str(raised.value) == "vertex 7 not in 0..4"
 
 
 def test_c4_has_no_three_kernel():
@@ -443,6 +454,51 @@ def test_passing_scan_searches_each_weakly_connected_subset_once(d, searched):
     assert is_3_kernel_perfect(d) == (True, None)
     assert len(set(searched)) == len(searched)
     assert sorted(searched) == sorted(weakly_connected_subsets(d))
+
+
+def undirected_masks(d):
+    return [out | in_ for out, in_ in zip(d.out_masks, d.in_masks)]
+
+
+@given(digraphs_up_to(6))
+@example(build_digraph(1, []))
+@example(directed_cycle(6))
+@settings(max_examples=150, deadline=None)
+def test_connected_set_walk_asks_each_weakly_connected_set_once(d):
+    asked = []
+    assert _every_connected_set(undirected_masks(d), lambda mask: asked.append(mask) or True)
+    assert sorted(asked) == sorted(sum(1 << v for v in s) for s in weakly_connected_subsets(d))
+    for stop in range(len(asked)):
+        seen = []
+        assert not _every_connected_set(
+            undirected_masks(d), lambda mask: seen.append(mask) or len(seen) <= stop
+        )
+        assert seen == asked[: stop + 1]
+
+
+# Two disjoint directed C4s, on {0, 5, 6, 7} and {1, 2, 3, 4}: the connected-set
+# walk meets {0, 5, 6, 7} first, but the lexicographically first failing subset
+# is {0, 1, 2, 3, 4}, whose failing component is {1, 2, 3, 4}.
+TWO_C4S = build_digraph(8, [(0, 5), (5, 6), (6, 7), (7, 0), (1, 2), (2, 3), (3, 4), (4, 1)])
+
+
+@pytest.mark.parametrize("proper_only", [False, True])
+def test_failing_scan_names_the_first_failing_subset_not_the_first_failing_set(proper_only):
+    d = TWO_C4S
+    expected = scan_reference(d, THREE_KERNEL, proper_only)
+    assert expected == (False, (0, 1, 2, 3, 4))
+    assert kernels._perfection_scan(d, THREE_KERNEL, proper_only) == expected
+    failing = []
+
+    def has_kernel(mask):
+        if find_kl_kernel(d, THREE_KERNEL, within=_members(mask)).found:
+            return True
+        failing.append(mask)
+        return False
+
+    assert not _every_connected_set(undirected_masks(d), has_kernel)
+    component = _ball(undirected_masks(d), 4, 0b11111, 8)
+    assert failing == [0b11100001] and component == 0b11110
 
 
 @given(digraphs_up_to(6))
