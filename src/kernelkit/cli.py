@@ -17,7 +17,6 @@ from .cycles import (
     CycleHypothesisVariant,
     check_circuit_hypothesis,
     check_cycle_hypothesis,
-    enumerate_cycles,
     every_cycle_has_symmetric_arc,
 )
 from .digraph import Digraph, directed_cycle
@@ -93,14 +92,14 @@ def _cmd_analyze(args) -> int:
     if args.max_circuit_len is not None and args.max_circuit_len < 2:
         raise ValueError("--max-circuit-len must be >= 2")
     d = _load(args.file)
-    # a cycle search past the budget leaves every section below undecided: exit 3
-    cycles = list(enumerate_cycles(d, budget=args.budget))
+    # examines every simple cycle; past the budget no section below is decided: exit 3
+    duchet = every_cycle_has_symmetric_arc(d, budget=args.budget)
     payload = {
         "n": d.vertex_count,
         "m": len(d.arcs),
         "strongly_connected": d.is_strongly_connected(),
-        "cycles": len(cycles),
-        "duchet": _hypothesis_summary(every_cycle_has_symmetric_arc(d, budget=args.budget)),
+        "cycles": duchet.cycles_examined,
+        "duchet": _hypothesis_summary(duchet),
         "cycle_hypothesis_two_consecutive": _hypothesis_summary(
             check_cycle_hypothesis(
                 d, CycleHypothesisVariant.TWO_CONSECUTIVE, args.min_cycle_len,

@@ -9,8 +9,9 @@ Two breadth-first walks on masks serve the package: `_ball` gives the
 vertices within a radius, which the kernel engine, closures, strong
 connectivity and the substitution method read, and `_hops` gives hop counts
 from one source, which build the distance matrix behind `distance`, the
-neighbourhood operators and the list predicates.  `_members` lists a
-mask's vertices for the callers that need them as a vertex set.
+neighbourhood operators and the list predicates.  `_mask` builds a mask
+from vertices, and `_members`, its inverse, lists a mask's vertices for the
+callers that need them as a vertex set.
 """
 
 from __future__ import annotations
@@ -157,6 +158,14 @@ def _ball(adj: Sequence[int], v: int, within: int, radius: int) -> int:
         frontier = step & within & ~ball
         ball |= frontier
     return ball
+
+
+def _mask(vs: Iterable[int]) -> int:
+    """The mask with the bits of `vs` set; the inverse of `_members`."""
+    out = 0
+    for v in vs:
+        out |= 1 << v
+    return out
 
 
 def _members(mask: int) -> VertexSet:

@@ -16,12 +16,12 @@ independent in D and I <= S <= I | N-(I): the induced subdigraphs with a
 kernel are a union of intervals, one per independent set, which the walk
 marks in a table of 2**n flags.  This holds only at radius 1: distances in
 D[S] depend on S, so 3-kernel-perfection has no such intervals.  D[S] has a
-kernel exactly when each of its weak components does, so the 3-kernel scans
-decide their verdict by one search per weakly connected vertex set of D,
-each enumerated once (Wernicke's ESU) on the undirected masks; nothing is
-kept between scans.  The verdict never needs D's other subsets: a walk over
-them in lexicographic order, shared by all three scans, only names the
-counterexample of a failing scan.
+kernel exactly when each of its weak components does, so one walk over the
+weakly connected vertex sets of D, each enumerated once (Wernicke's ESU) on
+the undirected masks, decides and names for all three scans: the 3-kernel
+scans search each set once, kernel-perfection reads its marks, and the
+first set without a kernel is the counterexample.  Nothing is kept between
+scans.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .digraph import Digraph, VertexSet, _ball, _members, as_vertex_set
+from .digraph import Digraph, VertexSet, _ball, _mask, _members, as_vertex_set
 from .errors import SizeBoundError
 
 SUBSET_SEARCH_BOUND = 24
@@ -121,7 +121,7 @@ def _kernel_balls(
 def is_kernel_within(d: Digraph, members: VertexSet, within: int, query: KernelQuery) -> bool:
     """Whether `members`, vertices of the mask `within`, form a (k,l)-kernel
     of D[within]; the same verdict as `is_kl_kernel` on D[within] relabelled."""
-    chosen = sum(1 << v for v in members)
+    chosen = _mask(members)
     conflict, absorbed_by = _kernel_balls(d, members, within, query)
     absorbed = 0
     for v in members:
@@ -211,104 +211,80 @@ def _check_perfection_bound(n: int) -> None:
         raise SizeBoundError(f"{n} vertices exceeds perfection bound {PERFECTION_BOUND}")
 
 
-def _first_failing_subset(
-    n: int, ok: Callable[[int, int], bool]
-) -> tuple[bool, VertexSet | None]:
-    """(False, the first nonempty subset S of 0..n-1 in lexicographic order
-    with not ok(S as a mask, max S)), or (True, None).  Each S is asked
-    before the subsets that extend it, and the walk stops at the first no."""
-    prefix: list[int] = []
+def _every_connected_set(linked: list[int], ok: Callable[[int], bool]) -> int | None:
+    """The first nonempty vertex set C, as a mask, that is connected along
+    the undirected masks `linked` and has not ok(C), or None when every such
+    set is ok; each C is asked once, and the walk stops at the first no.
+    The sets whose least vertex is v grow from v by the neighbours above v
+    that are not yet adjacent to the set (Wernicke's ESU), so no set is
+    reached twice and no disconnected set is visited.  The order: sets by
+    least vertex, ascending; each set before its extensions; extensions
+    lowest vertex first."""
 
-    def walk(start: int, subset: int) -> bool:
-        """Extend `prefix` in lexicographic order until `ok` says no."""
-        for v in range(start, n):
-            grown = subset | 1 << v
-            prefix.append(v)
-            if not ok(grown, v) or walk(v + 1, grown):
-                return True
-            prefix.pop()
-        return False
-
-    return (False, tuple(prefix)) if walk(0, 0) else (True, None)
-
-
-def _every_connected_set(linked: list[int], ok: Callable[[int], bool]) -> bool:
-    """Whether ok(C) holds for every nonempty vertex set C that is connected
-    along the undirected masks `linked`; each C is asked once, and the walk
-    stops at the first no.  The sets whose least vertex is v grow from v by
-    the neighbours above v that are not yet adjacent to the set (Wernicke's
-    ESU), so no set is reached twice and no disconnected set is visited."""
-
-    def grow(subset: int, extension: int, reached: int) -> bool:
+    def grow(subset: int, extension: int, reached: int) -> int | None:
         """Ask `subset`, then each extension of it by one vertex of
         `extension`, lowest first; `reached` holds the subset, its
         neighbours and every vertex up to the least one."""
         if not ok(subset):
-            return False
+            return subset
         while extension:
             low = extension & -extension
             extension ^= low
             fresh = linked[low.bit_length() - 1] & ~reached
-            if not grow(subset | low, extension | fresh, reached | fresh):
-                return False
-        return True
+            failing = grow(subset | low, extension | fresh, reached | fresh)
+            if failing is not None:
+                return failing
+        return None
 
     for v, neighbours in enumerate(linked):
         below = (2 << v) - 1  # v and the vertices below it
-        if not grow(1 << v, neighbours & ~below, neighbours | below):
-            return False
-    return True
+        failing = grow(1 << v, neighbours & ~below, neighbours | below)
+        if failing is not None:
+            return failing
+    return None
+
+
+def _first_failing_set(d: Digraph, ok: Callable[[int], bool]) -> tuple[bool, VertexSet | None]:
+    """(False, the first weakly connected vertex set C of D in
+    `_every_connected_set`'s order with not ok(C as a mask)), or (True, None)."""
+    linked = [out | in_ for out, in_ in zip(d.out_masks, d.in_masks)]
+    failing = _every_connected_set(linked, ok)
+    return (True, None) if failing is None else (False, _members(failing))
 
 
 def _perfection_scan(
     d: Digraph, query: KernelQuery, proper_only: bool
 ) -> tuple[bool, VertexSet | None]:
-    """(False, the first nonempty subset S in lexicographic order whose D[S]
-    has no (k,l)-kernel), or (True, None).
+    """(False, the first weakly connected vertex set C, in
+    `_every_connected_set`'s order, whose D[C] has no (k,l)-kernel), or
+    (True, None); with `proper_only`, C is never the whole vertex set.
 
     D[S] has a kernel exactly when each weak component of D[S] has one:
     members of different components are unreachable from each other, so
-    they are k-independent and never absorb each other.  Every weakly
-    connected C is the component of D[C] that holds max C, so the verdict is
-    decided by searching each weakly connected vertex set once, in
-    `_every_connected_set`'s order.  Only a failing scan walks D's subsets in
-    lexicographic order, to name its counterexample: it decides S by the
-    component of S's largest vertex v (the others are those of S without v,
-    a subset visited earlier that passed), one `_ball` from v inside S on the
-    undirected masks.  `has_kernel` holds each component's verdict for this
-    scan only, so the walk repeats none of the searches already made."""
-    n = d.vertex_count
-    _check_perfection_bound(n)
-    linked = [out | in_ for out, in_ in zip(d.out_masks, d.in_masks)]
-    whole = (1 << n) - 1
-    has_kernel: dict[int, bool] = {}
-
-    def decide(component: int) -> bool:
-        found = has_kernel.get(component)
-        if found is None:
-            within = _members(component)
-            found = has_kernel[component] = find_kl_kernel(d, query, within=within).found
-        return found
-
-    if _every_connected_set(linked, lambda c: proper_only and c == whole or decide(c)):
-        return True, None
-    return _first_failing_subset(
-        n, lambda subset, v: proper_only and subset == whole or decide(_ball(linked, v, subset, n))
+    they are k-independent and never absorb each other.  So one search per
+    weakly connected vertex set decides the verdict, and the first set
+    without a kernel is a counterexample that is its own weak component."""
+    _check_perfection_bound(d.vertex_count)
+    whole = (1 << d.vertex_count) - 1
+    return _first_failing_set(
+        d,
+        lambda c: proper_only and c == whole
+        or find_kl_kernel(d, query, within=_members(c)).found,
     )
 
 
 def is_kernel_perfect(d: Digraph) -> tuple[bool, VertexSet | None]:
     """Every nonempty induced subdigraph has a classic kernel: (True, None),
-    or (False, the first nonempty subset S in lexicographic order whose D[S]
-    has none), the verdict of `_perfection_scan(d, KERNEL, False)`.
+    or (False, the first weakly connected vertex set C whose D[C] has none),
+    the answer of `_perfection_scan(d, KERNEL, False)`.
 
     I is a kernel of D[S] exactly when I is independent in D and
     I <= S <= I | N-(I).  The kernel engine's free-candidate recursion, on
     its conflict and absorbed-by balls, walks every independent set I and
-    marks that interval; the counterexample is the first unmarked subset in
-    the scans' order.  The interval walk has no early exit.  At radius 2
-    distances in D[S] depend on S, so the 3-kernel scans have no such
-    intervals."""
+    marks that interval.  The interval walk has no early exit; a digraph with
+    an unmarked subset is named by the scans' connected-set walk, which
+    reads the marks.  At radius 2 distances in D[S] depend on S, so the
+    3-kernel scans have no such intervals."""
     n = d.vertex_count
     _check_perfection_bound(n)
     whole = (1 << n) - 1
@@ -333,7 +309,7 @@ def is_kernel_perfect(d: Digraph) -> tuple[bool, VertexSet | None]:
     walk(0, whole, 0)
     if 0 not in has_kernel:
         return True, None
-    return _first_failing_subset(n, lambda subset, _: has_kernel[subset])
+    return _first_failing_set(d, has_kernel.__getitem__)
 
 
 def is_quasi_3_kernel_perfect(d: Digraph) -> tuple[bool, VertexSet | None]:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .digraph import Digraph, VertexSet, _hops, _members, as_vertex_set
+from .digraph import Digraph, VertexSet, _hops, _mask, _members, as_vertex_set
 from .errors import (
     NoBaseKernelError,
     NoRoadFoundError,
@@ -119,13 +119,6 @@ class SubstitutionTrace:
         if primed_i >> v & 1:
             return f"N'{i}"
         return "-"
-
-
-def _mask(vs: VertexSet) -> int:
-    out = 0
-    for v in vs:
-        out |= 1 << v
-    return out
 
 
 def _union(masks: tuple[int, ...], vs: VertexSet) -> int:
@@ -275,7 +268,9 @@ def _allowed_skips(trace: SubstitutionTrace, s: int) -> list[int]:
     return allowed
 
 
-def _road_conditions(trace: SubstitutionTrace, path: tuple[int, ...]) -> RoadValidation:
+def validate_road(trace: SubstitutionTrace, path: tuple[int, ...]) -> RoadValidation:
+    """Evaluate the four road conditions independently; reports, never raises."""
+    path = tuple(path)
     d = trace.digraph
     n, out_masks = d.vertex_count, d.out_masks
     s = len(path) - 1
@@ -318,11 +313,6 @@ def _road_conditions(trace: SubstitutionTrace, path: tuple[int, ...]) -> RoadVal
     c12 = ConditionResult(not bad12, f"skip-arc label fails at positions {bad12}" if bad12 else "")
 
     return RoadValidation((c9, c10, c11, c12))
-
-
-def validate_road(trace: SubstitutionTrace, path: tuple[int, ...]) -> RoadValidation:
-    """Evaluate the four road conditions independently; reports, never raises."""
-    return _road_conditions(trace, tuple(path))
 
 
 def find_road(trace: SubstitutionTrace, v: int, s: int) -> Road:

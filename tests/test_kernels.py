@@ -5,9 +5,10 @@ The solver's lex-least claim is checked against a dumb itertools oracle, its
 back), `kl_kernels` against `is_kl_kernel` on every subset, the perfection
 scans against a brute-force scan over every subset of every induced
 subdigraph, and the closure distance law against networkx shortest paths.
-The 3-kernel scans decide each subset S by the weak component of its largest
-vertex, a `_ball` on the undirected masks, which is checked against networkx;
-the subset walk behind all three scans is checked against `subsets_lex`.
+All three scans decide and name from one walk over the weakly connected
+vertex sets, which is checked against networkx; a failing scan's
+counterexample must be weakly connected, have no kernel by brute force, and
+be the first brute-force failure in the walk's order.
 """
 
 import math
@@ -44,7 +45,7 @@ from kernelkit.generators import (
     random_strongly_connected,
 )
 from kernelkit.digraph import _ball, _members
-from kernelkit.kernels import _every_connected_set, _first_failing_subset
+from kernelkit.kernels import _every_connected_set
 
 
 def all_subsets(n):
@@ -314,6 +315,12 @@ def test_quasi_perfect_digraph_is_perfect_iff_it_has_a_three_kernel(d):
         assert is_3_kernel_perfect(d) == (False, tuple(d.vertices()))
 
 
+def has_kernel_by_brute_force(d, subset, query):
+    """Whether D[subset] has a (k,l)-kernel, by `is_kl_kernel` on every subset."""
+    sub, _ = d.induced(subset)
+    return any(is_kl_kernel(sub, s, query) for s in all_subsets(len(subset)))
+
+
 def scan_reference(d, query, proper_only):
     """The first nonempty subset S, in `subsets_lex` order, whose D[S] has no
     (k,l)-kernel, found by testing every subset of D[S] with `is_kl_kernel`."""
@@ -321,8 +328,7 @@ def scan_reference(d, query, proper_only):
     for subset in subsets_lex(n):
         if not subset or (proper_only and len(subset) == n):
             continue
-        sub, _ = d.induced(subset)
-        if not any(is_kl_kernel(sub, s, query) for s in all_subsets(len(subset))):
+        if not has_kernel_by_brute_force(d, subset, query):
             return False, subset
     return True, None
 
@@ -331,10 +337,31 @@ ISOLATED_AND_TRIANGLE = build_digraph(4, [(1, 2), (2, 3), (3, 1)])
 PATH_AND_TRIANGLE = build_digraph(5, [(0, 1), (2, 3), (3, 4), (4, 2)])
 
 
+def assert_scan_matches_brute_force(d, scan, query, proper_only):
+    """The scan's verdict is `scan_reference`'s; a failing scan names a
+    weakly connected C without a kernel, the first brute-force failure in the
+    connected-set walk's order."""
+    n = d.vertex_count
+    ok, counterexample = scan(d)
+    assert ok == scan_reference(d, query, proper_only)[0]
+    if ok:
+        assert counterexample is None
+        return
+    assert is_weakly_connected(d, counterexample)
+    assert not has_kernel_by_brute_force(d, counterexample, query)
+    assert not (proper_only and len(counterexample) == n)
+    first = _every_connected_set(
+        undirected_masks(d),
+        lambda mask: proper_only and mask == (1 << n) - 1
+        or has_kernel_by_brute_force(d, _members(mask), query),
+    )
+    assert counterexample == _members(first)
+
+
 def assert_scans_match_brute_force(d):
-    assert is_kernel_perfect(d) == scan_reference(d, KERNEL, proper_only=False)
-    assert is_quasi_3_kernel_perfect(d) == scan_reference(d, THREE_KERNEL, proper_only=True)
-    assert is_3_kernel_perfect(d) == scan_reference(d, THREE_KERNEL, proper_only=False)
+    assert_scan_matches_brute_force(d, is_kernel_perfect, KERNEL, False)
+    assert_scan_matches_brute_force(d, is_quasi_3_kernel_perfect, THREE_KERNEL, True)
+    assert_scan_matches_brute_force(d, is_3_kernel_perfect, THREE_KERNEL, False)
 
 
 @given(digraphs_up_to(6))
@@ -369,23 +396,32 @@ def searched(monkeypatch):
 
 @pytest.mark.parametrize(
     "d, counterexample",
-    [(ISOLATED_AND_TRIANGLE, (0, 1, 2, 3)), (PATH_AND_TRIANGLE, (0, 1, 2, 3, 4))],
+    [(ISOLATED_AND_TRIANGLE, (1, 2, 3)), (PATH_AND_TRIANGLE, (2, 3, 4))],
 )
-def test_first_failing_subset_may_be_disconnected(d, counterexample):
+def test_kernel_perfection_names_the_failing_component(d, counterexample):
     assert is_kernel_perfect(d) == (False, counterexample)
 
 
-def weakly_connected_subsets(d):
-    """Every nonempty S whose D[S] is weakly connected, per networkx."""
+def undirected_masks(d):
+    return [out | in_ for out, in_ in zip(d.out_masks, d.in_masks)]
+
+
+def is_weakly_connected(d, subset):
+    """Whether D[subset] is weakly connected, per networkx."""
     g = nx.DiGraph(d.arcs)
     g.add_nodes_from(d.vertices())
-    return [s for s in subsets_lex(d.vertex_count) if s and nx.is_weakly_connected(g.subgraph(s))]
+    return nx.is_weakly_connected(g.subgraph(subset))
+
+
+def weakly_connected_subsets(d):
+    """Every nonempty S whose D[S] is weakly connected."""
+    return [s for s in subsets_lex(d.vertex_count) if s and is_weakly_connected(d, s)]
 
 
 def test_last_3_kernel_search_is_the_failing_component(searched):
     # an isolated vertex and the directed C4, which has no 3-kernel
     d = build_digraph(5, [(1, 2), (2, 3), (3, 4), (4, 1)])
-    assert is_3_kernel_perfect(d) == (False, (0, 1, 2, 3, 4))
+    assert is_3_kernel_perfect(d) == (False, (1, 2, 3, 4))
     assert searched[-1] == (1, 2, 3, 4)
     assert len(set(searched)) == len(searched)
     assert set(searched) <= set(weakly_connected_subsets(d))
@@ -424,7 +460,7 @@ def test_interval_walk_matches_the_component_scan_on_random_digraphs(model, prob
 @example(build_digraph(3, sym([(0, 1), (1, 2), (0, 2)])))
 @settings(max_examples=150, deadline=None)
 def test_interval_walk_matches_brute_force(d):
-    assert is_kernel_perfect(d) == scan_reference(d, KERNEL, proper_only=False)
+    assert_scan_matches_brute_force(d, is_kernel_perfect, KERNEL, False)
 
 
 @pytest.mark.parametrize(
@@ -444,7 +480,7 @@ def test_interval_walk_matches_the_component_scan_at_the_size_bound(d):
     assert is_kernel_perfect(d) == kernels._perfection_scan(d, KERNEL, False)
 
 
-# the last two fail kernel-perfection on a disconnected subset (see above)
+# the last two fail kernel-perfection, on their triangle (see above)
 @pytest.mark.parametrize(
     "d",
     [build_digraph(4, [(0, 1), (2, 3)]), directed_cycle(6), ISOLATED_AND_TRIANGLE,
@@ -456,49 +492,40 @@ def test_passing_scan_searches_each_weakly_connected_subset_once(d, searched):
     assert sorted(searched) == sorted(weakly_connected_subsets(d))
 
 
-def undirected_masks(d):
-    return [out | in_ for out, in_ in zip(d.out_masks, d.in_masks)]
-
-
 @given(digraphs_up_to(6))
 @example(build_digraph(1, []))
 @example(directed_cycle(6))
 @settings(max_examples=150, deadline=None)
 def test_connected_set_walk_asks_each_weakly_connected_set_once(d):
     asked = []
-    assert _every_connected_set(undirected_masks(d), lambda mask: asked.append(mask) or True)
+    assert _every_connected_set(undirected_masks(d), lambda mask: asked.append(mask) or True) is None
     assert sorted(asked) == sorted(sum(1 << v for v in s) for s in weakly_connected_subsets(d))
+    # sets by least vertex, ascending; each set after the set it extends by one vertex
+    least = [mask & -mask for mask in asked]
+    assert least == sorted(least)
+    for i, mask in enumerate(asked):
+        above_least = _members(mask & (mask - 1))
+        if above_least:
+            assert {mask ^ 1 << v for v in above_least} & set(asked[:i])
     for stop in range(len(asked)):
         seen = []
-        assert not _every_connected_set(
+        failing = _every_connected_set(
             undirected_masks(d), lambda mask: seen.append(mask) or len(seen) <= stop
         )
-        assert seen == asked[: stop + 1]
+        assert seen == asked[: stop + 1] and failing == asked[stop]
 
 
-# Two disjoint directed C4s, on {0, 5, 6, 7} and {1, 2, 3, 4}: the connected-set
-# walk meets {0, 5, 6, 7} first, but the lexicographically first failing subset
-# is {0, 1, 2, 3, 4}, whose failing component is {1, 2, 3, 4}.
+# Two disjoint directed C4s, on {0, 5, 6, 7} and {1, 2, 3, 4}: the
+# lexicographically first subset without a 3-kernel is {0, 1, 2, 3, 4}, but
+# the connected-set walk meets {0, 5, 6, 7} first, and a failing scan names it.
 TWO_C4S = build_digraph(8, [(0, 5), (5, 6), (6, 7), (7, 0), (1, 2), (2, 3), (3, 4), (4, 1)])
 
 
 @pytest.mark.parametrize("proper_only", [False, True])
-def test_failing_scan_names_the_first_failing_subset_not_the_first_failing_set(proper_only):
+def test_failing_scan_names_the_first_failing_set_not_the_first_failing_subset(proper_only):
     d = TWO_C4S
-    expected = scan_reference(d, THREE_KERNEL, proper_only)
-    assert expected == (False, (0, 1, 2, 3, 4))
-    assert kernels._perfection_scan(d, THREE_KERNEL, proper_only) == expected
-    failing = []
-
-    def has_kernel(mask):
-        if find_kl_kernel(d, THREE_KERNEL, within=_members(mask)).found:
-            return True
-        failing.append(mask)
-        return False
-
-    assert not _every_connected_set(undirected_masks(d), has_kernel)
-    component = _ball(undirected_masks(d), 4, 0b11111, 8)
-    assert failing == [0b11100001] and component == 0b11110
+    assert scan_reference(d, THREE_KERNEL, proper_only) == (False, (0, 1, 2, 3, 4))
+    assert kernels._perfection_scan(d, THREE_KERNEL, proper_only) == (False, (0, 5, 6, 7))
 
 
 @given(digraphs_up_to(6))
@@ -515,18 +542,6 @@ def test_undirected_ball_of_the_largest_vertex_is_its_weak_component(d):
         component = next(c for c in nx.weakly_connected_components(g.subgraph(subset)) if v in c)
         ball = _ball(linked, v, sum(1 << u for u in subset), n)
         assert ball == sum(1 << u for u in component)
-
-
-@pytest.mark.parametrize("n", range(6))
-def test_subset_walk_asks_each_subset_in_lexicographic_order_and_stops_at_the_first_no(n):
-    subsets = [s for s in subsets_lex(n) if s]
-    asked = []
-    assert _first_failing_subset(n, lambda mask, v: asked.append((mask, v)) or True) == (True, None)
-    assert asked == [(sum(1 << u for u in s), s[-1]) for s in subsets]
-    for stop, subset in enumerate(subsets):
-        asked.clear()
-        verdict = _first_failing_subset(n, lambda mask, v: asked.append(mask) or len(asked) <= stop)
-        assert verdict == (False, subset) and len(asked) == stop + 1
 
 
 def test_perfection_size_bound():

@@ -1,9 +1,12 @@
 """The runtime uses the standard library only: networkx and the other test
-tools stay test-only oracles, never imports of `src/kernelkit`."""
+tools stay test-only oracles, never imports of `src/kernelkit`.  The public
+names are pinned, so adding or removing one is a declared change."""
 
 import ast
 import sys
 from pathlib import Path
+
+import kernelkit
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "kernelkit").glob("*.py"))
 
@@ -40,3 +43,26 @@ def test_an_import_outside_the_standard_library_is_flagged():
         "    import hypothesis\n"
     )
     assert outside_imports(snippet) == ["networkx", "networkx.algorithms", "hypothesis"]
+
+
+# `kernelkit.__all__` is every name its __init__ binds, the submodules among them.
+PUBLIC_NAMES = [
+    "CampaignParams", "ClosedWalk", "CycleHypothesisVariant", "Digraph", "HypothesisReport",
+    "KERNEL", "KernelQuery", "KernelResult", "MethodOutcome", "Road", "SplitMix64",
+    "SubstitutionTrace", "THREE_KERNEL", "VerificationReport", "as_vertex_set",
+    "assemble_pre_3_kernel", "build_digraph", "build_substitution_sequence", "campaigns",
+    "check_additive_inverse_property", "check_circuit_hypothesis", "check_cycle_hypothesis",
+    "check_pre_kernel_properties", "check_unique_short_chord", "cycles", "digraph",
+    "directed_cycle", "enumerate_circuits", "enumerate_cycles", "enumerate_labeled_digraphs",
+    "errors", "every_cycle_has_symmetric_arc", "find_kernel_via_closure", "find_kl_kernel",
+    "find_road", "format_digraph_text", "generators", "is_3_kernel_perfect",
+    "is_k_independent", "is_kernel_perfect", "is_kl_kernel", "is_l_absorbent",
+    "is_quasi_3_kernel_perfect", "k_closure", "kernels", "kl_kernels", "parse_digraph_text",
+    "random_digraph", "random_strongly_connected", "roads_of", "run_campaign",
+    "run_substitution_method", "start_substitution", "substitution", "textio",
+    "validate_road",
+]
+
+
+def test_public_names_match_the_snapshot():
+    assert sorted(kernelkit.__all__) == PUBLIC_NAMES
