@@ -12,13 +12,7 @@ import sys
 from pathlib import Path
 
 from .campaigns import CAMPAIGNS, PARAMETER_READERS, CampaignParams, run_campaign
-from .cycles import (
-    DEFAULT_BUDGET,
-    CycleHypothesisVariant,
-    check_circuit_hypothesis,
-    check_cycle_hypothesis,
-    every_cycle_has_symmetric_arc,
-)
+from .cycles import DEFAULT_BUDGET, _cycle_reports, check_circuit_hypothesis
 from .digraph import Digraph, directed_cycle
 from .errors import (
     BudgetExceededError,
@@ -92,26 +86,16 @@ def _cmd_analyze(args) -> int:
     if args.max_circuit_len is not None and args.max_circuit_len < 2:
         raise ValueError("--max-circuit-len must be >= 2")
     d = _load(args.file)
-    # examines every simple cycle; past the budget no section below is decided: exit 3
-    duchet = every_cycle_has_symmetric_arc(d, budget=args.budget)
+    # one enumeration of every simple cycle; past the budget no section is decided: exit 3
+    duchet, two_consecutive, crossing = _cycle_reports(d, args.min_cycle_len, args.budget)
     payload = {
         "n": d.vertex_count,
         "m": len(d.arcs),
         "strongly_connected": d.is_strongly_connected(),
         "cycles": duchet.cycles_examined,
         "duchet": _hypothesis_summary(duchet),
-        "cycle_hypothesis_two_consecutive": _hypothesis_summary(
-            check_cycle_hypothesis(
-                d, CycleHypothesisVariant.TWO_CONSECUTIVE, args.min_cycle_len,
-                budget=args.budget,
-            )
-        ),
-        "cycle_hypothesis_three_with_crossing": _hypothesis_summary(
-            check_cycle_hypothesis(
-                d, CycleHypothesisVariant.THREE_WITH_CROSSING, args.min_cycle_len,
-                budget=args.budget,
-            )
-        ),
+        "cycle_hypothesis_two_consecutive": _hypothesis_summary(two_consecutive),
+        "cycle_hypothesis_three_with_crossing": _hypothesis_summary(crossing),
     }
     max_len = len(d.arcs) if args.max_circuit_len is None else args.max_circuit_len
     try:

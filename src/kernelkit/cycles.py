@@ -125,9 +125,8 @@ def enumerate_cycles(
             return
 
 
-def _canonical_rotation(seq: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(seq)
-    return min(seq[i:] + seq[:i] for i in range(n))
+def _canonical_rotation(seq: list[int]) -> list[int]:
+    return min(seq[i:] + seq[:i] for i in range(len(seq)))
 
 
 def enumerate_circuits(
@@ -144,6 +143,9 @@ def enumerate_circuits(
     next one starts, so a caller that stops early never pays for the longer
     layers.  The search ends after the first pass in which no trail reaches
     L arcs, since no longer trail can exist then.
+    A pass keeps each circuit when it meets it at its canonical rotation,
+    which starts at the root; roots ascend and trails extend lowest first, so
+    that is the final order.
 
     `budget` bounds the steps (arcs tried) of each pass, not their sum;
     BudgetExceededError is raised from the first pass that exceeds it.  A
@@ -161,7 +163,7 @@ def enumerate_circuits(
     # unused[u]: u's out-arcs not on the trail; each step restores what it takes
     unused = list(d.out_masks)
     for length in range(min_len, max_len + 1):
-        found: set[tuple[int, ...]] = set()
+        found: list[tuple[int, ...]] = []
         steps = 0
         reached = False
 
@@ -180,8 +182,8 @@ def enumerate_circuits(
                     )
                 if last:
                     reached = True
-                    if w == root:
-                        found.add(_canonical_rotation(tuple(trail)))
+                    if w == root and _canonical_rotation(trail) == trail:
+                        found.append(tuple(trail))
                 else:
                     trail.append(w)
                     unused[u] ^= low
@@ -191,7 +193,7 @@ def enumerate_circuits(
 
         for root in d.vertices():
             extend(root, root, [root])
-        for seq in sorted(found):
+        for seq in found:
             yield ClosedWalk(seq)
         if not reached:
             return
@@ -323,3 +325,18 @@ def every_cycle_has_symmetric_arc(
         lambda cyc: _asymmetric_cycle(out_masks, cyc.vertices),
         stop_at_first,
     )
+
+
+def _cycle_reports(d: Digraph, min_cycle_len: int, budget: int) -> list[HypothesisReport]:
+    """Duchet's full report on every simple cycle, then each variant's on those
+    of length >= min_cycle_len, from one `enumerate_cycles` run: a length pass
+    takes the same steps at any min_len, so they are a min_cycle_len run's."""
+    cycles = list(enumerate_cycles(d, budget=budget))
+    if min_cycle_len < 2:  # after the run, so its BudgetExceededError comes first
+        raise ValueError("min_len must be >= 2")
+    longer = [cyc for cyc in cycles if len(cyc) >= min_cycle_len]
+    out_masks = d.out_masks
+    return [_report(cycles, lambda cyc: _asymmetric_cycle(out_masks, cyc.vertices), False)] + [
+        _report(longer, lambda cyc: _cycle_ok(out_masks, cyc.vertices, variant), False)
+        for variant in CycleHypothesisVariant
+    ]

@@ -4,12 +4,15 @@ themselves.
 
 The PRNG is splitmix64 (published constants), so corpora are bit-identical
 across platforms and runs.  A random model draws all of an instance's values
-in one `next_u64s` call.  That call packs the states s + i·γ, i = 1..count,
-into lanes 128 bits apart of one Python int and applies each xor-shift and
-multiply of the mix once to the packed int.  Each lane is masked to its low
-64 bits before it is multiplied, so a 64 × 64-bit product stays inside its
-128-bit lane and no lane carries into the next.  The lanes are decoded in an
-explicit little-endian byte order, never the native one.
+in one `next_u64s` call: `random_digraph` one per ordered pair, and
+`random_strongly_connected` n(n − 1) − 1 for n >= 2, whose backbone shuffle
+reads the first n − 1 lanes and whose extra arcs read the rest.  That call
+packs the states s + i·γ, i = 1..count, into lanes 128 bits apart of one
+Python int and applies each xor-shift and multiply of the mix once to the
+packed int.  Each lane is masked to its low 64 bits before it is multiplied,
+so a 64 × 64-bit product stays inside its 128-bit lane and no lane carries
+into the next.  The lanes are decoded in an explicit little-endian byte order,
+never the native one.
 
 A pair is an arc when its draw z has z / 2**64 < p.  `_threshold(p)` is the
 least z with z / 2**64 >= p, found once per p by bisection, so the integer
@@ -95,9 +98,6 @@ class SplitMix64:
         self._state = (self._state + count * _GAMMA) & _MASK64
         return layout.unpack(z.to_bytes(16 * count, "little"))
 
-    def below(self, bound: int) -> int:
-        return self.next_u64() % bound
-
 
 def derive_trial_seed(seed: int, trial: int) -> int:
     """Per-trial seed: one splitmix64 step of seed XOR trial index."""
@@ -122,18 +122,16 @@ def random_strongly_connected(n: int, extra_arc_prob: float, seed: int) -> Digra
         raise ValueError("n must be >= 1")
     if not 0 <= extra_arc_prob <= 1:
         raise ValueError("extra_arc_prob must be in [0, 1]")
-    rng = SplitMix64(seed)
+    pairs = _arc_pairs(n)
+    draws = SplitMix64(seed).next_u64s(max(len(pairs) - 1, 0))
     perm = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = rng.below(i + 1)
+    for i, z in zip(range(n - 1, 0, -1), draws):
+        j = z % (i + 1)
         perm[i], perm[j] = perm[j], perm[i]
-    backbone = set()
-    if n >= 2:
-        backbone = {(perm[i], perm[(i + 1) % n]) for i in range(n)}
-    candidates = [pair for pair in _arc_pairs(n) if pair not in backbone]
+    backbone = {(perm[i], perm[(i + 1) % n]) for i in range(n)} if n >= 2 else set()
+    candidates = [pair for pair in pairs if pair not in backbone]
     cut = _threshold(extra_arc_prob)
-    draws = rng.next_u64s(len(candidates))
-    extras = [pair for pair, z in zip(candidates, draws) if z < cut]
+    extras = [pair for pair, z in zip(candidates, draws[n - 1:]) if z < cut]
     return Digraph(n, frozenset(backbone).union(extras))
 
 

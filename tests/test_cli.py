@@ -260,6 +260,42 @@ def test_analyze_exits_3_when_the_cycle_budget_runs_out(tmp_path, capsys):
     assert code == EXIT_PASS and "cycles: 84\n" in out
 
 
+@pytest.fixture
+def k5_file(tmp_path):
+    """The complete symmetric digraph K5*: 84 cycles; its length-5 pass
+    extends 65 paths, the others fewer."""
+    path = tmp_path / "k5.txt"
+    path.write_text(format_digraph_text(
+        build_digraph(5, [(u, v) for u in range(5) for v in range(5) if u != v])
+    ))
+    return str(path)
+
+
+def test_analyze_exits_3_before_it_reads_min_cycle_len(k5_file, capsys):
+    # the cycle budget runs out, so --min-cycle-len 1 is never reached
+    code, out, err = run(capsys, "analyze", k5_file, "--budget", "64", "--min-cycle-len", "1")
+    assert code == EXIT_RESOURCE and out == ""
+    assert err == "resource bound: cycle enumeration exceeded 64 steps at length 5\n"
+    code, out, err = run(capsys, "analyze", k5_file, "--budget", "65", "--min-cycle-len", "1")
+    assert code == EXIT_USAGE and out == "" and err == "error: min_len must be >= 2\n"
+
+
+def test_analyze_enumerates_the_cycles_once(k5_file, capsys, monkeypatch):
+    passes = []
+    enumerate_cycles = kernelkit.cycles.enumerate_cycles
+
+    def counted(*args, **kwargs):
+        passes.append(kwargs.get("min_len", 2))
+        return enumerate_cycles(*args, **kwargs)
+
+    for module in (kernelkit, kernelkit.cycles, kernelkit.cli):
+        if hasattr(module, "enumerate_cycles"):
+            monkeypatch.setattr(module, "enumerate_cycles", counted)
+    code, out, _ = run(capsys, "analyze", k5_file, "--max-circuit-len", "2")
+    assert code == EXIT_PASS and "cycles: 84\n" in out
+    assert passes == [2]
+
+
 def test_package_runs_as_a_module(tmp_path):
     out = tmp_path / "c3.txt"
     src = str(Path(kernelkit.__file__).resolve().parents[1])

@@ -35,7 +35,7 @@ from kernelkit import (
     enumerate_cycles,
     every_cycle_has_symmetric_arc,
 )
-from kernelkit.cycles import Violation
+from kernelkit.cycles import Violation, _cycle_reports
 from kernelkit.errors import BudgetExceededError
 from kernelkit.generators import enumerate_labeled_digraphs, random_digraph
 
@@ -103,6 +103,9 @@ digraphs = st.integers(1, 6).flatmap(
         )),
     )
 )
+
+# two triangles through vertex 0: its 6-arc circuit is met from vertex 0 twice
+FIGURE_EIGHT = build_digraph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
 
 
 # -- cycles ------------------------------------------------------------------
@@ -254,6 +257,7 @@ def test_circuit_budget():
 
 
 @given(digraphs, st.integers(2, 5))
+@example(FIGURE_EIGHT, 6)
 @settings(max_examples=80, deadline=None)
 def test_circuits_match_naive_oracle_in_length_lex_order(d, max_len):
     mine = [c.vertices for c in enumerate_circuits(d, max_len)]
@@ -484,6 +488,29 @@ def test_cycle_checks_stopping_at_first_agree_with_the_full_reports(d):
     assert_first_violation_only(every_cycle_has_symmetric_arc, d)
 
 
+@given(digraphs, st.integers(1, 7), st.sampled_from([1, 5, 30, 300, 10**6]))
+@example(complete_symmetric(5), 1, 64)
+@example(complete_symmetric(5), 3, 65)
+@settings(max_examples=150, deadline=None)
+def test_one_cycle_enumeration_gives_the_three_full_reports(d, min_cycle_len, budget):
+    try:
+        expected = [every_cycle_has_symmetric_arc(d, budget=budget)]
+    except BudgetExceededError:
+        # the min_len 2 run is the one that runs out first
+        with pytest.raises(BudgetExceededError):
+            _cycle_reports(d, min_cycle_len, budget)
+        return
+    if min_cycle_len < 2:
+        with pytest.raises(ValueError, match="min_len must be >= 2"):
+            _cycle_reports(d, min_cycle_len, budget)
+        return
+    expected += [
+        check_cycle_hypothesis(d, variant, min_cycle_len, budget=budget)
+        for variant in CycleHypothesisVariant
+    ]
+    assert _cycle_reports(d, min_cycle_len, budget) == expected
+
+
 def test_circuit_hypothesis_vacuous_when_lengths_divide_three():
     d = directed_cycle(6)
     report = check_circuit_hypothesis(d, max_len=len(d.arcs))
@@ -558,7 +585,6 @@ def cycle_with_arcs(n, extra):
     return build_digraph(n, [(i, (i + 1) % n) for i in range(n)] + extra)
 
 
-FIGURE_EIGHT = build_digraph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
 # the closed trail (0,1,2,4,0,3,2,5) meets the arc (0, 2) at positions 0 and 4
 REPEATED_VERTEX_CIRCUIT = (0, 1, 2, 4, 0, 3, 2, 5)
 REPEATED_VERTEX = build_digraph(

@@ -149,7 +149,7 @@ def per_pair_random_strongly_connected(n, extra_arc_prob, seed):
     rng = SplitMix64(seed)
     perm = list(range(n))
     for i in range(n - 1, 0, -1):
-        j = rng.below(i + 1)
+        j = rng.next_u64() % (i + 1)
         perm[i], perm[j] = perm[j], perm[i]
     backbone = {(perm[i], perm[(i + 1) % n]) for i in range(n)} if n >= 2 else set()
     extras = [
@@ -165,6 +165,23 @@ def per_pair_random_strongly_connected(n, extra_arc_prob, seed):
 def test_random_models_match_per_pair_draws(n, p, seed):
     assert random_digraph(n, p, seed) == per_pair_random_digraph(n, p, seed)
     assert random_strongly_connected(n, p, seed) == per_pair_random_strongly_connected(n, p, seed)
+
+
+@pytest.mark.parametrize("model", [random_digraph, random_strongly_connected])
+def test_a_random_instance_is_one_batched_draw(model, monkeypatch):
+    calls = []
+    for name in ("next_u64", "next_u64s"):
+        method = getattr(SplitMix64, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(SplitMix64, name, counted)
+    for n in range(1, 13):
+        calls.clear()
+        model(n, 0.3, 20260823 + n)
+        assert calls == ["next_u64s"]
 
 
 # -- exhaustive enumeration --------------------------------------------------
