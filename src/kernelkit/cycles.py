@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .digraph import Digraph
 from .errors import BudgetExceededError
@@ -205,17 +205,22 @@ def _rotate(mask: int, j: int, n: int) -> int:
     return (mask >> j | mask << (n - j)) & ((1 << n) - 1)
 
 
-def _cycle_ok(
-    out_masks: tuple[int, ...], seq: tuple[int, ...], variant: CycleHypothesisVariant
-) -> Violation | None:
-    """Short chords at positions i and j are consecutive when j = i + 2 and
-    cross when j = i +- 1 (mod n)."""
-    n = len(seq)
-    # bit i: the short chord (seq[i], seq[i+2]), never an arc of a simple cycle
+def _short_chords(out_masks: tuple[int, ...], seq: tuple[int, ...]) -> int:
+    """Bit i: the short chord (seq[i], seq[i+2]), never an arc of a simple cycle."""
     chords = 0
     for i, (u, w) in enumerate(zip(seq, seq[2:] + seq[:2])):
         if out_masks[u] >> w & 1:
             chords |= 1 << i
+    return chords
+
+
+def _cycle_ok(
+    seq: tuple[int, ...], chords: int, variant: CycleHypothesisVariant
+) -> Violation | None:
+    """Whether the simple cycle `seq`, with the short-chord mask `chords`,
+    meets the variant.  Short chords at positions i and j are consecutive
+    when j = i + 2 and cross when j = i +- 1 (mod n)."""
+    n = len(seq)
     if n % 3 == 0:
         if chords:
             return None
@@ -234,12 +239,16 @@ def _cycle_ok(
     )
 
 
+_Walk = TypeVar("_Walk")
+
+
 def _report(
-    walks: Iterable[ClosedWalk],
-    violation: Callable[[ClosedWalk], Violation | None],
+    walks: Iterable[_Walk],
+    violation: Callable[[_Walk], Violation | None],
     stop_at_first: bool,
 ) -> HypothesisReport:
-    """Collect each walk's violation in order; stop_at_first ends at the first."""
+    """Collect each walk's violation in order (a walk may come with what its
+    check reads); stop_at_first ends at the first."""
     violations = []
     examined = 0
     for walk in walks:
@@ -268,7 +277,11 @@ def check_cycle_hypothesis(
     """
     cycles = enumerate_cycles(d, min_len=min_cycle_len, budget=budget)
     out_masks = d.out_masks
-    return _report(cycles, lambda cyc: _cycle_ok(out_masks, cyc.vertices, variant), stop_at_first)
+    return _report(
+        cycles,
+        lambda cyc: _cycle_ok(cyc.vertices, _short_chords(out_masks, cyc.vertices), variant),
+        stop_at_first,
+    )
 
 
 def _circuit_violation(out_masks: tuple[int, ...], circ: ClosedWalk) -> Violation | None:
@@ -330,13 +343,18 @@ def every_cycle_has_symmetric_arc(
 def _cycle_reports(d: Digraph, min_cycle_len: int, budget: int) -> list[HypothesisReport]:
     """Duchet's full report on every simple cycle, then each variant's on those
     of length >= min_cycle_len, from one `enumerate_cycles` run: a length pass
-    takes the same steps at any min_len, so they are a min_cycle_len run's."""
+    takes the same steps at any min_len, so they are a min_cycle_len run's.
+    Both variants read one short-chord mask per cycle."""
     cycles = list(enumerate_cycles(d, budget=budget))
     if min_cycle_len < 2:  # after the run, so its BudgetExceededError comes first
         raise ValueError("min_len must be >= 2")
-    longer = [cyc for cyc in cycles if len(cyc) >= min_cycle_len]
     out_masks = d.out_masks
+    chorded = [
+        (cyc.vertices, _short_chords(out_masks, cyc.vertices))
+        for cyc in cycles
+        if len(cyc) >= min_cycle_len
+    ]
     return [_report(cycles, lambda cyc: _asymmetric_cycle(out_masks, cyc.vertices), False)] + [
-        _report(longer, lambda cyc: _cycle_ok(out_masks, cyc.vertices, variant), False)
+        _report(chorded, lambda pair: _cycle_ok(*pair, variant), False)
         for variant in CycleHypothesisVariant
     ]

@@ -19,9 +19,11 @@ D[S] depend on S, so 3-kernel-perfection has no such intervals.  D[S] has a
 kernel exactly when each of its weak components does, so one walk over the
 weakly connected vertex sets of D, each enumerated once (Wernicke's ESU) on
 the undirected masks, decides and names for all three scans: the 3-kernel
-scans search each set once, kernel-perfection reads its marks, and the
-first set without a kernel is the counterexample.  Nothing is kept between
-scans.
+scans run the engine's recursion once per set, kernel-perfection reads its
+marks, and the first set without a kernel is the counterexample.  The walk
+carries each set's conflict and absorbed-by balls: a set is its parent plus
+one vertex, so a few mask operations update the parent's balls where the
+engine's own set-up would rebuild every member's from scratch.
 """
 
 from __future__ import annotations
@@ -141,10 +143,7 @@ def _check_search_bound(n: int) -> None:
 def _kernel_search(
     d: Digraph, query: KernelQuery, within: Iterable[int] | None, first: bool
 ) -> tuple[list[VertexSet], int]:
-    """The (k,l)-kernels of D, or of D[within], in lexicographic order, and
-    the number of search nodes visited; with `first`, the search stops at
-    the first kernel.  Otherwise it descends past each kernel, since for
-    l >= k a superset of a kernel can be one too."""
+    """`_search_balls` on D, or on D[within], with the balls built for it."""
     if within is None:
         _check_search_bound(d.vertex_count)
         vs, whole = d.vertices(), (1 << d.vertex_count) - 1
@@ -155,7 +154,18 @@ def _kernel_search(
                 d.check_vertex(min(u for u in vs if not 0 <= u < n))
             whole |= 1 << v
         _check_search_bound(whole.bit_count())
-    conflict, absorbed_by = _kernel_balls(d, vs, whole, query)
+    return _search_balls(whole, *_kernel_balls(d, vs, whole, query), first)
+
+
+def _search_balls(
+    whole: int, conflict: list[int], absorbed_by: list[int], first: bool
+) -> tuple[list[VertexSet], int]:
+    """The (k,l)-kernels of D[whole], for the kernel balls of its members, in
+    lexicographic order, and the number of search nodes visited; with
+    `first`, the search stops at the first kernel.  Otherwise it descends
+    past each kernel, since for l >= k a superset of a kernel can be one too.
+    A ball may hold vertices outside `whole`: the search picks members only
+    from `whole` and asks only that `whole` be absorbed."""
     examined = 0
     found: list[VertexSet] = []
     members: list[int] = []
@@ -165,7 +175,7 @@ def _kernel_search(
         the first kernel is found and `first` is set."""
         nonlocal examined
         examined += 1
-        if absorbed == whole:
+        if absorbed & whole == whole:
             found.append(tuple(members))
             if first:
                 return True
@@ -211,44 +221,91 @@ def _check_perfection_bound(n: int) -> None:
         raise SizeBoundError(f"{n} vertices exceeds perfection bound {PERFECTION_BOUND}")
 
 
-def _every_connected_set(linked: list[int], ok: Callable[[int], bool]) -> int | None:
-    """The first nonempty vertex set C, as a mask, that is connected along
-    the undirected masks `linked` and has not ok(C), or None when every such
-    set is ok; each C is asked once, and the walk stops at the first no.
-    The sets whose least vertex is v grow from v by the neighbours above v
-    that are not yet adjacent to the set (Wernicke's ESU), so no set is
-    reached twice and no disconnected set is visited.  The order: sets by
-    least vertex, ascending; each set before its extensions; extensions
-    lowest vertex first."""
+# A scan's callback: ok(C, conflict, absorbed_by), with C a vertex mask.
+_SetCheck = Callable[[int, list[int], list[int]], bool]
 
-    def grow(subset: int, extension: int, reached: int) -> int | None:
+
+def _every_connected_set(d: Digraph, query: KernelQuery, ok: _SetCheck) -> int | None:
+    """The first nonempty weakly connected vertex set C of D, as a mask,
+    without ok(C, conflict, absorbed_by), or None when every such set is ok;
+    each C is asked once, and the walk stops at the first no.  The sets whose
+    least vertex is v grow from v by the neighbours above v that are not yet
+    adjacent to the set (Wernicke's ESU), so no set is reached twice and no
+    disconnected set is visited.  The order: sets by least vertex, ascending;
+    each set before its extensions; extensions lowest vertex first.
+
+    `conflict` and `absorbed_by` hold, for each member of C, its balls in
+    D[C] for `query` (l = k - 1 <= 2), as `_kernel_balls` builds them but
+    unmasked: a ball may hold vertices outside C.  At radius 1 they are the
+    adjacency masks, the same for every C.  At radius 2 a member's ball is
+    its 1-step reach joined with the reach of its neighbours in C, so when w
+    joins C, a member with an arc to w takes in w's out-neighbours, a member
+    with an arc from w takes in w's in-neighbours, and w's own balls take in
+    those of its neighbours in C; a child set gets an updated copy of its
+    parent's lists."""
+    radius = query.k - 1
+    if query.l != radius or radius > 2:
+        raise ValueError(f"the walk carries balls of radius 1 or 2 with l = k - 1, not {query}")
+    out_masks, in_masks = d.out_masks, d.in_masks
+    linked = [out | in_ for out, in_ in zip(out_masks, in_masks)]
+
+    def grow(
+        subset: int, extension: int, reached: int, conflict: list[int], absorbed_by: list[int]
+    ) -> int | None:
         """Ask `subset`, then each extension of it by one vertex of
         `extension`, lowest first; `reached` holds the subset, its
         neighbours and every vertex up to the least one."""
-        if not ok(subset):
+        if not ok(subset, conflict, absorbed_by):
             return subset
         while extension:
             low = extension & -extension
             extension ^= low
-            fresh = linked[low.bit_length() - 1] & ~reached
-            failing = grow(subset | low, extension | fresh, reached | fresh)
+            w = low.bit_length() - 1
+            fresh = linked[w] & ~reached
+            grown_conflict, grown_absorbed_by = conflict, absorbed_by
+            if radius == 2:
+                grown_conflict, grown_absorbed_by = conflict.copy(), absorbed_by.copy()
+                out_w, in_w = out_masks[w], in_masks[w]
+                tails = in_w & subset
+                while tails:  # v -> w
+                    bit = tails & -tails
+                    tails ^= bit
+                    v = bit.bit_length() - 1
+                    grown_conflict[v] |= out_w
+                    grown_conflict[w] |= in_masks[v]
+                    grown_absorbed_by[w] |= in_masks[v]
+                heads = out_w & subset
+                while heads:  # w -> v
+                    bit = heads & -heads
+                    heads ^= bit
+                    v = bit.bit_length() - 1
+                    grown_conflict[v] |= in_w
+                    grown_absorbed_by[v] |= in_w
+                    grown_conflict[w] |= out_masks[v]
+            failing = grow(
+                subset | low, extension | fresh, reached | fresh, grown_conflict, grown_absorbed_by
+            )
             if failing is not None:
                 return failing
         return None
 
+    conflict = [link | 1 << v for v, link in enumerate(linked)]
+    absorbed_by = [in_ | 1 << v for v, in_ in enumerate(in_masks)]
     for v, neighbours in enumerate(linked):
         below = (2 << v) - 1  # v and the vertices below it
-        failing = grow(1 << v, neighbours & ~below, neighbours | below)
+        failing = grow(1 << v, neighbours & ~below, neighbours | below, conflict, absorbed_by)
         if failing is not None:
             return failing
     return None
 
 
-def _first_failing_set(d: Digraph, ok: Callable[[int], bool]) -> tuple[bool, VertexSet | None]:
+def _first_failing_set(
+    d: Digraph, query: KernelQuery, ok: _SetCheck
+) -> tuple[bool, VertexSet | None]:
     """(False, the first weakly connected vertex set C of D in
-    `_every_connected_set`'s order with not ok(C as a mask)), or (True, None)."""
-    linked = [out | in_ for out, in_ in zip(d.out_masks, d.in_masks)]
-    failing = _every_connected_set(linked, ok)
+    `_every_connected_set`'s order without ok(C as a mask, its balls)), or
+    (True, None)."""
+    failing = _every_connected_set(d, query, ok)
     return (True, None) if failing is None else (False, _members(failing))
 
 
@@ -258,18 +315,23 @@ def _perfection_scan(
     """(False, the first weakly connected vertex set C, in
     `_every_connected_set`'s order, whose D[C] has no (k,l)-kernel), or
     (True, None); with `proper_only`, C is never the whole vertex set.
+    `query` has l = k - 1 <= 2, so `KERNEL` as well as `THREE_KERNEL`: the
+    tests take the scan at `KERNEL` as the reference for
+    `is_kernel_perfect`'s interval walk.
 
     D[S] has a kernel exactly when each weak component of D[S] has one:
     members of different components are unreachable from each other, so
-    they are k-independent and never absorb each other.  So one search per
-    weakly connected vertex set decides the verdict, and the first set
+    they are k-independent and never absorb each other.  So one run of the
+    engine's recursion, `_search_balls`, per weakly connected vertex set, on
+    the balls the walk carries, decides the verdict, and the first set
     without a kernel is a counterexample that is its own weak component."""
     _check_perfection_bound(d.vertex_count)
     whole = (1 << d.vertex_count) - 1
     return _first_failing_set(
         d,
-        lambda c: proper_only and c == whole
-        or find_kl_kernel(d, query, within=_members(c)).found,
+        query,
+        lambda c, conflict, absorbed_by: proper_only and c == whole
+        or bool(_search_balls(c, conflict, absorbed_by, True)[0]),
     )
 
 
@@ -309,7 +371,7 @@ def is_kernel_perfect(d: Digraph) -> tuple[bool, VertexSet | None]:
     walk(0, whole, 0)
     if 0 not in has_kernel:
         return True, None
-    return _first_failing_set(d, has_kernel.__getitem__)
+    return _first_failing_set(d, KERNEL, lambda c, *balls: has_kernel[c])
 
 
 def is_quasi_3_kernel_perfect(d: Digraph) -> tuple[bool, VertexSet | None]:

@@ -14,7 +14,13 @@ chord-object API it replaced lives here as the reference: `Chord`,
 compared with the short chords of `chords_of`, an all-pairs chord scan.
 The three hypothesis checks must give the full reports that the
 reference violations built on them give.
+
+The circuit class is the class of digraphs whose cycle lengths are all
+= 0 mod 3 (README "Reported findings"); `cycle_lengths_are_0_mod_3`, a
+residue test in linear time, checks that against `CLASSES["circuit"]`.
 """
+
+from collections import deque
 
 import networkx as nx
 import pytest
@@ -35,9 +41,14 @@ from kernelkit import (
     enumerate_cycles,
     every_cycle_has_symmetric_arc,
 )
+from kernelkit.campaigns import CLASSES
 from kernelkit.cycles import Violation, _cycle_reports
 from kernelkit.errors import BudgetExceededError
-from kernelkit.generators import enumerate_labeled_digraphs, random_digraph
+from kernelkit.generators import (
+    enumerate_labeled_digraphs,
+    random_digraph,
+    random_strongly_connected,
+)
 
 
 def complete_symmetric(n):
@@ -634,3 +645,61 @@ def test_circuit_short_chords_count_positions_not_arcs():
     expected = Violation(REPEATED_VERTEX_CIRCUIT, "length != 0 mod 3 with only 2 short chords")
     assert reference_circuit_violation(REPEATED_VERTEX, circuit) == expected
     assert expected in check_circuit_hypothesis(REPEATED_VERTEX, max_len=8).violations
+
+
+# -- the circuit class is the mod-3 class --------------------------------------
+
+def cycle_lengths_are_0_mod_3(d):
+    """Whether every cycle of D has length = 0 mod 3: whether each strong
+    component has a residue map r into Z_3 with r(v) = r(u) + 1 on each of
+    its arcs u -> v.  One breadth-first search per component, along the arcs
+    inside it, sets r and checks it on every arc it meets; arcs between
+    components lie on no cycle and are free."""
+    g = nx.DiGraph(d.arcs)
+    g.add_nodes_from(d.vertices())
+    for component in nx.strongly_connected_components(g):
+        root = min(component)
+        residue = {root: 0}
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v in g.successors(u):
+                if v not in component:
+                    continue
+                if v not in residue:
+                    residue[v] = (residue[u] + 1) % 3
+                    queue.append(v)
+                elif residue[v] != (residue[u] + 1) % 3:
+                    return False
+    return True
+
+
+def test_residue_test_is_the_circuit_class_on_every_digraph_up_to_4():
+    members = 0
+    for n in range(5):
+        for d in enumerate_labeled_digraphs(n):
+            assert CLASSES["circuit"](d, 10**6, 2) is cycle_lengths_are_0_mod_3(d), d.arcs
+            members += cycle_lengths_are_0_mod_3(d)
+    assert members > 0  # positive control: both answers occur
+
+
+@given(
+    st.sampled_from([random_digraph, random_strongly_connected]),
+    st.integers(1, 9),
+    st.sampled_from([0.03, 0.1, 0.2, 0.35, 0.6]),
+    st.integers(0, 2**32 - 1),
+)
+@example(random_strongly_connected, 6, 0.03, 0)  # a directed C6: a member
+@example(random_strongly_connected, 4, 0.03, 0)  # a directed C4: not one
+@settings(max_examples=150, deadline=None)
+def test_residue_test_is_the_circuit_class_on_random_digraphs(model, n, prob, seed):
+    d = model(n, prob, seed)
+    assert CLASSES["circuit"](d, 10**6, 2) is cycle_lengths_are_0_mod_3(d)
+
+
+def test_residue_test_agrees_with_the_cycle_lengths():
+    for d in (directed_cycle(3), directed_cycle(6), directed_cycle(4),
+              build_digraph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)]),
+              build_digraph(3, [(0, 1), (1, 0)])):
+        expected = all(len(cyc) % 3 == 0 for cyc in enumerate_cycles(d))
+        assert cycle_lengths_are_0_mod_3(d) is expected

@@ -351,8 +351,9 @@ def assert_scan_matches_brute_force(d, scan, query, proper_only):
     assert not has_kernel_by_brute_force(d, counterexample, query)
     assert not (proper_only and len(counterexample) == n)
     first = _every_connected_set(
-        undirected_masks(d),
-        lambda mask: proper_only and mask == (1 << n) - 1
+        d,
+        query,
+        lambda mask, *balls: proper_only and mask == (1 << n) - 1
         or has_kernel_by_brute_force(d, _members(mask), query),
     )
     assert counterexample == _members(first)
@@ -383,14 +384,16 @@ def test_perfection_scans_match_brute_force_on_sparse_strong_digraphs(seed):
 
 @pytest.fixture
 def searched(monkeypatch):
-    """The `within` of every kernel search the scans make, in order."""
+    """The vertex set of every run of the kernel engine's recursion, in order:
+    the scans run it on the balls they carry, `find_kl_kernel` on its own."""
     calls = []
+    search = kernels._search_balls
 
-    def recording(d, query, **options):
-        calls.append(tuple(options["within"]))
-        return find_kl_kernel(d, query, **options)
+    def recording(whole, *balls):
+        calls.append(_members(whole))
+        return search(whole, *balls)
 
-    monkeypatch.setattr(kernels, "find_kl_kernel", recording)
+    monkeypatch.setattr(kernels, "_search_balls", recording)
     return calls
 
 
@@ -400,10 +403,6 @@ def searched(monkeypatch):
 )
 def test_kernel_perfection_names_the_failing_component(d, counterexample):
     assert is_kernel_perfect(d) == (False, counterexample)
-
-
-def undirected_masks(d):
-    return [out | in_ for out, in_ in zip(d.out_masks, d.in_masks)]
 
 
 def is_weakly_connected(d, subset):
@@ -498,8 +497,14 @@ def test_passing_scan_searches_each_weakly_connected_subset_once(d, searched):
 @settings(max_examples=150, deadline=None)
 def test_connected_set_walk_asks_each_weakly_connected_set_once(d):
     asked = []
-    assert _every_connected_set(undirected_masks(d), lambda mask: asked.append(mask) or True) is None
+    assert _every_connected_set(d, KERNEL, lambda mask, *balls: asked.append(mask) or True) is None
     assert sorted(asked) == sorted(sum(1 << v for v in s) for s in weakly_connected_subsets(d))
+    # the radius-2 walk, which updates the balls it carries, asks the same sets in the same order
+    at_radius_2 = []
+    assert _every_connected_set(
+        d, THREE_KERNEL, lambda mask, *balls: at_radius_2.append(mask) or True
+    ) is None
+    assert at_radius_2 == asked
     # sets by least vertex, ascending; each set after the set it extends by one vertex
     least = [mask & -mask for mask in asked]
     assert least == sorted(least)
@@ -510,9 +515,51 @@ def test_connected_set_walk_asks_each_weakly_connected_set_once(d):
     for stop in range(len(asked)):
         seen = []
         failing = _every_connected_set(
-            undirected_masks(d), lambda mask: seen.append(mask) or len(seen) <= stop
+            d, KERNEL, lambda mask, *balls: seen.append(mask) or len(seen) <= stop
         )
         assert seen == asked[: stop + 1] and failing == asked[stop]
+
+
+def assert_carried_balls_match_kernel_balls(d):
+    """At every set C the walk visits, the balls it carries, masked to C,
+    are `_kernel_balls`' balls in D[C] built from scratch."""
+    for query in (KERNEL, THREE_KERNEL):
+
+        def ok(mask, conflict, absorbed_by):
+            members = _members(mask)
+            expected_conflict, expected_absorbed_by = kernels._kernel_balls(d, members, mask, query)
+            for v in members:
+                assert conflict[v] & mask == expected_conflict[v], (query, members, v)
+                assert absorbed_by[v] & mask == expected_absorbed_by[v], (query, members, v)
+            return True
+
+        assert _every_connected_set(d, query, ok) is None
+
+
+def test_carried_balls_match_kernel_balls_on_every_digraph_up_to_4():
+    for n in range(5):
+        for d in enumerate_labeled_digraphs(n):
+            assert_carried_balls_match_kernel_balls(d)
+
+
+@given(digraphs_up_to(8))
+@example(directed_cycle(8))
+@example(build_digraph(6, sym([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])))
+@settings(max_examples=100, deadline=None)
+def test_carried_balls_match_kernel_balls(d):
+    assert_carried_balls_match_kernel_balls(d)
+
+
+# The shape of the `perfection` benchmark workload.
+@pytest.mark.parametrize("seed", range(10))
+def test_carried_balls_match_kernel_balls_on_sparse_strong_digraphs(seed):
+    assert_carried_balls_match_kernel_balls(random_strongly_connected(9, 0.03, seed))
+
+
+@pytest.mark.parametrize("query", [KernelQuery(2, 2), KernelQuery(4, 3), KernelQuery(3, 1)])
+def test_connected_set_walk_carries_balls_only_for_l_equal_k_minus_1_up_to_2(query):
+    with pytest.raises(ValueError):
+        _every_connected_set(directed_cycle(3), query, lambda mask, *balls: True)
 
 
 # Two disjoint directed C4s, on {0, 5, 6, 7} and {1, 2, 3, 4}: the
