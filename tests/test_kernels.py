@@ -8,7 +8,9 @@ subdigraph, and the closure distance law against networkx shortest paths.
 All three scans decide and name from one walk over the weakly connected
 vertex sets, which is checked against networkx; a failing scan's
 counterexample must be weakly connected, have no kernel by brute force, and
-be the first brute-force failure in the walk's order.
+be the first brute-force failure in the walk's order.  The balls the walk
+carries from set to set are checked against `_kernel_balls`, which builds
+them from scratch, at every set it visits.
 """
 
 import math
