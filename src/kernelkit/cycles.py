@@ -5,6 +5,10 @@ smallest vertex first.  Circuits are closed trails (arcs pairwise distinct,
 vertices may repeat) stored in their lexicographically least rotation;
 every cycle is also a circuit.
 
+The cycle checks read the vertex tuples of `_cycle_tuples`, the search
+behind `enumerate_cycles`; a `ClosedWalk` is made only where
+`enumerate_cycles` yields one.
+
 Every chord condition concerns only short chords (length 2), and the
 hypothesis checks read them by position: position i holds one when
 (seq[i], seq[i+2]) is an arc and not an arc of the walk, one arc test
@@ -79,6 +83,19 @@ def enumerate_cycles(
     BudgetExceededError is raised from the first pass that exceeds it.  On a
     complete symmetric digraph every cycle passes the hypothesis checks, so
     only the budget ends a dense search early."""
+    for seq in _cycle_tuples(d, min_len, max_len, budget):
+        yield ClosedWalk(seq)
+
+
+def _cycle_tuples(
+    d: Digraph, min_len: int, max_len: int | None, budget: int
+) -> Iterator[tuple[int, ...]]:
+    """`enumerate_cycles` as vertex tuples, for the checks that read them.
+
+    A path of L-1 vertices is a leaf of pass L.  Each leaf runs in its
+    parent's loop, which counts its step where its own call would have, so
+    the budget is checked at the same steps; a root that is its own leaf
+    (L = 2) is handled at the root."""
     if max_len is None:
         max_len = d.vertex_count
     if min_len < 2:
@@ -91,36 +108,62 @@ def enumerate_cycles(
         steps = 0
         reached = False
 
+        def exceeded() -> BudgetExceededError:
+            return BudgetExceededError(
+                f"cycle enumeration exceeded {budget} steps at length {length}"
+            )
+
         def extend(root: int, path: list[int], on_path: int) -> None:
-            # on_path: the path and every vertex below the root, none of them free
+            # on_path: the path and every vertex below the root, none of them free;
+            # the path has at most length - 2 vertices
             nonlocal steps, reached
             steps += 1
             if steps > budget:
-                raise BudgetExceededError(
-                    f"cycle enumeration exceeded {budget} steps at length {length}"
-                )
-            u = path[-1]
-            if len(path) == length - 1:
-                ends = out_masks[u] & ~on_path
-                reached = reached or ends != 0
-                ends &= in_masks[root]
-                while ends:
-                    low = ends & -ends
-                    found.append((*path, low.bit_length() - 1))
-                    ends ^= low
+                raise exceeded()
+            nexts = out_masks[path[-1]] & ~on_path
+            if len(path) < length - 2:
+                while nexts:
+                    low = nexts & -nexts
+                    path.append(low.bit_length() - 1)
+                    extend(root, path, on_path | low)
+                    path.pop()
+                    nexts ^= low
                 return
-            nexts = out_masks[u] & ~on_path
+            # each next vertex ends a leaf path of length - 1 vertices
+            closing = in_masks[root]
             while nexts:
                 low = nexts & -nexts
-                path.append(low.bit_length() - 1)
-                extend(root, path, on_path | low)
-                path.pop()
                 nexts ^= low
+                steps += 1
+                if steps > budget:
+                    raise exceeded()
+                u = low.bit_length() - 1
+                ends = out_masks[u] & ~(on_path | low)
+                if ends:
+                    reached = True
+                    ends &= closing
+                    while ends:
+                        end = ends & -ends
+                        found.append((*path, u, end.bit_length() - 1))
+                        ends ^= end
 
         for root in d.vertices():
-            extend(root, [root], (2 << root) - 1)
-        for seq in found:
-            yield ClosedWalk(seq)
+            on_path = (2 << root) - 1
+            if length > 2:
+                extend(root, [root], on_path)
+                continue
+            steps += 1
+            if steps > budget:
+                raise exceeded()
+            ends = out_masks[root] & ~on_path
+            if ends:
+                reached = True
+                ends &= in_masks[root]
+                while ends:
+                    end = ends & -ends
+                    found.append((root, end.bit_length() - 1))
+                    ends ^= end
+        yield from found
         if not reached:
             return
 
@@ -208,8 +251,9 @@ def _rotate(mask: int, j: int, n: int) -> int:
 def _short_chords(out_masks: tuple[int, ...], seq: tuple[int, ...]) -> int:
     """Bit i: the short chord (seq[i], seq[i+2]), never an arc of a simple cycle."""
     chords = 0
-    for i, (u, w) in enumerate(zip(seq, seq[2:] + seq[:2])):
-        if out_masks[u] >> w & 1:
+    n = len(seq)
+    for i in range(n):
+        if out_masks[seq[i]] >> seq[i + 2 - n] & 1:
             chords |= 1 << i
     return chords
 
@@ -275,12 +319,10 @@ def check_cycle_hypothesis(
     full report's first one.  `budget` bounds each pass of
     `enumerate_cycles`.
     """
-    cycles = enumerate_cycles(d, min_len=min_cycle_len, budget=budget)
+    cycles = _cycle_tuples(d, min_cycle_len, None, budget)
     out_masks = d.out_masks
     return _report(
-        cycles,
-        lambda cyc: _cycle_ok(cyc.vertices, _short_chords(out_masks, cyc.vertices), variant),
-        stop_at_first,
+        cycles, lambda seq: _cycle_ok(seq, _short_chords(out_masks, seq), variant), stop_at_first
     )
 
 
@@ -334,8 +376,8 @@ def every_cycle_has_symmetric_arc(
     violation.  `budget` bounds each pass of `enumerate_cycles`."""
     out_masks = d.out_masks
     return _report(
-        enumerate_cycles(d, budget=budget),
-        lambda cyc: _asymmetric_cycle(out_masks, cyc.vertices),
+        _cycle_tuples(d, 2, None, budget),
+        lambda seq: _asymmetric_cycle(out_masks, seq),
         stop_at_first,
     )
 

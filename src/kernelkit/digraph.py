@@ -2,10 +2,16 @@
 
 Vertices are dense integers 0..n-1.  All values are frozen after construction
 and safe to share; derived structures (adjacency masks, radius-2 in-balls,
-distance matrix) are cached lazily on the instance, so every search on one
-digraph builds them once.  The masks are the one adjacency format every walk
-reads.  A distance is a hop count, or None when the target is unreachable.
-Two breadth-first walks on masks serve the package: `_ball` gives the
+distance matrix) are tables, built on first read and stored in the instance
+`__dict__`, so every search on one digraph builds them once and later reads
+are plain attribute lookups.  `_table` is that caching descriptor: unlike
+`functools.cached_property`, it takes no lock (Python 3.11's does; 3.12
+dropped it, so the gain is smaller there), and the first read of either
+adjacency table fills both from one pass over the arcs.  Nothing is built at
+construction, so a size bound can be checked before anything of size n
+exists.  The masks are the one adjacency format every walk reads.  A
+distance is a hop count, or None when the target is unreachable.  Two
+breadth-first walks on masks serve the package: `_ball` gives the
 vertices within a radius, which the kernel engine, closures, strong
 connectivity and the substitution method read, and `_hops` gives hop counts
 from one source, which build the distance matrix behind `distance`, the
@@ -17,8 +23,7 @@ callers that need them as a vertex set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateArcError,
@@ -36,6 +41,27 @@ def as_vertex_set(vertices: Iterable[int]) -> VertexSet:
     return tuple(sorted(set(vertices)))
 
 
+class _table:
+    """A table computed by `func` on its first read and stored in the instance
+    `__dict__` under the attribute's name, where later reads find it without
+    calling the descriptor.  `func` is looked up at read time, so it can be
+    replaced on the descriptor.  Two threads reading a table at once may both
+    build it; they build equal values from the frozen fields."""
+
+    def __init__(self, func: Callable[[Any], Any]) -> None:
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj: Any, owner: type | None = None) -> Any:
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Digraph:
     """A loopless simple directed graph on vertices 0..vertex_count-1."""
@@ -43,23 +69,28 @@ class Digraph:
     vertex_count: int
     arcs: frozenset  # frozenset[Arc]
 
-    @cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The out- and in-masks, from one pass over the arcs."""
+        outs = [0] * self.vertex_count
+        ins = [0] * self.vertex_count
+        for u, v in self.arcs:
+            outs[u] |= 1 << v
+            ins[v] |= 1 << u
+        return tuple(outs), tuple(ins)
+
+    @_table
     def out_masks(self) -> tuple[int, ...]:
         """Entry v: the out-neighbours of v as an int, bit w set for arc (v, w)."""
-        masks = [0] * self.vertex_count
-        for u, v in self.arcs:
-            masks[u] |= 1 << v
-        return tuple(masks)
+        out_masks, self.__dict__["in_masks"] = self._adjacency()
+        return out_masks
 
-    @cached_property
+    @_table
     def in_masks(self) -> tuple[int, ...]:
         """Entry v: the in-neighbours of v as an int, bit u set for arc (u, v)."""
-        masks = [0] * self.vertex_count
-        for u, v in self.arcs:
-            masks[v] |= 1 << u
-        return tuple(masks)
+        self.__dict__["out_masks"], in_masks = self._adjacency()
+        return in_masks
 
-    @cached_property
+    @_table
     def in_balls2(self) -> tuple[int, ...]:
         """Entry v: v and every vertex reaching v within 2 steps, as an int."""
         whole = (1 << self.vertex_count) - 1
@@ -74,7 +105,7 @@ class Digraph:
 
     # -- distances ---------------------------------------------------------
 
-    @cached_property
+    @_table
     def _raw_matrix(self) -> tuple[tuple, ...]:
         """Entry [u][v]: hop count from u to v, or None when unreachable."""
         return tuple(_hops(self.out_masks, u) for u in self.vertices())

@@ -31,10 +31,9 @@ round k; positions on a road count from x0 (position 0) to the far end
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
-from .digraph import Digraph, VertexSet, _hops, _mask, _members, as_vertex_set
+from .digraph import Digraph, VertexSet, _hops, _mask, _members, _table, as_vertex_set
 from .errors import (
     NoBaseKernelError,
     NoRoadFoundError,
@@ -78,11 +77,11 @@ class SubstitutionTrace:
             return ()
         return (self.added, self.removed_one, self.removed_two)[r][k]
 
-    @cached_property
+    @_table
     def _added_index(self) -> dict[int, int]:
         return {v: k for k, vs in enumerate(self.added) for v in vs}
 
-    @cached_property
+    @_table
     def _hops_from_x0(self) -> tuple[int | None, ...]:
         """Entry v: d(x0, v), or None when x0 does not reach v."""
         return _hops(self.digraph.out_masks, self.x0)
@@ -98,7 +97,7 @@ class SubstitutionTrace:
             return ()
         return (self.primed_one, self.primed_two)[r - 1][k]
 
-    @cached_property
+    @_table
     def _label_masks(self) -> tuple[tuple[int, int], ...]:
         """Entry i, for i = 0..3p+2: the masks of N_i and N'_i."""
         return tuple(

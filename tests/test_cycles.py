@@ -42,7 +42,7 @@ from kernelkit import (
     every_cycle_has_symmetric_arc,
 )
 from kernelkit.campaigns import CLASSES
-from kernelkit.cycles import Violation, _cycle_reports
+from kernelkit.cycles import Violation, _cycle_reports, _short_chords
 from kernelkit.errors import BudgetExceededError
 from kernelkit.generators import (
     enumerate_labeled_digraphs,
@@ -105,15 +105,19 @@ def single_pass_circuits(d, max_len, budget):
     return sorted(found, key=lambda seq: (len(seq), seq))
 
 
-digraphs = st.integers(1, 6).flatmap(
-    lambda n: st.builds(
-        lambda picks: build_digraph(n, [arc for arc, keep in picks if keep]),
-        st.tuples(*(
-            st.tuples(st.just((u, v)), st.booleans())
-            for u in range(n) for v in range(n) if u != v
-        )),
+def digraphs_up_to(max_n):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.builds(
+            lambda picks: build_digraph(n, [arc for arc, keep in picks if keep]),
+            st.tuples(*(
+                st.tuples(st.just((u, v)), st.booleans())
+                for u in range(n) for v in range(n) if u != v
+            )),
+        )
     )
-)
+
+
+digraphs = digraphs_up_to(6)
 
 # two triangles through vertex 0: its 6-arc circuit is met from vertex 0 twice
 FIGURE_EIGHT = build_digraph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
@@ -204,6 +208,89 @@ def test_cycle_budget_bounds_the_steps_of_each_pass(d, min_len, budget):
         assert list(enumerate_cycles(d, min_len, budget=budget)) == list(
             enumerate_cycles(d, min_len)
         )
+
+
+def recursive_cycle_pass(d, min_len=2, budget=10**6):
+    """Reference: the cycle search with one recursive call per path, leaves
+    included, that `enumerate_cycles` inlines the leaves of; it yields vertex
+    tuples and counts a step on entry to each call."""
+    if min_len < 2:
+        raise ValueError("min_len must be >= 2")
+    out_masks, in_masks = d.out_masks, d.in_masks
+    for length in range(min_len, d.vertex_count + 1):
+        found = []
+        steps = 0
+        reached = False
+
+        def extend(root, path, on_path):
+            nonlocal steps, reached
+            steps += 1
+            if steps > budget:
+                raise BudgetExceededError(
+                    f"cycle enumeration exceeded {budget} steps at length {length}"
+                )
+            u = path[-1]
+            if len(path) == length - 1:
+                ends = out_masks[u] & ~on_path
+                reached = reached or ends != 0
+                ends &= in_masks[root]
+                while ends:
+                    low = ends & -ends
+                    found.append((*path, low.bit_length() - 1))
+                    ends ^= low
+                return
+            nexts = out_masks[u] & ~on_path
+            while nexts:
+                low = nexts & -nexts
+                path.append(low.bit_length() - 1)
+                extend(root, path, on_path | low)
+                path.pop()
+                nexts ^= low
+
+        for root in d.vertices():
+            extend(root, [root], (2 << root) - 1)
+        yield from found
+        if not reached:
+            return
+
+
+def drain(walks):
+    """The walks yielded before the run ends, and its budget message or None."""
+    out = []
+    try:
+        for walk in walks:
+            out.append(walk)
+    except BudgetExceededError as exc:
+        return out, str(exc)
+    return out, None
+
+
+def assert_cycle_pass_matches_the_recursive_one(d, min_len):
+    """Same cycles in the same order, and the same BudgetExceededError after
+    the same prefix, at every budget up to the first that lets it finish."""
+    budget = 1
+    while True:
+        expected = drain(recursive_cycle_pass(d, min_len, budget))
+        cycles, message = drain(enumerate_cycles(d, min_len, budget=budget))
+        assert ([c.vertices for c in cycles], message) == expected, (d.arcs, budget)
+        if expected[1] is None:
+            return
+        budget += 1
+
+
+@pytest.mark.parametrize("min_len", [2, 3])
+def test_cycle_pass_matches_the_recursive_one_on_every_digraph_up_to_4(min_len):
+    for n in range(5):
+        for d in enumerate_labeled_digraphs(n):
+            assert_cycle_pass_matches_the_recursive_one(d, min_len)
+
+
+@given(digraphs_up_to(7), st.sampled_from([2, 3]))
+@example(complete_symmetric(5), 2)
+@example(complete_symmetric(6), 3)
+@settings(max_examples=100, deadline=None)
+def test_cycle_pass_matches_the_recursive_one_on_random_digraphs(d, min_len):
+    assert_cycle_pass_matches_the_recursive_one(d, min_len)
 
 
 def test_cycle_budget_reaches_the_cycle_checks():
@@ -401,6 +488,39 @@ def test_short_chords_match_the_short_chords_of_chords_of(d):
     walks = [*enumerate_cycles(d), *enumerate_circuits(d, max_len=6)]
     for c in walks:
         assert short_chords(d, c) == [ch for ch in chords_of(d, c) if is_short_chord(ch)]
+
+
+def zip_short_chords(out_masks, seq):
+    """Reference: `_short_chords` as it was, zipping the cycle with its
+    rotation by two."""
+    chords = 0
+    for i, (u, w) in enumerate(zip(seq, seq[2:] + seq[:2])):
+        if out_masks[u] >> w & 1:
+            chords |= 1 << i
+    return chords
+
+
+def assert_short_chord_masks_match_the_zip_formula(d):
+    for cyc in enumerate_cycles(d):
+        assert _short_chords(d.out_masks, cyc.vertices) == zip_short_chords(
+            d.out_masks, cyc.vertices
+        ), cyc
+
+
+def test_short_chord_masks_match_the_zip_formula_on_every_digraph_up_to_4():
+    chorded = 0
+    for n in range(5):
+        for d in enumerate_labeled_digraphs(n):
+            assert_short_chord_masks_match_the_zip_formula(d)
+            chorded += any(_short_chords(d.out_masks, c.vertices) for c in enumerate_cycles(d))
+    assert chorded > 0  # positive control: some cycle has a short chord
+
+
+@given(digraphs_up_to(7))
+@example(complete_symmetric(5))
+@settings(max_examples=100, deadline=None)
+def test_short_chord_masks_match_the_zip_formula_on_random_digraphs(d):
+    assert_short_chord_masks_match_the_zip_formula(d)
 
 
 def test_short_chords_skip_arcs_of_the_circuit_itself():

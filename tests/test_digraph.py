@@ -10,12 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelkit import Digraph, as_vertex_set, build_digraph, directed_cycle
+from kernelkit import (
+    THREE_KERNEL,
+    Digraph,
+    as_vertex_set,
+    build_digraph,
+    directed_cycle,
+    find_kl_kernel,
+)
 from kernelkit.digraph import _ball, iter_arc_pairs
 from kernelkit.errors import (
     DuplicateArcError,
     EmptySetError,
     LoopArcError,
+    SizeBoundError,
     VertexOutOfRangeError,
 )
 from kernelkit.generators import enumerate_labeled_digraphs, random_digraph
@@ -149,6 +157,47 @@ def test_adjacency_masks_hold_exactly_the_adjacency_lists(d):
         assert bits(d.in_masks[v]) == {u for u, w in d.arcs if w == v}
     # the masks are the only adjacency: no adjacency lists, no list BFS
     assert not hasattr(Digraph, "out_adj") and not hasattr(Digraph, "_bfs")
+
+
+# -- cached tables -----------------------------------------------------------
+
+
+class CountingArcs(frozenset):
+    """An arc set that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("first", ["out_masks", "in_masks"])
+def test_both_adjacency_tables_come_from_one_pass_over_the_arcs(first):
+    arcs = CountingArcs([(0, 1), (1, 2), (2, 0), (2, 1)])
+    d = Digraph(3, arcs)
+    assert arcs.passes == 0  # nothing is built at construction
+    getattr(d, first)
+    assert arcs.passes == 1
+    assert d.out_masks == (0b010, 0b100, 0b011) and d.in_masks == (0b100, 0b101, 0b010)
+    assert arcs.passes == 1
+
+
+def test_filled_tables_leave_equality_and_hash_alone():
+    arcs = [(0, 1), (1, 2), (2, 0), (0, 2)]
+    filled, fresh = build_digraph(3, arcs), build_digraph(3, arcs)
+    filled.distance(0, 2)
+    filled.in_balls2
+    assert {"out_masks", "in_masks", "in_balls2", "_raw_matrix"} <= set(vars(filled))
+    assert filled == fresh and hash(filled) == hash(fresh)
+    assert set(vars(fresh)) == {"vertex_count", "arcs"}
+
+
+def test_a_size_bound_is_checked_before_any_table_is_built():
+    d = Digraph(10**20, frozenset())
+    with pytest.raises(SizeBoundError):
+        find_kl_kernel(d, THREE_KERNEL)
+    assert "out_masks" not in vars(d) and "in_masks" not in vars(d)
 
 
 # -- subdigraphs and neighbourhoods ------------------------------------------

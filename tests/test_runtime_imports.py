@@ -45,6 +45,40 @@ def test_an_import_outside_the_standard_library_is_flagged():
     assert outside_imports(snippet) == ["networkx", "networkx.algorithms", "hypothesis"]
 
 
+def cached_property_uses(source: str) -> list[int]:
+    """Lines that import `functools.cached_property` or name it through
+    `functools`; on Python 3.11 its first read takes a lock, which the
+    package's own `_table` descriptor does not."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name == "cached_property" for alias in node.names):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "cached_property":
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                found.append(node.lineno)
+    return found
+
+
+def test_kernelkit_caches_no_table_through_cached_property():
+    uses = {path.name: cached_property_uses(path.read_text()) for path in SOURCES}
+    assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+def test_a_cached_property_import_is_flagged():
+    snippet = (
+        "import functools\n"
+        "from functools import cached_property\n"
+        "from functools import lru_cache, cached_property as cp\n"
+        "from functools import lru_cache\n"
+        "class A:\n"
+        "    @functools.cached_property\n"
+        "    def table(self):\n"
+        "        return ()\n"
+    )
+    assert cached_property_uses(snippet) == [2, 3, 6]
+
+
 # `kernelkit.__all__` is every name its __init__ binds, the submodules among them.
 PUBLIC_NAMES = [
     "CampaignParams", "ClosedWalk", "CycleHypothesisVariant", "Digraph", "HypothesisReport",
