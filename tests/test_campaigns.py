@@ -241,7 +241,7 @@ def test_additive_inverse_builds_traces_only_inside_the_class(monkeypatch):
 
 def test_trace_campaigns_build_no_distance_matrix(monkeypatch):
     # the substitution layer reads in-ball masks and reverse-path hop counts
-    # from one mask walk; `_raw_matrix` is a cached property, so its `func`
+    # from one mask walk; `_raw_matrix` is a cached `_table`, so its `func`
     # runs once per digraph that builds a matrix
     raw_matrix = vars(Digraph)["_raw_matrix"]
     build = raw_matrix.func
