@@ -24,7 +24,7 @@ from .cycles import (
     DEFAULT_BUDGET,
     CycleHypothesisVariant,
     HypothesisReport,
-    check_circuit_hypothesis,
+    _cycle_lengths_0_mod_3,
     check_cycle_hypothesis,
     every_cycle_has_symmetric_arc,
 )
@@ -181,10 +181,13 @@ def _member(check: Callable[..., HypothesisReport]) -> _Member:
 
 
 # The hypothesis classes: theorem4's circuit hypothesis, the two cycle
-# hypotheses (theorem2's and reverse-path's) and Duchet's.  Each check is
-# looked up in this module at call time, so replacing it here reaches the table.
+# hypotheses (theorem2's and reverse-path's) and Duchet's.  The circuit class
+# is the mod-3 class, decided by its residue test without a search, so it
+# ignores the budget and min_cycle_len and is never None.  Each search-backed
+# check is looked up in this module at call time, so replacing it here
+# reaches the table.
 CLASSES: dict[str, _Member] = {
-    "circuit": _member(lambda d, m, **kw: check_circuit_hypothesis(d, len(d.arcs), **kw)),
+    "circuit": lambda d, budget, min_cycle_len: _cycle_lengths_0_mod_3(d),
     "theorem1": _member(
         lambda d, m, **kw: check_cycle_hypothesis(
             d, CycleHypothesisVariant.THREE_WITH_CROSSING, m, **kw
@@ -197,12 +200,6 @@ CLASSES: dict[str, _Member] = {
     ),
     "duchet": _member(lambda d, m, **kw: every_cycle_has_symmetric_arc(d, **kw)),
 }
-
-
-def _skip_reason(name: str, is_member: bool | None) -> str:
-    """Why an instance outside the class `name` is skipped: its member test
-    ran out of budget, or it fails the class's hypothesis."""
-    return "budget" if is_member is None else f"{name} hypothesis"
 
 
 def _class_campaign(
@@ -301,9 +298,10 @@ def _trace_campaign(
     class_name: str | None = None,
 ) -> dict:
     """One (D, x0) attempt per trial: D is skipped when it is not a member
-    of `CLASSES[class_name]`, else its substitution starts and `check` runs
-    on the trace.  `check` adds to the named counters; the campaign is vacuous when the
-    last of them (traces_built when there are none) stays 0."""
+    of `CLASSES[class_name]` (a class decided without a budget), else its
+    substitution starts and `check` runs on the trace.  `check` adds to the
+    named counters; the campaign is vacuous when the last of them
+    (traces_built when there are none) stays 0."""
     if params.exhaustive:
         raise ValueError("the trace campaigns have no exhaustive mode")
     occupancy = Counter(dict.fromkeys(("tried", "traces_built", *counters), 0))
@@ -314,9 +312,8 @@ def _trace_campaign(
         x0 = SplitMix64(derive_trial_seed(params.seed, trial) + 1).next_u64() % params.n
         occupancy["tried"] += 1
         if class_name:
-            is_member = CLASSES[class_name](d, params.budget, params.min_cycle_len)
-            if not is_member:
-                skips[_skip_reason(class_name, is_member)] += 1
+            if not CLASSES[class_name](d, params.budget, params.min_cycle_len):
+                skips[f"{class_name} hypothesis"] += 1
                 continue
             occupancy["accepted"] += 1
         try:
@@ -384,9 +381,8 @@ def _theorem4(params: CampaignParams, failures: _Failures) -> dict:
     # occupied at all, deterministically contains it.
     for d in chain([directed_cycle(params.n)], _sc_stream(params)):
         tried += 1
-        is_member = CLASSES["circuit"](d, params.budget, params.min_cycle_len)
-        if not is_member:
-            skips[_skip_reason("circuit", is_member)] += 1
+        if not CLASSES["circuit"](d, params.budget, params.min_cycle_len):
+            skips["circuit hypothesis"] += 1
             continue
         if not is_quasi_3_kernel_perfect(d)[0]:
             skips["not quasi-3-kernel-perfect"] += 1
@@ -451,7 +447,7 @@ CAMPAIGNS: dict[str, Callable[[CampaignParams, _Failures], dict]] = {
 
 # The campaigns that read each campaign-specific parameter; the others ignore it.
 PARAMETER_READERS = {
-    "budget": ("additive-inverse", "duchet", "reverse-path", "theorem2", "theorem4"),
+    "budget": ("duchet", "reverse-path", "theorem2"),
     "min_cycle_len": ("reverse-path", "theorem2"),
 }
 

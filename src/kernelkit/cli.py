@@ -306,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="arc probability (default: the campaign parameters' own)")
     p.add_argument("--max-failures", type=int, default=10)
     p.add_argument("--budget", type=int, default=None,
-                   help="step budget of each length pass of the cycle and circuit searches "
-                   "(additive-inverse, duchet, reverse-path, theorem2 and theorem4 only)")
+                   help="step budget of each length pass of the cycle search "
+                   "(duchet, reverse-path and theorem2 only)")
     common(p, fmt=False)
     p.set_defaults(func=_cmd_verify)
 

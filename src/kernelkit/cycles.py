@@ -17,9 +17,13 @@ The cycle and circuit walks and every chord test read the adjacency
 masks of `Digraph`.  The cycle checks keep the chord positions as an
 n-bit mask, where consecutive and crossing short chords are rotations of
 it.
-All three hypothesis checks take `stop_at_first`, which ends the check at
-the first violation (the full report's first one) for callers that read
-only `.satisfied`, and a `budget` of steps per length pass of their search.
+The two cycle checks take `stop_at_first`, which ends the check at the
+first violation (the full report's first one) for callers that read only
+`.satisfied`; every hypothesis check takes a `budget` of steps per length
+pass of its search.  The circuit hypothesis holds exactly on the digraphs
+whose cycle lengths are all = 0 mod 3 (README "Reported findings"), so its
+class is decided without a search by `_cycle_lengths_0_mod_3`, and
+`check_circuit_hypothesis` serves the callers that list violations.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from .digraph import Digraph
+from .digraph import Digraph, _ball
 from .errors import BudgetExceededError
 
 DEFAULT_BUDGET = 10**6
@@ -342,23 +346,46 @@ def _circuit_violation(out_masks: tuple[int, ...], circ: ClosedWalk) -> Violatio
 
 
 def check_circuit_hypothesis(
-    d: Digraph,
-    max_len: int,
-    budget: int = DEFAULT_BUDGET,
-    stop_at_first: bool = False,
+    d: Digraph, max_len: int, budget: int = DEFAULT_BUDGET
 ) -> HypothesisReport:
     """Every circuit of length != 0 mod 3 (within the bounds) must have at
     least four short chords, counted by position: an arc that is the short
-    chord at two positions counts twice.
-
-    With stop_at_first the check ends at the first violation, which is the
-    full report's first one; circuits longer than it are never enumerated,
-    so a digraph with a short violating circuit is decided even when the
-    full enumeration would exceed `budget`.
-    """
+    chord at two positions counts twice.  `budget` bounds each pass of
+    `enumerate_circuits`."""
     circuits = enumerate_circuits(d, max_len=max_len, budget=budget)
     out_masks = d.out_masks
-    return _report(circuits, lambda circ: _circuit_violation(out_masks, circ), stop_at_first)
+    return _report(circuits, lambda circ: _circuit_violation(out_masks, circ), False)
+
+
+def _cycle_lengths_0_mod_3(d: Digraph) -> bool:
+    """Whether every cycle of d has length = 0 mod 3, the circuit class:
+    whether each strong component has a residue map r into Z_3 with
+    r(v) = r(u) + 1 on each of its arcs u -> v.  A component is the out-ball
+    and in-ball of its least unassigned vertex; one breadth-first walk per
+    component gives each vertex its depth mod 3 and fails at the first arc
+    inside it that breaks r.  Arcs between components lie on no cycle."""
+    n = d.vertex_count
+    out_masks = d.out_masks
+    unassigned = (1 << n) - 1
+    while unassigned:
+        root = (unassigned & -unassigned).bit_length() - 1
+        component = _ball(out_masks, root, unassigned, n) & _ball(d.in_masks, root, unassigned, n)
+        unassigned ^= component
+        levels = [1 << root, 0, 0]  # levels[r]: the vertices given residue r
+        frontier, r = 1 << root, 0
+        while frontier:
+            step = 0
+            while frontier:
+                low = frontier & -frontier
+                step |= out_masks[low.bit_length() - 1]
+                frontier ^= low
+            r = (r + 1) % 3
+            step &= component
+            if step & (levels[(r + 1) % 3] | levels[(r + 2) % 3]):
+                return False
+            frontier = step & ~levels[r]
+            levels[r] |= frontier
+    return True
 
 
 def _asymmetric_cycle(out_masks: tuple[int, ...], seq: tuple[int, ...]) -> Violation | None:

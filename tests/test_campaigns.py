@@ -13,6 +13,7 @@ from kernelkit import (
     CampaignParams,
     Digraph,
     HypothesisReport,
+    build_digraph,
     check_circuit_hypothesis,
     directed_cycle,
     format_digraph_text,
@@ -22,7 +23,7 @@ from kernelkit import (
     start_substitution,
 )
 from kernelkit import campaigns
-from kernelkit.campaigns import CAMPAIGNS, PARAMETER_READERS
+from kernelkit.campaigns import CAMPAIGNS, CLASSES, PARAMETER_READERS
 from kernelkit.errors import BudgetExceededError
 from kernelkit.generators import (
     derive_trial_seed,
@@ -150,21 +151,37 @@ def test_theorem4_accepts_canonical_cycle():
     assert report.occupancy["accepted"] >= 1
 
 
-def test_criterion_10_budget_instance_is_decided_by_its_first_layer():
-    # trial 14 of criterion 10's theorem4 call: a full circuit search of this
-    # m=22 digraph exceeds even the default 10**6-step budget, but its digons
-    # already violate the circuit hypothesis
-    params = CampaignParams(n=6, trials=30, seed=20260823, extra_arc_prob=0.3)
-    d = random_strongly_connected(6, 0.3, derive_trial_seed(params.seed, 14))
+def criterion_10_trial_14():
+    """Trial 14 of criterion 10's theorem4 call: an m=22 digraph whose full
+    circuit search exceeds even the default 10**6-step budget; its digons
+    put it outside the circuit class."""
+    d = random_strongly_connected(6, 0.3, derive_trial_seed(20260823, 14))
     assert len(d.arcs) == 22
-    report = check_circuit_hypothesis(d, 22, budget=1000, stop_at_first=True)
-    assert not report.satisfied
-    assert len(report.violations[0].subject) == 2
+    return d
+
+
+def test_criterion_10_budget_instance_is_decided_by_its_first_layer():
+    # the class is decided by the residue test, not by the circuit search
+    d = criterion_10_trial_14()
     with pytest.raises(BudgetExceededError):
         check_circuit_hypothesis(d, 22, budget=1000)
+    assert CLASSES["circuit"](d, 1000, 2) is False
+    params = CampaignParams(n=6, trials=30, seed=20260823, extra_arc_prob=0.3)
     occupancy = run_campaign("theorem4", params).occupancy
     assert occupancy["accepted"] == 2
     assert occupancy["skipped"] == {"circuit hypothesis": 29}
+
+
+def test_the_circuit_class_ignores_the_budget():
+    # the cyclic 3-partite digraph on parts of size 3: all 27 arcs from each
+    # part to the next, every cycle of length = 0 mod 3, so a member
+    parts = [range(0, 3), range(3, 6), range(6, 9)]
+    d = build_digraph(9, [(u, v) for i in range(3) for u in parts[i] for v in parts[(i + 1) % 3]])
+    assert len(d.arcs) == 27
+    with pytest.raises(BudgetExceededError):
+        check_circuit_hypothesis(d, 27, budget=1000)
+    assert CLASSES["circuit"](d, 1, 2) is True
+    assert CLASSES["circuit"](criterion_10_trial_14(), 1, 2) is False
 
 
 def complete_symmetric_occupancy(property_id, budget, min_cycle_len):
@@ -190,19 +207,18 @@ def test_cycle_checks_past_the_budget_are_counted_as_budget_skips(property_id, m
 
 @pytest.mark.parametrize("answer", [True, False, None])
 def test_class_table_looks_its_checks_up_at_call_time(monkeypatch, answer):
-    # a check replaced in the module's namespace reaches every table entry;
-    # None stands for a search that runs out of budget
+    # a check replaced in the module's namespace reaches every table entry
+    # backed by a search; None stands for a search that runs out of budget
     def check(*args, **kw):
         if answer is None:
             raise BudgetExceededError("budget")
         return HypothesisReport(answer, (), 0)
 
-    for name in ("check_circuit_hypothesis", "check_cycle_hypothesis",
-                 "every_cycle_has_symmetric_arc"):
+    for name in ("check_cycle_hypothesis", "every_cycle_has_symmetric_arc"):
         monkeypatch.setattr(campaigns, name, check)
     d = directed_cycle(3)
-    for name, member in campaigns.CLASSES.items():
-        assert member(d, 10**6, 2) is answer, name
+    for name in ("theorem1", "two-consecutive", "duchet"):
+        assert campaigns.CLASSES[name](d, 10**6, 2) is answer, name
 
 
 @pytest.mark.parametrize("property_id", sorted(CAMPAIGNS))

@@ -146,7 +146,7 @@ def test_usage_errors(capsys):
         ["verify", "roads", "--n", "0"],
         ["verify", "roads", "--p", "1.5"],
         ["analyze", "C6", "--budget", "-5"],
-        ["verify", "theorem4", "--budget", "-1"],
+        ["verify", "duchet", "--budget", "-1"],
         ["analyze", "C6", "--max-circuit-len", "-1"],
         ["analyze", "C6", "--max-circuit-len", "0"],
         ["verify", "roads", "--n", "4", "--trials", "3", "--budget", "-1"],
@@ -223,8 +223,7 @@ def test_options_a_command_does_not_read_are_rejected(argv, c6_file, capsys):
 
 @pytest.mark.parametrize(
     "property_id, option",
-    [("additive-inverse", "--budget"), ("theorem4", "--budget"),
-     ("reverse-path", "--min-cycle-len"), ("theorem2", "--min-cycle-len"),
+    [("reverse-path", "--min-cycle-len"), ("theorem2", "--min-cycle-len"),
      ("duchet", "--budget"), ("reverse-path", "--budget"), ("theorem2", "--budget")],
 )
 def test_campaign_options_reach_the_campaigns_that_read_them(property_id, option, capsys):

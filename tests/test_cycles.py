@@ -5,8 +5,8 @@ differently from the library's (it walks raw arc sequences and dedupes by
 rotation at the end).  The length-layered circuit search is also compared
 with `single_pass_circuits`, the one-pass trail search it replaced, whose
 step count defines what fits a budget.  Simple cycles are compared with
-networkx's `simple_cycles`, and every `stop_at_first` report with the full
-report.
+networkx's `simple_cycles`, and every cycle check's `stop_at_first` report
+with the full report.
 
 The library decides the chord hypotheses on chord-position masks.  The
 chord-object API it replaced lives here as the reference: `Chord`,
@@ -16,8 +16,10 @@ The three hypothesis checks must give the full reports that the
 reference violations built on them give.
 
 The circuit class is the class of digraphs whose cycle lengths are all
-= 0 mod 3 (README "Reported findings"); `cycle_lengths_are_0_mod_3`, a
-residue test in linear time, checks that against `CLASSES["circuit"]`.
+= 0 mod 3 (README "Reported findings").  `CLASSES["circuit"]` decides it by
+`_cycle_lengths_0_mod_3`, a residue test on masks, which is compared with
+the full circuit search (the reference) and with `cycle_lengths_are_0_mod_3`,
+the same test on networkx's strong components.
 """
 
 from collections import deque
@@ -42,7 +44,7 @@ from kernelkit import (
     every_cycle_has_symmetric_arc,
 )
 from kernelkit.campaigns import CLASSES
-from kernelkit.cycles import Violation, _cycle_reports, _short_chords
+from kernelkit.cycles import Violation, _cycle_lengths_0_mod_3, _cycle_reports, _short_chords
 from kernelkit.errors import BudgetExceededError
 from kernelkit.generators import (
     enumerate_labeled_digraphs,
@@ -373,27 +375,6 @@ def test_layered_search_decides_whatever_the_single_pass_decides(d, max_len, bud
             list(enumerate_circuits(d, max_len, budget=budget))
         return
     assert [c.vertices for c in enumerate_circuits(d, max_len, budget=budget)] == expected
-
-
-@given(digraphs, st.sampled_from([30, 300, 3000]))
-@settings(max_examples=150, deadline=None)
-def test_stop_at_first_returns_the_full_reports_first_violation(d, budget):
-    max_len = len(d.arcs)
-    try:
-        full = check_circuit_hypothesis(d, max_len, budget=budget)
-    except BudgetExceededError:
-        full = None
-    try:
-        first = check_circuit_hypothesis(d, max_len, budget=budget, stop_at_first=True)
-    except BudgetExceededError:
-        assert full is None  # an early stop never needs more budget
-        return
-    if full is None:
-        # undecided in full, so decided here only by a violation
-        assert not first.satisfied and len(first.violations) == 1
-        return
-    assert first.satisfied == full.satisfied
-    assert first.violations == full.violations[:1]
 
 
 def test_every_cycle_is_a_circuit():
@@ -794,12 +775,19 @@ def cycle_lengths_are_0_mod_3(d):
     return True
 
 
+def assert_residue_tests_give(d, expected):
+    assert _cycle_lengths_0_mod_3(d) is expected, d.arcs
+    assert CLASSES["circuit"](d, 10**6, 2) is expected, d.arcs
+    assert cycle_lengths_are_0_mod_3(d) is expected, d.arcs
+
+
 def test_residue_test_is_the_circuit_class_on_every_digraph_up_to_4():
     members = 0
     for n in range(5):
         for d in enumerate_labeled_digraphs(n):
-            assert CLASSES["circuit"](d, 10**6, 2) is cycle_lengths_are_0_mod_3(d), d.arcs
-            members += cycle_lengths_are_0_mod_3(d)
+            expected = check_circuit_hypothesis(d, len(d.arcs)).satisfied
+            assert_residue_tests_give(d, expected)
+            members += expected
     assert members > 0  # positive control: both answers occur
 
 
@@ -814,7 +802,12 @@ def test_residue_test_is_the_circuit_class_on_every_digraph_up_to_4():
 @settings(max_examples=150, deadline=None)
 def test_residue_test_is_the_circuit_class_on_random_digraphs(model, n, prob, seed):
     d = model(n, prob, seed)
-    assert CLASSES["circuit"](d, 10**6, 2) is cycle_lengths_are_0_mod_3(d)
+    try:
+        expected = check_circuit_hypothesis(d, len(d.arcs), budget=10**4).satisfied
+    except BudgetExceededError:
+        # too many circuits for the reference search: the networkx test decides
+        expected = cycle_lengths_are_0_mod_3(d)
+    assert_residue_tests_give(d, expected)
 
 
 def test_residue_test_agrees_with_the_cycle_lengths():
@@ -822,4 +815,4 @@ def test_residue_test_agrees_with_the_cycle_lengths():
               build_digraph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)]),
               build_digraph(3, [(0, 1), (1, 0)])):
         expected = all(len(cyc) % 3 == 0 for cyc in enumerate_cycles(d))
-        assert cycle_lengths_are_0_mod_3(d) is expected
+        assert_residue_tests_give(d, expected)

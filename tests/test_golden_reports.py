@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import kernelkit.cycles
 from kernelkit import CampaignParams, run_campaign
 from kernelkit.campaigns import CAMPAIGNS
 from kernelkit.cli import main
@@ -139,6 +140,20 @@ NAMES = sorted(
 
 @pytest.mark.parametrize("name", NAMES)
 def test_report_body_matches_golden(name, tmp_path):
+    expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert body(name, tmp_path) == expected
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in NAMES if name.startswith(("theorem4__", "additive-inverse__"))]
+)
+def test_the_circuit_class_campaigns_search_no_circuits(name, tmp_path, monkeypatch):
+    # the circuit class is decided by its residue test: with the circuit
+    # search gone, the campaigns that filter by it still match their goldens
+    def no_search(*args, **kwargs):
+        raise AssertionError("circuit search reached from a campaign")
+
+    monkeypatch.setattr(kernelkit.cycles, "enumerate_circuits", no_search)
     expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert body(name, tmp_path) == expected
 
