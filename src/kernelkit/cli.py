@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from .campaigns import CAMPAIGNS, PARAMETER_READERS, CampaignParams, run_campaign
 from .cycles import DEFAULT_BUDGET, _cycle_reports, check_circuit_hypothesis
@@ -54,21 +55,20 @@ def _write(text: str, out: str | Path | None) -> None:
         sys.stdout.write(text)
 
 
+def _text_lines(prefix: str, value) -> Iterator[str]:
+    """`key.subkey: value` for each leaf of the nested dict `value`."""
+    if isinstance(value, dict):
+        for key in value:
+            yield from _text_lines(f"{prefix}{key}.", value[key])
+    else:
+        yield f"{prefix[:-1]}: {value}"
+
+
 def _emit(payload: dict, fmt: str, out: str | None) -> None:
     if fmt == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
-        lines = []
-
-        def walk(prefix: str, value) -> None:
-            if isinstance(value, dict):
-                for key in value:
-                    walk(f"{prefix}{key}." if prefix else f"{key}.", value[key])
-            else:
-                lines.append(f"{prefix[:-1]}: {value}")
-
-        walk("", payload)
-        text = "\n".join(lines) + "\n"
+        text = "\n".join(_text_lines("", payload)) + "\n"
     _write(text, out)
 
 

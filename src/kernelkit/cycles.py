@@ -24,6 +24,11 @@ pass of its search.  The circuit hypothesis holds exactly on the digraphs
 whose cycle lengths are all = 0 mod 3 (README "Reported findings"), so its
 class is decided without a search by `_cycle_lengths_0_mod_3`, and
 `check_circuit_hypothesis` serves the callers that list violations.
+
+Each length pass's search is a nested function that calls itself, and a
+closure that holds itself is cyclic garbage; so the pass deletes its name
+before it yields, since a caller may abandon the generator there, and on
+the way out of a BudgetExceededError.
 """
 
 from __future__ import annotations
@@ -151,22 +156,25 @@ def _cycle_tuples(
                         found.append((*path, u, end.bit_length() - 1))
                         ends ^= end
 
-        for root in d.vertices():
-            on_path = (2 << root) - 1
-            if length > 2:
-                extend(root, [root], on_path)
-                continue
-            steps += 1
-            if steps > budget:
-                raise exceeded()
-            ends = out_masks[root] & ~on_path
-            if ends:
-                reached = True
-                ends &= in_masks[root]
-                while ends:
-                    end = ends & -ends
-                    found.append((root, end.bit_length() - 1))
-                    ends ^= end
+        try:
+            for root in d.vertices():
+                on_path = (2 << root) - 1
+                if length > 2:
+                    extend(root, [root], on_path)
+                    continue
+                steps += 1
+                if steps > budget:
+                    raise exceeded()
+                ends = out_masks[root] & ~on_path
+                if ends:
+                    reached = True
+                    ends &= in_masks[root]
+                    while ends:
+                        end = ends & -ends
+                        found.append((root, end.bit_length() - 1))
+                        ends ^= end
+        finally:
+            del extend
         yield from found
         if not reached:
             return
@@ -238,8 +246,11 @@ def enumerate_circuits(
                     unused[u] ^= low
                     trail.pop()
 
-        for root in d.vertices():
-            extend(root, root, [root])
+        try:
+            for root in d.vertices():
+                extend(root, root, [root])
+        finally:
+            del extend
         for seq in found:
             yield ClosedWalk(seq)
         if not reached:

@@ -24,6 +24,11 @@ marks, and the first set without a kernel is the counterexample.  The walk
 carries each set's conflict and absorbed-by balls: a set is its parent plus
 one vertex, so a few mask operations update the parent's balls where the
 engine's own set-up would rebuild every member's from scratch.
+
+Each recursion here is a nested function that calls itself through its own
+closure cell, and a closure that holds itself is cyclic garbage, which only
+the cyclic collector frees; so its owner deletes the name in a `finally`,
+and reference counting frees the search as soon as the owner returns.
 """
 
 from __future__ import annotations
@@ -189,7 +194,10 @@ def _search_balls(
             members.pop()
         return False
 
-    search(whole, 0)
+    try:
+        search(whole, 0)
+    finally:
+        del search
     return found, examined
 
 
@@ -291,11 +299,14 @@ def _every_connected_set(d: Digraph, query: KernelQuery, ok: _SetCheck) -> int |
 
     conflict = [link | 1 << v for v, link in enumerate(linked)]
     absorbed_by = [in_ | 1 << v for v, in_ in enumerate(in_masks)]
-    for v, neighbours in enumerate(linked):
-        below = (2 << v) - 1  # v and the vertices below it
-        failing = grow(1 << v, neighbours & ~below, neighbours | below, conflict, absorbed_by)
-        if failing is not None:
-            return failing
+    try:
+        for v, neighbours in enumerate(linked):
+            below = (2 << v) - 1  # v and the vertices below it
+            failing = grow(1 << v, neighbours & ~below, neighbours | below, conflict, absorbed_by)
+            if failing is not None:
+                return failing
+    finally:
+        del grow
     return None
 
 
@@ -368,7 +379,10 @@ def is_kernel_perfect(d: Digraph) -> tuple[bool, VertexSet | None]:
             v = low.bit_length() - 1
             walk(chosen | low, free & ~conflict[v], absorbed | absorbed_by[v])
 
-    walk(0, whole, 0)
+    try:
+        walk(0, whole, 0)
+    finally:
+        del walk
     if 0 not in has_kernel:
         return True, None
     return _first_failing_set(d, KERNEL, lambda c, *balls: has_kernel[c])

@@ -26,6 +26,10 @@ reads are placed, so the first full path is the first road:
 Index conventions: set i of a sequence is N_i, with i = 3k, 3k+1, 3k+2 for
 round k; positions on a road count from x0 (position 0) to the far end
 (position s).
+
+The road search is a nested function that calls itself, and a closure that
+holds itself is cyclic garbage; `find_road` deletes its name in a `finally`,
+so reference counting frees the search when `find_road` returns or raises.
 """
 
 from __future__ import annotations
@@ -351,7 +355,10 @@ def find_road(trace: SubstitutionTrace, v: int, s: int) -> Road:
             path.pop()
         return None
 
-    found = descend(s, 1 << v)
+    try:
+        found = descend(s, 1 << v)
+    finally:
+        del descend
     if found is None:
         raise NoRoadFoundError(f"no road of length {s} from {v} to {trace.x0}")
     return Road(found)

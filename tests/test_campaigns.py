@@ -1,6 +1,9 @@
 """Verification-campaign harness: determinism, occupancy reporting, and the
 failure-collection contract."""
 
+import contextlib
+import gc
+import inspect
 import json
 from itertools import chain, combinations
 
@@ -11,18 +14,24 @@ from kernelkit import (
     KERNEL,
     THREE_KERNEL,
     CampaignParams,
+    CycleHypothesisVariant,
     Digraph,
     HypothesisReport,
     build_digraph,
     check_circuit_hypothesis,
+    check_cycle_hypothesis,
     directed_cycle,
+    enumerate_circuits,
+    enumerate_cycles,
     format_digraph_text,
     is_kl_kernel,
     k_closure,
+    parse_digraph_text,
+    roads_of,
     run_campaign,
     start_substitution,
 )
-from kernelkit import campaigns
+from kernelkit import campaigns, cli
 from kernelkit.campaigns import CAMPAIGNS, CLASSES, PARAMETER_READERS
 from kernelkit.errors import BudgetExceededError
 from kernelkit.generators import (
@@ -295,3 +304,110 @@ def test_all_campaigns_run_small():
         report = run_campaign(property_id, params)
         assert report.result in {"pass", "fail", "vacuous"}
         assert report.parameters["n"] == 4
+
+
+# -- reference cycles --------------------------------------------------------
+
+# `DIGRAPH_B` of the golden reports, the shape of criterion 08's missing
+# roads: with x0 = 4 a vertex has no road.
+DIGRAPH_B = "n 6\n0 1\n0 5\n1 3\n1 5\n2 0\n2 3\n3 5\n4 2\n5 1\n5 4\n"
+
+# Each campaign at small parameters; the exhaustive entries at n <= 3.
+SMALL_CALLS = [
+    ("closure-lemma", CampaignParams(n=3, exhaustive=True)),
+    ("duchet", CampaignParams(n=3, exhaustive=True)),
+    ("reverse-path", CampaignParams(n=3, exhaustive=True, min_cycle_len=3)),
+    ("theorem2", CampaignParams(n=3, exhaustive=True, min_cycle_len=3)),
+    ("pre-kernel-props", CampaignParams(n=8, trials=6, seed=1)),
+    ("roads", CampaignParams(n=6, trials=6, seed=1)),
+    ("unique-chord", CampaignParams(n=7, trials=6, seed=1)),
+    ("additive-inverse", CampaignParams(n=6, trials=40, seed=7)),
+    ("theorem4", CampaignParams(n=6, trials=4, seed=1)),
+]
+
+
+@contextlib.contextmanager
+def collector_off():
+    """The cyclic collector disabled, and the garbage made so far collected,
+    so that `gc.collect()` counts only what the block leaves; the
+    collector's state is restored on the way out."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        yield
+    finally:
+        gc.collect()
+        if enabled:
+            gc.enable()
+
+
+def kernelkit_garbage() -> list:
+    """The functions of kernelkit and the instances of its classes among the
+    objects that only the cyclic collector can free."""
+    debug = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        return [
+            obj
+            for obj in gc.garbage
+            if (obj.__module__ if inspect.isfunction(obj) else type(obj).__module__)
+            .startswith("kernelkit")
+        ]
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+
+
+def test_the_campaigns_leave_no_reference_cycles():
+    # reference counting frees each search as soon as its caller returns,
+    # so the cyclic collector finds nothing after a campaign
+    assert sorted(property_id for property_id, _ in SMALL_CALLS) == sorted(CAMPAIGNS)
+    with collector_off():
+        for property_id, params in SMALL_CALLS:
+            report = run_campaign(property_id, params)
+            assert report.instances_checked > 0, property_id
+            assert gc.collect() == 0, property_id
+
+
+def test_the_early_exits_leave_no_reference_cycles():
+    k4 = build_digraph(4, [(u, v) for u in range(4) for v in range(4) if u != v])
+    k5 = build_digraph(5, [(u, v) for u in range(5) for v in range(5) if u != v])
+    missing_road = start_substitution(parse_digraph_text(DIGRAPH_B), 4)
+    with collector_off():
+        # the first violation, a digon, comes in the first of three passes,
+        # so the check abandons the cycle search mid-way
+        report = check_cycle_hypothesis(
+            k4, CycleHypothesisVariant.THREE_WITH_CROSSING, 2, stop_at_first=True
+        )
+        assert len(report.violations[0].subject) == 2 and report.cycles_examined == 1
+        assert gc.collect() == 0
+        with pytest.raises(BudgetExceededError, match="at length 3"):
+            list(enumerate_cycles(k5, budget=10))
+        assert gc.collect() == 0
+        with pytest.raises(BudgetExceededError, match="at length 3"):
+            list(enumerate_circuits(k5, 5, budget=40))
+        assert gc.collect() == 0
+        assert None in [road for _, _, road in roads_of(missing_road)]
+        assert gc.collect() == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "FILE"],
+        ["analyze", "FILE", "--format", "json"],
+        ["kernel", "FILE", "--k", "3"],
+        ["substitute", "FILE", "--x0", "4", "--trace", "TRACE"],
+    ],
+)
+def test_the_commands_leave_no_reference_cycles_of_kernelkit(tmp_path, capsys, argv):
+    # argparse's help formatters and the indented json encoder leave cycles
+    # of the standard library's own in every process; none may be kernelkit's
+    source = tmp_path / "digraph.txt"
+    source.write_text(DIGRAPH_B)
+    paths = {"FILE": str(source), "TRACE": str(tmp_path / "trace.json")}
+    with collector_off():
+        assert cli.main([paths.get(word, word) for word in argv]) == 0
+        assert kernelkit_garbage() == []

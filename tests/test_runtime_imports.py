@@ -1,6 +1,7 @@
 """The runtime uses the standard library only: networkx and the other test
 tools stay test-only oracles, never imports of `src/kernelkit`.  The public
-names are pinned, so adding or removing one is a declared change."""
+names are pinned, so adding or removing one is a declared change.  No module
+imports `gc`: the library leaves its host's cyclic collector alone."""
 
 import ast
 import sys
@@ -77,6 +78,39 @@ def test_a_cached_property_import_is_flagged():
         "        return ()\n"
     )
     assert cached_property_uses(snippet) == [2, 3, 6]
+
+
+def gc_imports(source: str) -> list[int]:
+    """Lines that import the `gc` module or a name from it.  A library must
+    leave its host's collector alone; the searches free themselves by
+    reference counting instead."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(alias.name == "gc" for alias in node.names):
+                found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc" and node.level == 0:
+            found.append(node.lineno)
+    return found
+
+
+def test_kernelkit_imports_no_gc():
+    uses = {path.name: gc_imports(path.read_text()) for path in SOURCES}
+    assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+def test_a_gc_import_is_flagged():
+    snippet = (
+        "import gc\n"
+        "import os, gc as collector\n"
+        "from gc import disable, freeze\n"
+        "from . import gc_free\n"
+        "from .gc import table\n"
+        "import gcd\n"
+        "def f():\n"
+        "    import gc\n"
+    )
+    assert gc_imports(snippet) == [1, 2, 3, 8]
 
 
 # `kernelkit.__all__` is every name its __init__ binds, the submodules among them.
