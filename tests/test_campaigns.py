@@ -1,5 +1,6 @@
 """Verification-campaign harness: determinism, occupancy reporting, and the
-failure-collection contract."""
+failure-collection contract, and that campaigns and commands leave no
+reference cycles of kernelkit's for the cyclic collector."""
 
 import contextlib
 import gc
