@@ -25,8 +25,8 @@ from .cycles import (
     CycleHypothesisVariant,
     HypothesisReport,
     _cycle_lengths_0_mod_3,
+    _one_way_arcs_acyclic,
     check_cycle_hypothesis,
-    every_cycle_has_symmetric_arc,
 )
 from .digraph import Digraph, _hops, directed_cycle
 from .errors import BudgetExceededError, NoBaseKernelError, SubkernelMissingError
@@ -182,10 +182,11 @@ def _member(check: Callable[..., HypothesisReport]) -> _Member:
 
 # The hypothesis classes: theorem4's circuit hypothesis, the two cycle
 # hypotheses (theorem2's and reverse-path's) and Duchet's.  The circuit class
-# is the mod-3 class, decided by its residue test without a search, so it
-# ignores the budget and min_cycle_len and is never None.  Each search-backed
-# check is looked up in this module at call time, so replacing it here
-# reaches the table.
+# is the mod-3 class, decided by its residue test, and Duchet's class is the
+# one whose one-way arcs are acyclic, decided by one peeling pass; neither
+# searches, so both ignore the budget and min_cycle_len and are never None.
+# Each search-backed check is looked up in this module at call time, so
+# replacing it here reaches the table.
 CLASSES: dict[str, _Member] = {
     "circuit": lambda d, budget, min_cycle_len: _cycle_lengths_0_mod_3(d),
     "theorem1": _member(
@@ -198,7 +199,7 @@ CLASSES: dict[str, _Member] = {
             d, CycleHypothesisVariant.TWO_CONSECUTIVE, m, **kw
         )
     ),
-    "duchet": _member(lambda d, m, **kw: every_cycle_has_symmetric_arc(d, **kw)),
+    "duchet": lambda d, budget, min_cycle_len: _one_way_arcs_acyclic(d),
 }
 
 
@@ -447,7 +448,7 @@ CAMPAIGNS: dict[str, Callable[[CampaignParams, _Failures], dict]] = {
 
 # The campaigns that read each campaign-specific parameter; the others ignore it.
 PARAMETER_READERS = {
-    "budget": ("duchet", "reverse-path", "theorem2"),
+    "budget": ("reverse-path", "theorem2"),
     "min_cycle_len": ("reverse-path", "theorem2"),
 }
 

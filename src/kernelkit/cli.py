@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-failures", type=int, default=10)
     p.add_argument("--budget", type=int, default=None,
                    help="step budget of each length pass of the cycle search "
-                   "(duchet, reverse-path and theorem2 only)")
+                   "(reverse-path and theorem2 only)")
     common(p, fmt=False)
     p.set_defaults(func=_cmd_verify)
 

@@ -17,13 +17,16 @@ The cycle and circuit walks and every chord test read the adjacency
 masks of `Digraph`.  The cycle checks keep the chord positions as an
 n-bit mask, where consecutive and crossing short chords are rotations of
 it.
-The two cycle checks take `stop_at_first`, which ends the check at the
-first violation (the full report's first one) for callers that read only
-`.satisfied`; every hypothesis check takes a `budget` of steps per length
-pass of its search.  The circuit hypothesis holds exactly on the digraphs
-whose cycle lengths are all = 0 mod 3 (README "Reported findings"), so its
-class is decided without a search by `_cycle_lengths_0_mod_3`, and
-`check_circuit_hypothesis` serves the callers that list violations.
+`check_cycle_hypothesis` takes `stop_at_first`, which ends the check at
+the first violation (the full report's first one) for callers that read
+only `.satisfied`; every hypothesis check takes a `budget` of steps per
+length pass of its search.  Two classes are decided without a search
+(README "Reported findings"): the circuit hypothesis holds exactly on the
+digraphs whose cycle lengths are all = 0 mod 3, tested by
+`_cycle_lengths_0_mod_3`, and Duchet's exactly on those whose one-way arcs
+form an acyclic digraph, tested by `_one_way_arcs_acyclic`.
+`check_circuit_hypothesis` and `every_cycle_has_symmetric_arc` serve the
+callers that list violations.
 
 Each length pass's search is a nested function that calls itself, and a
 closure that holds itself is cyclic garbage; so the pass deletes its name
@@ -399,6 +402,27 @@ def _cycle_lengths_0_mod_3(d: Digraph) -> bool:
     return True
 
 
+def _one_way_arcs_acyclic(d: Digraph) -> bool:
+    """Whether every cycle of d has a symmetric arc, Duchet's class: whether
+    the one-way arcs (u -> v without v -> u) form an acyclic digraph, since
+    a cycle without a symmetric arc is a cycle of one-way arcs and a cycle
+    of one-way arcs is one of d without a symmetric arc (README "Reported
+    findings").  Each pass peels every remaining vertex that no remaining
+    vertex reaches by a one-way arc, and the test fails at a pass that
+    peels none."""
+    one_way_in = [ins & ~outs for outs, ins in zip(d.out_masks, d.in_masks)]
+    remaining = (1 << d.vertex_count) - 1
+    while remaining:
+        left = remaining
+        for v, arcs_in in enumerate(one_way_in):
+            if left >> v & 1 and not arcs_in & left:
+                left ^= 1 << v
+        if left == remaining:
+            return False
+        remaining = left
+    return True
+
+
 def _asymmetric_cycle(out_masks: tuple[int, ...], seq: tuple[int, ...]) -> Violation | None:
     for u, w in zip(seq, seq[1:] + seq[:1]):
         if out_masks[w] >> u & 1:
@@ -406,17 +430,13 @@ def _asymmetric_cycle(out_masks: tuple[int, ...], seq: tuple[int, ...]) -> Viola
     return Violation(seq, "cycle without symmetric arc")
 
 
-def every_cycle_has_symmetric_arc(
-    d: Digraph, stop_at_first: bool = False, budget: int = DEFAULT_BUDGET
-) -> HypothesisReport:
+def every_cycle_has_symmetric_arc(d: Digraph, budget: int = DEFAULT_BUDGET) -> HypothesisReport:
     """Duchet's hypothesis: each simple cycle contains an arc whose reverse
-    is also present.  With stop_at_first the check ends at the first
-    violation.  `budget` bounds each pass of `enumerate_cycles`."""
+    is also present, every violation listed.  `budget` bounds each pass of
+    `enumerate_cycles`."""
     out_masks = d.out_masks
     return _report(
-        _cycle_tuples(d, 2, None, budget),
-        lambda seq: _asymmetric_cycle(out_masks, seq),
-        stop_at_first,
+        _cycle_tuples(d, 2, None, budget), lambda seq: _asymmetric_cycle(out_masks, seq), False
     )
 
 

@@ -135,10 +135,29 @@ def random_strongly_connected(n: int, extra_arc_prob: float, seed: int) -> Digra
     return Digraph(n, frozenset(backbone).union(extras))
 
 
+@lru_cache(maxsize=EXHAUSTIVE_BOUND + 1)
+def _half_arc_sets(n: int) -> tuple[tuple[frozenset, ...], tuple[frozenset, ...]]:
+    """The arc sets of the low half of `_arc_pairs(n)` and of its high half,
+    each indexed by its bits of the arc bitmask (2 x 64 sets at n = 4)."""
+    pairs = _arc_pairs(n)
+    half = len(pairs) // 2
+
+    def subsets(part: tuple[Arc, ...]) -> tuple[frozenset, ...]:
+        return tuple(
+            frozenset([pair for i, pair in enumerate(part) if mask >> i & 1])
+            for mask in range(1 << len(part))
+        )
+
+    return subsets(pairs[:half]), subsets(pairs[half:])
+
+
 def enumerate_labeled_digraphs(n: int) -> Iterator[Digraph]:
-    """All labeled loopless digraphs on n vertices, in arc-bitmask order."""
+    """All labeled loopless digraphs on n vertices, in arc-bitmask order:
+    each arc set is the union of a cached low-half and high-half set, the
+    high half in the outer loop."""
     if n > EXHAUSTIVE_BOUND:
         raise SizeBoundError(f"exhaustive enumeration capped at n = {EXHAUSTIVE_BOUND}")
-    pairs = _arc_pairs(n)
-    for mask in range(1 << len(pairs)):
-        yield Digraph(n, frozenset([pair for i, pair in enumerate(pairs) if mask >> i & 1]))
+    lows, highs = _half_arc_sets(n)
+    for high in highs:
+        for low in lows:
+            yield Digraph(n, low | high)

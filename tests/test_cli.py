@@ -146,7 +146,7 @@ def test_usage_errors(capsys):
         ["verify", "roads", "--n", "0"],
         ["verify", "roads", "--p", "1.5"],
         ["analyze", "C6", "--budget", "-5"],
-        ["verify", "duchet", "--budget", "-1"],
+        ["verify", "theorem2", "--budget", "-1"],
         ["analyze", "C6", "--max-circuit-len", "-1"],
         ["analyze", "C6", "--max-circuit-len", "0"],
         ["verify", "roads", "--n", "4", "--trials", "3", "--budget", "-1"],
@@ -205,6 +205,8 @@ def test_negative_p_in_exponent_notation_needs_the_equals_spelling(capsys):
         ["analyze", "C6", "--trials", "3"],
         ["kernel", "C6", "--k", "2", "--min-cycle-len", "3"],
         ["generate", "--kind", "cycle", "--n", "3", "--out", "c3.txt", "--budget", "5"],
+        # Duchet's class is decided without a cycle search, so no budget
+        ["verify", "duchet", "--n", "3", "--exhaustive", "--budget", "5"],
         *(
             ["verify", property_id, "--n", "3", "--trials", "2", "--budget", "5"]
             for property_id in sorted(set(CAMPAIGNS) - set(PARAMETER_READERS["budget"]))
@@ -224,7 +226,7 @@ def test_options_a_command_does_not_read_are_rejected(argv, c6_file, capsys):
 @pytest.mark.parametrize(
     "property_id, option",
     [("reverse-path", "--min-cycle-len"), ("theorem2", "--min-cycle-len"),
-     ("duchet", "--budget"), ("reverse-path", "--budget"), ("theorem2", "--budget")],
+     ("reverse-path", "--budget"), ("theorem2", "--budget")],
 )
 def test_campaign_options_reach_the_campaigns_that_read_them(property_id, option, capsys):
     code, out, _ = run(capsys, "verify", property_id, "--n", "4", "--trials", "3", option, "3")

@@ -5,8 +5,8 @@ differently from the library's (it walks raw arc sequences and dedupes by
 rotation at the end).  The length-layered circuit search is also compared
 with `single_pass_circuits`, the one-pass trail search it replaced, whose
 step count defines what fits a budget.  Simple cycles are compared with
-networkx's `simple_cycles`, and every cycle check's `stop_at_first` report
-with the full report.
+networkx's `simple_cycles`, and `check_cycle_hypothesis`'s `stop_at_first`
+report with the full report.
 
 The library decides the chord hypotheses on chord-position masks.  The
 chord-object API it replaced lives here as the reference: `Chord`,
@@ -20,6 +20,12 @@ The circuit class is the class of digraphs whose cycle lengths are all
 `_cycle_lengths_0_mod_3`, a residue test on masks, which is compared with
 the full circuit search (the reference) and with `cycle_lengths_are_0_mod_3`,
 the same test on networkx's strong components.
+
+Duchet's class is the class of digraphs whose one-way arcs form an acyclic
+digraph (README "Reported findings").  `CLASSES["duchet"]` decides it by
+`_one_way_arcs_acyclic`, a peeling pass on masks, which is compared with
+the full report of `every_cycle_has_symmetric_arc` (the reference) and with
+`one_way_arcs_are_acyclic`, networkx's acyclicity test on the one-way arcs.
 """
 
 from collections import deque
@@ -44,7 +50,13 @@ from kernelkit import (
     every_cycle_has_symmetric_arc,
 )
 from kernelkit.campaigns import CLASSES
-from kernelkit.cycles import Violation, _cycle_lengths_0_mod_3, _cycle_reports, _short_chords
+from kernelkit.cycles import (
+    Violation,
+    _cycle_lengths_0_mod_3,
+    _cycle_reports,
+    _one_way_arcs_acyclic,
+    _short_chords,
+)
 from kernelkit.errors import BudgetExceededError
 from kernelkit.generators import (
     enumerate_labeled_digraphs,
@@ -597,7 +609,6 @@ def test_cycle_checks_stopping_at_first_agree_with_the_full_reports(d):
     for variant in CycleHypothesisVariant:
         for m in (2, 3):
             assert_first_violation_only(check_cycle_hypothesis, d, variant, m)
-    assert_first_violation_only(every_cycle_has_symmetric_arc, d)
 
 
 @given(digraphs, st.integers(1, 7), st.sampled_from([1, 5, 30, 300, 10**6]))
@@ -816,3 +827,49 @@ def test_residue_test_agrees_with_the_cycle_lengths():
               build_digraph(3, [(0, 1), (1, 0)])):
         expected = all(len(cyc) % 3 == 0 for cyc in enumerate_cycles(d))
         assert_residue_tests_give(d, expected)
+
+
+# -- Duchet's class is the class with acyclic one-way arcs --------------------
+
+
+def one_way_arcs_are_acyclic(d):
+    """Whether the arcs u -> v of D without v -> u form an acyclic digraph,
+    by networkx."""
+    g = nx.DiGraph([(u, v) for u, v in d.arcs if (v, u) not in d.arcs])
+    g.add_nodes_from(d.vertices())
+    return nx.is_directed_acyclic_graph(g)
+
+
+def assert_one_way_tests_give(d, expected):
+    assert _one_way_arcs_acyclic(d) is expected, d.arcs
+    assert CLASSES["duchet"](d, 10**6, 2) is expected, d.arcs
+    assert one_way_arcs_are_acyclic(d) is expected, d.arcs
+
+
+def test_one_way_peel_is_duchets_class_on_every_digraph_up_to_4():
+    members = 0
+    for n in range(5):
+        for d in enumerate_labeled_digraphs(n):
+            expected = every_cycle_has_symmetric_arc(d).satisfied
+            assert_one_way_tests_give(d, expected)
+            members += expected
+    assert 0 < members < 4166  # positive control: both answers occur
+
+
+@given(
+    st.sampled_from([random_digraph, random_strongly_connected]),
+    st.integers(1, 9),
+    st.sampled_from([0.03, 0.1, 0.2, 0.35, 0.6, 0.9]),
+    st.integers(0, 2**32 - 1),
+)
+@example(random_strongly_connected, 5, 1.0, 0)  # K5*: a member
+@example(random_strongly_connected, 4, 0.0, 0)  # a directed C4: not one
+@settings(max_examples=150, deadline=None)
+def test_one_way_peel_is_duchets_class_on_random_digraphs(model, n, prob, seed):
+    d = model(n, prob, seed)
+    try:
+        expected = every_cycle_has_symmetric_arc(d, budget=10**4).satisfied
+    except BudgetExceededError:
+        # too many cycles for the reference search: the networkx test decides
+        expected = one_way_arcs_are_acyclic(d)
+    assert_one_way_tests_give(d, expected)

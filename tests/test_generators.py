@@ -3,8 +3,11 @@
 Batched draws (`SplitMix64.next_u64s`) are checked against repeated
 `next_u64()` calls, the integer arc threshold against the float compare it
 replaces, both random models against per-pair-draw references, and
-enumeration against `build_digraph`.
+enumeration, which joins cached half arc sets, against one comprehension per
+arc bitmask and against `build_digraph`.
 """
+
+import inspect
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +21,7 @@ from kernelkit import (
     random_strongly_connected,
 )
 from kernelkit.digraph import iter_arc_pairs
-from kernelkit.generators import _threshold, derive_trial_seed
+from kernelkit.generators import _half_arc_sets, _threshold, derive_trial_seed
 from kernelkit.errors import SizeBoundError, VertexOutOfRangeError
 
 
@@ -192,14 +195,27 @@ def test_enumeration_counts(n, count):
     assert sum(1 for _ in enumerate_labeled_digraphs(n)) == count
 
 
-@pytest.mark.parametrize("n", range(5))
-def test_enumeration_matches_build_digraph(n):
+def per_mask_arc_sets(n):
+    """Reference: one comprehension per arc bitmask, in bitmask order."""
     pairs = list(iter_arc_pairs(n))
-    reference = [
-        build_digraph(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+    return [
+        frozenset([pair for i, pair in enumerate(pairs) if mask >> i & 1])
         for mask in range(1 << len(pairs))
     ]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_enumeration_matches_build_digraph(n):
+    reference = [build_digraph(n, sorted(arcs)) for arcs in per_mask_arc_sets(n)]
     assert list(enumerate_labeled_digraphs(n)) == reference
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_half_set_unions_give_the_per_mask_arc_sets_in_order(n):
+    assert inspect.isgenerator(enumerate_labeled_digraphs(n))
+    assert [d.arcs for d in enumerate_labeled_digraphs(n)] == per_mask_arc_sets(n)
+    lows, highs = _half_arc_sets(n)
+    assert len(lows) == len(highs) == 2 ** (n * (n - 1) // 2)
 
 
 def test_enumeration_order_and_uniqueness():

@@ -46,10 +46,16 @@ CASES = {
 for property_id in ("closure-lemma", "duchet"):
     for n in (1, 2, 3):
         CASES[f"{property_id}__exhaustive_n{n}"] = (property_id, dict(n=n, exhaustive=True))
-# a budget that cuts some instances but not all: 11 of the 20 draws are
-# skipped with `skipped: {"budget": 11}`, 3 are accepted
+# Duchet's class is decided without a search, so this budget cuts nothing:
+# 14 of the 20 draws are accepted, as without a budget
 CASES["duchet__n6_t20_s5_budget100"] = (
     "duchet", dict(n=6, trials=20, seed=5, extra_arc_prob=0.7, budget=100)
+)
+# a budget that cuts some instances but not all: 11 of the 20 draws are
+# skipped with `skipped: {"budget": 11}`, 1 is accepted
+CASES["theorem2__n6_t20_s5_p090_budget200"] = (
+    "theorem2",
+    dict(n=6, trials=20, seed=5, extra_arc_prob=0.9, budget=200, min_cycle_len=3),
 )
 
 C6 = "n 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n"
@@ -154,6 +160,33 @@ def test_the_circuit_class_campaigns_search_no_circuits(name, tmp_path, monkeypa
         raise AssertionError("circuit search reached from a campaign")
 
     monkeypatch.setattr(kernelkit.cycles, "enumerate_circuits", no_search)
+    expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert body(name, tmp_path) == expected
+
+
+def test_the_duchet_budget_golden_is_the_unbudgeted_call():
+    property_id, params = CASES["duchet__n6_t20_s5_budget100"]
+    unbudgeted = {key: value for key, value in params.items() if key != "budget"}
+    occupancy = run_campaign(property_id, CampaignParams(**unbudgeted)).occupancy
+    golden = json.loads((GOLDEN / "duchet__n6_t20_s5_budget100.json").read_text(encoding="utf-8"))
+    assert golden["occupancy"] == occupancy == {"tried": 20, "accepted": 14}
+
+
+def test_a_golden_pins_a_budget_skip():
+    golden = json.loads(
+        (GOLDEN / "theorem2__n6_t20_s5_p090_budget200.json").read_text(encoding="utf-8")
+    )
+    assert golden["occupancy"] == {"tried": 20, "accepted": 1, "skipped": {"budget": 11}}
+
+
+@pytest.mark.parametrize("name", [name for name in NAMES if name.startswith("duchet__")])
+def test_the_duchet_campaigns_search_no_cycles(name, tmp_path, monkeypatch):
+    # Duchet's class is decided by one peeling pass: with the cycle search
+    # gone, the duchet campaigns still match their goldens
+    def no_search(*args, **kwargs):
+        raise AssertionError("cycle search reached from a duchet campaign")
+
+    monkeypatch.setattr(kernelkit.cycles, "_cycle_tuples", no_search)
     expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert body(name, tmp_path) == expected
 
