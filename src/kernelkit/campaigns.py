@@ -23,7 +23,7 @@ from typing import Callable, Iterator
 from .cycles import (
     DEFAULT_BUDGET,
     CycleHypothesisVariant,
-    HypothesisReport,
+    _acyclic,
     _cycle_lengths_0_mod_3,
     _one_way_arcs_acyclic,
     check_cycle_hypothesis,
@@ -168,12 +168,18 @@ def _plain_stream(params: CampaignParams) -> Iterator[Digraph]:
 _Member = Callable[[Digraph, int, int], bool | None]
 
 
-def _member(check: Callable[..., HypothesisReport]) -> _Member:
-    """The member test of the class that `check(d, min_cycle_len, budget=...,
-    stop_at_first=True)` decides."""
+def _cycle_member(variant: CycleHypothesisVariant) -> _Member:
+    """The member test of `variant`'s cycle-hypothesis class.  At minimum
+    length 2 the class is the acyclic digraphs (README "Reported findings"),
+    decided by one peel of every arc without a budget; at a longer minimum
+    length `check_cycle_hypothesis` searches up to the first violation."""
     def member(d: Digraph, budget: int, min_cycle_len: int) -> bool | None:
+        if min_cycle_len == 2:
+            return _acyclic(d.in_masks)
         try:
-            return check(d, min_cycle_len, budget=budget, stop_at_first=True).satisfied
+            return check_cycle_hypothesis(
+                d, variant, min_cycle_len, budget=budget, stop_at_first=True
+            ).satisfied
         except BudgetExceededError:
             return None
 
@@ -185,20 +191,13 @@ def _member(check: Callable[..., HypothesisReport]) -> _Member:
 # is the mod-3 class, decided by its residue test, and Duchet's class is the
 # one whose one-way arcs are acyclic, decided by one peeling pass; neither
 # searches, so both ignore the budget and min_cycle_len and are never None.
-# Each search-backed check is looked up in this module at call time, so
-# replacing it here reaches the table.
+# The cycle classes search only past minimum length 2, and their search is
+# looked up in this module at call time, so replacing it here reaches the
+# table.
 CLASSES: dict[str, _Member] = {
     "circuit": lambda d, budget, min_cycle_len: _cycle_lengths_0_mod_3(d),
-    "theorem1": _member(
-        lambda d, m, **kw: check_cycle_hypothesis(
-            d, CycleHypothesisVariant.THREE_WITH_CROSSING, m, **kw
-        )
-    ),
-    "two-consecutive": _member(
-        lambda d, m, **kw: check_cycle_hypothesis(
-            d, CycleHypothesisVariant.TWO_CONSECUTIVE, m, **kw
-        )
-    ),
+    "theorem1": _cycle_member(CycleHypothesisVariant.THREE_WITH_CROSSING),
+    "two-consecutive": _cycle_member(CycleHypothesisVariant.TWO_CONSECUTIVE),
     "duchet": lambda d, budget, min_cycle_len: _one_way_arcs_acyclic(d),
 }
 

@@ -24,7 +24,9 @@ length pass of its search.  Two classes are decided without a search
 (README "Reported findings"): the circuit hypothesis holds exactly on the
 digraphs whose cycle lengths are all = 0 mod 3, tested by
 `_cycle_lengths_0_mod_3`, and Duchet's exactly on those whose one-way arcs
-form an acyclic digraph, tested by `_one_way_arcs_acyclic`.
+form an acyclic digraph, tested by `_one_way_arcs_acyclic` with the peel of
+`_acyclic`, which also decides both cycle hypotheses at minimum length 2:
+there they hold exactly on the acyclic digraphs.
 `check_circuit_hypothesis` and `every_cycle_has_symmetric_arc` serve the
 callers that list violations.
 
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .digraph import Digraph, _ball
 from .errors import BudgetExceededError
@@ -402,25 +404,29 @@ def _cycle_lengths_0_mod_3(d: Digraph) -> bool:
     return True
 
 
-def _one_way_arcs_acyclic(d: Digraph) -> bool:
-    """Whether every cycle of d has a symmetric arc, Duchet's class: whether
-    the one-way arcs (u -> v without v -> u) form an acyclic digraph, since
-    a cycle without a symmetric arc is a cycle of one-way arcs and a cycle
-    of one-way arcs is one of d without a symmetric arc (README "Reported
-    findings").  Each pass peels every remaining vertex that no remaining
-    vertex reaches by a one-way arc, and the test fails at a pass that
-    peels none."""
-    one_way_in = [ins & ~outs for outs, ins in zip(d.out_masks, d.in_masks)]
-    remaining = (1 << d.vertex_count) - 1
+def _acyclic(in_masks: Sequence[int]) -> bool:
+    """Whether the digraph with these in-masks is acyclic.  Each pass peels
+    every remaining vertex that no remaining vertex reaches by an arc, and
+    the test fails at a pass that peels none."""
+    remaining = (1 << len(in_masks)) - 1
     while remaining:
         left = remaining
-        for v, arcs_in in enumerate(one_way_in):
+        for v, arcs_in in enumerate(in_masks):
             if left >> v & 1 and not arcs_in & left:
                 left ^= 1 << v
         if left == remaining:
             return False
         remaining = left
     return True
+
+
+def _one_way_arcs_acyclic(d: Digraph) -> bool:
+    """Whether every cycle of d has a symmetric arc, Duchet's class: whether
+    the one-way arcs (u -> v without v -> u) form an acyclic digraph, since
+    a cycle without a symmetric arc is a cycle of one-way arcs and a cycle
+    of one-way arcs is one of d without a symmetric arc (README "Reported
+    findings").  `_acyclic` peels the one-way arcs."""
+    return _acyclic([ins & ~outs for outs, ins in zip(d.out_masks, d.in_masks)])
 
 
 def _asymmetric_cycle(out_masks: tuple[int, ...], seq: tuple[int, ...]) -> Violation | None:

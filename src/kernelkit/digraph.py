@@ -15,7 +15,9 @@ breadth-first walks on masks serve the package: `_ball` gives the
 vertices within a radius, which the kernel engine, closures, strong
 connectivity and the substitution method read, and `_hops` gives hop counts
 from one source, which build the distance matrix behind `distance`, the
-neighbourhood operators and the list predicates.  `_mask` builds a mask
+neighbourhood operators and the list predicates.  `in_balls2` needs no
+walk: v's radius-2 in-ball is v's in-mask joined with the in-masks of its
+in-neighbours, built in one loop over the in-masks.  `_mask` builds a mask
 from vertices, and `_members`, its inverse, lists a mask's vertices for the
 callers that need them as a vertex set.
 """
@@ -92,9 +94,18 @@ class Digraph:
 
     @_table
     def in_balls2(self) -> tuple[int, ...]:
-        """Entry v: v and every vertex reaching v within 2 steps, as an int."""
-        whole = (1 << self.vertex_count) - 1
-        return tuple(_ball(self.in_masks, v, whole, 2) for v in self.vertices())
+        """Entry v: v and every vertex reaching v within 2 steps, as an int:
+        v's in-mask joined with the in-masks of its in-neighbours."""
+        in_masks = self.in_masks
+        balls = []
+        for v, ins in enumerate(in_masks):
+            ball, tails = ins | 1 << v, ins
+            while tails:
+                low = tails & -tails
+                ball |= in_masks[low.bit_length() - 1]
+                tails ^= low
+            balls.append(ball)
+        return tuple(balls)
 
     def vertices(self) -> range:
         return range(self.vertex_count)

@@ -4,11 +4,13 @@ One search engine serves `find_kl_kernel`, which stops at the first kernel,
 and `kl_kernels`, which lists every kernel.  It searches D or its induced
 subdigraph D[within] on int masks in lexicographic order with independence
 pruning, tractable to roughly 24 vertices, and reports kernels in D's
-labels.  It reads the adjacency masks D caches once per digraph, builds one
-in-ball per vertex when l = k-1 (it is both the vertex's in-conflict and
-what the vertex absorbs), and each search level walks the low bits of a mask
-of the candidates still free.  `k_closure` reads out-balls instead of
-distances.
+labels.  It reads the adjacency masks D caches once per digraph and builds
+a vertex's conflict and absorbed-by balls only when the search first picks
+that vertex: a search usually stops after a few nodes, long before it has
+picked every vertex.  When l = k-1 one in-ball is both the vertex's
+in-conflict and what the vertex absorbs.  Each search level walks the low
+bits of a mask of the candidates still free.  `k_closure` reads out-balls
+instead of distances.
 
 Kernel-perfection is decided in one walk over D's independent sets.  D[S]
 keeps exactly D's arcs among S, so I is a kernel of D[S] exactly when I is
@@ -23,7 +25,8 @@ scans run the engine's recursion once per set, kernel-perfection reads its
 marks, and the first set without a kernel is the counterexample.  The walk
 carries each set's conflict and absorbed-by balls: a set is its parent plus
 one vertex, so a few mask operations update the parent's balls where the
-engine's own set-up would rebuild every member's from scratch.
+engine's own set-up would rebuild every member's from scratch.  The scans
+hand the recursion those complete lists, so it never builds a ball there.
 
 Each recursion here is a nested function that calls itself through its own
 closure cell, and a closure that holds itself is cyclic garbage, which only
@@ -109,30 +112,36 @@ def is_kl_kernel(d: Digraph, subset: Iterable[int], query: KernelQuery) -> bool:
 
 
 def _kernel_balls(
-    d: Digraph, vs: Iterable[int], within: int, query: KernelQuery
-) -> tuple[list[int], list[int]]:
-    """For each v of `vs`, balls inside the mask `within`: v's conflict ball
-    (v and the vertices at distance < k from or to v) and its absorbed-by
-    ball (v and the vertices reaching v within l)."""
+    d: Digraph, within: int, query: KernelQuery
+) -> tuple[list[int], list[int], Callable[[int], int]]:
+    """Empty conflict and absorbed-by ball lists for D[within], and their
+    filler: fill(v) builds, inside the mask `within`, v's conflict ball (v
+    and the vertices at distance < k from or to v) and its absorbed-by ball
+    (v and the vertices reaching v within l), stores both at v and returns
+    the conflict ball.  A ball holds its own vertex, so 0 marks one not
+    built yet."""
     out_masks, in_masks = d.out_masks, d.in_masks
     k, ell = query.k, query.l
     conflict = [0] * d.vertex_count
     absorbed_by = [0] * d.vertex_count
-    for v in vs:
+
+    def fill(v: int) -> int:
         reaching = _ball(in_masks, v, within, k - 1)
-        conflict[v] = _ball(out_masks, v, within, k - 1) | reaching
         absorbed_by[v] = reaching if ell == k - 1 else _ball(in_masks, v, within, ell)
-    return conflict, absorbed_by
+        conflict[v] = _ball(out_masks, v, within, k - 1) | reaching
+        return conflict[v]
+
+    return conflict, absorbed_by, fill
 
 
 def is_kernel_within(d: Digraph, members: VertexSet, within: int, query: KernelQuery) -> bool:
     """Whether `members`, vertices of the mask `within`, form a (k,l)-kernel
     of D[within]; the same verdict as `is_kl_kernel` on D[within] relabelled."""
     chosen = _mask(members)
-    conflict, absorbed_by = _kernel_balls(d, members, within, query)
+    _, absorbed_by, fill = _kernel_balls(d, within, query)
     absorbed = 0
     for v in members:
-        if conflict[v] & chosen != 1 << v:
+        if fill(v) & chosen != 1 << v:
             return False
         absorbed |= absorbed_by[v]
     return absorbed == within
@@ -148,10 +157,10 @@ def _check_search_bound(n: int) -> None:
 def _kernel_search(
     d: Digraph, query: KernelQuery, within: Iterable[int] | None, first: bool
 ) -> tuple[list[VertexSet], int]:
-    """`_search_balls` on D, or on D[within], with the balls built for it."""
+    """`_search_balls` on D, or on D[within], with balls built on demand."""
     if within is None:
         _check_search_bound(d.vertex_count)
-        vs, whole = d.vertices(), (1 << d.vertex_count) - 1
+        whole = (1 << d.vertex_count) - 1
     else:
         vs, n, whole = tuple(within), d.vertex_count, 0  # `within` may be an iterator
         for v in vs:
@@ -159,18 +168,26 @@ def _kernel_search(
                 d.check_vertex(min(u for u in vs if not 0 <= u < n))
             whole |= 1 << v
         _check_search_bound(whole.bit_count())
-    return _search_balls(whole, *_kernel_balls(d, vs, whole, query), first)
+    conflict, absorbed_by, fill = _kernel_balls(d, whole, query)
+    return _search_balls(whole, conflict, absorbed_by, first, fill)
 
 
 def _search_balls(
-    whole: int, conflict: list[int], absorbed_by: list[int], first: bool
+    whole: int,
+    conflict: list[int],
+    absorbed_by: list[int],
+    first: bool,
+    fill: Callable[[int], int] | None = None,
 ) -> tuple[list[VertexSet], int]:
     """The (k,l)-kernels of D[whole], for the kernel balls of its members, in
     lexicographic order, and the number of search nodes visited; with
     `first`, the search stops at the first kernel.  Otherwise it descends
     past each kernel, since for l >= k a superset of a kernel can be one too.
     A ball may hold vertices outside `whole`: the search picks members only
-    from `whole` and asks only that `whole` be absorbed."""
+    from `whole` and asks only that `whole` be absorbed.  A member whose
+    conflict ball is still 0 gets both its balls from fill(v) when the
+    search first picks it; lists that hold every member's balls need no
+    `fill`."""
     examined = 0
     found: list[VertexSet] = []
     members: list[int] = []
@@ -189,7 +206,8 @@ def _search_balls(
             free ^= low
             v = low.bit_length() - 1
             members.append(v)
-            if search(free & ~conflict[v], absorbed | absorbed_by[v]):
+            ball = conflict[v] or fill(v)
+            if search(free & ~ball, absorbed | absorbed_by[v]):
                 return True
             members.pop()
         return False
@@ -243,14 +261,14 @@ def _every_connected_set(d: Digraph, query: KernelQuery, ok: _SetCheck) -> int |
     each set before its extensions; extensions lowest vertex first.
 
     `conflict` and `absorbed_by` hold, for each member of C, its balls in
-    D[C] for `query` (l = k - 1 <= 2), as `_kernel_balls` builds them but
-    unmasked: a ball may hold vertices outside C.  At radius 1 they are the
-    adjacency masks, the same for every C.  At radius 2 a member's ball is
-    its 1-step reach joined with the reach of its neighbours in C, so when w
-    joins C, a member with an arc to w takes in w's out-neighbours, a member
-    with an arc from w takes in w's in-neighbours, and w's own balls take in
-    those of its neighbours in C; a child set gets an updated copy of its
-    parent's lists."""
+    D[C] for `query` (l = k - 1 <= 2), as `_kernel_balls`'s filler builds
+    them but unmasked: a ball may hold vertices outside C.  At radius 1 they
+    are the adjacency masks, the same for every C.  At radius 2 a member's
+    ball is its 1-step reach joined with the reach of its neighbours in C,
+    so when w joins C, a member with an arc to w takes in w's out-neighbours,
+    a member with an arc from w takes in w's in-neighbours, and w's own balls
+    take in those of its neighbours in C; a child set gets an updated copy
+    of its parent's lists."""
     radius = query.k - 1
     if query.l != radius or radius > 2:
         raise ValueError(f"the walk carries balls of radius 1 or 2 with l = k - 1, not {query}")
@@ -361,7 +379,9 @@ def is_kernel_perfect(d: Digraph) -> tuple[bool, VertexSet | None]:
     n = d.vertex_count
     _check_perfection_bound(n)
     whole = (1 << n) - 1
-    conflict, absorbed_by = _kernel_balls(d, d.vertices(), whole, KERNEL)
+    conflict, absorbed_by, fill = _kernel_balls(d, whole, KERNEL)
+    for v in d.vertices():
+        fill(v)
     has_kernel = bytearray(1 << n)
 
     def walk(chosen: int, free: int, absorbed: int) -> None:

@@ -7,9 +7,11 @@ each round's sets are unions of in-neighbour masks and of
 set), a witness path between two such vertices is an arc or runs through
 the least vertex of u's out-mask and v's in-mask, and hop counts from x0
 come from one `digraph._hops` walk per trace.  The trace keeps its labels
-as masks too, one (N_i, N'_i) pair per index i = 0..3p+2, and the road
-layer (`find_road`, `validate_road`, `label_of`, `check_unique_short_chord`)
-tests label bits of those masks and arc bits of the out-masks.  A road is
+as masks too, one (N_i, N'_i) pair per index i = 0..3p+2, filled by the
+construction from the masks it computes each round; the trace invariants
+are checked on those masks, and the road layer (`find_road`,
+`validate_road`, `label_of`, `check_unique_short_chord`) tests label bits
+of those masks and arc bits of the out-masks.  A road is
 its path only; `label_of` gives a position's display label on request.
 
 A road search extends a path by the out-mask bits off the path, lowest
@@ -103,7 +105,9 @@ class SubstitutionTrace:
 
     @_table
     def _label_masks(self) -> tuple[tuple[int, int], ...]:
-        """Entry i, for i = 0..3p+2: the masks of N_i and N'_i."""
+        """Entry i, for i = 0..3p+2: the masks of N_i and N'_i.
+        `build_substitution_sequence` stores them as it computes them; this
+        builds them from the set tuples of a trace made otherwise."""
         return tuple(
             (_mask(self.set_at(i)), _mask(self.intermediate_at(i)))
             for i in range(3 * self.p + 3)
@@ -152,12 +156,14 @@ def build_substitution_sequence(d: Digraph, x0: int, kernel: VertexSet) -> Subst
     primed_one: list[VertexSet] = []
     primed_two: list[VertexSet] = []
     m_sets: list[VertexSet] = [(x0,)]
+    labels: list[tuple[int, int]] = []  # (N_i, N'_i), i = 0..3p+2
     removed = 0
     current = added_union = 1 << x0
     outside_m = ((1 << d.vertex_count) - 1) ^ current
 
     k = 0
     while True:
+        labels.append((current, 0))
         near = _union(in_masks, added[k]) & ~current
         far = 0
         for v in added[k]:
@@ -167,8 +173,10 @@ def build_substitution_sequence(d: Digraph, x0: int, kernel: VertexSet) -> Subst
         removed_one.append(_members(n1))
         removed_two.append(_members(n2))
         if not n1 | n2:
+            labels += ((0, 0), (0, 0))
             p = k
             break
+        labels += ((n1, near & ~n1), (n2, far & ~n2))
         primed_one.append(_members(near & ~n1))
         primed_two.append(_members(far & ~n2))
         removed |= n1 | n2
@@ -197,24 +205,32 @@ def build_substitution_sequence(d: Digraph, x0: int, kernel: VertexSet) -> Subst
         primed_two=tuple(primed_two),
         p=p,
     )
+    trace.__dict__["_label_masks"] = tuple(labels)
     _check_trace_invariants(trace)
     return trace
 
 
 def _check_trace_invariants(trace: SubstitutionTrace) -> None:
-    flat = [v for i in range(3 * trace.p + 3) for v in trace.set_at(i)]
-    if len(flat) != len(set(flat)):
+    """The five invariants of a trace, read from its label masks.  The sets
+    are disjoint, with no vertex repeated inside one, exactly when their
+    sizes add up to the size of the union of their masks."""
+    labels, p = trace._label_masks, trace.p
+    rounds = trace.added[: p + 1] + trace.removed_one[: p + 1] + trace.removed_two[: p + 1]
+    union = 0
+    for n_i, _ in labels:
+        union |= n_i
+    if sum(map(len, rounds)) != union.bit_count():
         raise TraceInvariantError("substitution sets must be disjoint")
     if not trace.added[0] == (trace.x0,) == trace.m_sets[0]:
         raise TraceInvariantError("round 0 must add exactly x0")
-    kernel_set = set(trace.base_kernel)
-    for k in range(trace.p + 1):
-        if not set(trace.removed_one[k]) | set(trace.removed_two[k]) <= kernel_set:
+    kernel_mask = _mask(trace.base_kernel)
+    for k in range(p + 1):
+        if (labels[3 * k + 1][0] | labels[3 * k + 2][0]) & ~kernel_mask:
             raise TraceInvariantError(f"round {k} removes vertices outside the base kernel")
-        if k >= 1 and set(trace.added[k]) & kernel_set:
+        if k >= 1 and labels[3 * k][0] & kernel_mask:
             raise TraceInvariantError(f"round {k} adds base-kernel vertices")
-    if trace.removed_one[trace.p] or trace.removed_two[trace.p]:
-        raise TraceInvariantError(f"terminal round {trace.p} removes vertices")
+    if labels[3 * p + 1][0] | labels[3 * p + 2][0]:
+        raise TraceInvariantError(f"terminal round {p} removes vertices")
 
 
 def assemble_pre_3_kernel(trace: SubstitutionTrace) -> VertexSet:

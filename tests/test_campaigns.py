@@ -83,11 +83,13 @@ def test_closure_lemma_reports_every_disagreeing_subset(monkeypatch):
 
 def test_reverse_path_reports_every_arc_without_a_short_return(monkeypatch):
     # accept every strongly connected digraph: the hypothesis is what keeps
-    # the lemma's failures away
+    # the lemma's failures away (at minimum length 3, where the class check
+    # searches; at length 2 it is the acyclicity peel)
     monkeypatch.setattr(
         campaigns, "check_cycle_hypothesis", lambda *args, **kw: HypothesisReport(True, (), 0)
     )
-    report = run_campaign("reverse-path", CampaignParams(n=4, exhaustive=True, max_failures=10**6))
+    params = CampaignParams(n=4, exhaustive=True, max_failures=10**6, min_cycle_len=3)
+    report = run_campaign("reverse-path", params)
     # networkx gives the hop counts, since the campaign and `Digraph.distance`
     # share one mask walk
     expected = [
@@ -225,10 +227,31 @@ def test_duchet_ignores_the_budget():
     assert complete_symmetric_occupancy("duchet", 64, 2) == {"tried": 3, "accepted": 3}
 
 
+def test_cycle_classes_at_min_length_two_are_the_acyclic_digraphs(monkeypatch):
+    # At minimum length 2 both cycle classes are the acyclic digraphs
+    # (tests/test_cycles.py checks that against the search), so the table
+    # peels every arc and neither searches nor reads the budget.
+    def no_search(*args, **kw):
+        raise AssertionError("a cycle search at minimum length 2")
+
+    monkeypatch.setattr(campaigns, "check_cycle_hypothesis", no_search)
+    members = 0
+    for n in range(5):
+        for d in enumerate_labeled_digraphs(n):
+            acyclic = nx.is_directed_acyclic_graph(nx.DiGraph(list(d.arcs)))
+            for name in ("theorem1", "two-consecutive"):
+                assert CLASSES[name](d, 1, 2) is acyclic, (name, d.arcs)
+            members += acyclic
+    assert 0 < members < 4166  # positive control: both answers occur
+    # K5*, whose length-2 search outruns a budget of 1, is decided: no skip
+    assert complete_symmetric_occupancy("theorem2", 1, 2) == {"tried": 3, "accepted": 0}
+
+
 @pytest.mark.parametrize("answer", [True, False, None])
 def test_class_table_looks_its_checks_up_at_call_time(monkeypatch, answer):
     # a check replaced in the module's namespace reaches every table entry
-    # backed by a search; None stands for a search that runs out of budget
+    # backed by a search, which the cycle classes run past minimum length 2;
+    # None stands for a search that runs out of budget
     def check(*args, **kw):
         if answer is None:
             raise BudgetExceededError("budget")
@@ -237,14 +260,17 @@ def test_class_table_looks_its_checks_up_at_call_time(monkeypatch, answer):
     monkeypatch.setattr(campaigns, "check_cycle_hypothesis", check)
     d = directed_cycle(3)
     for name in ("theorem1", "two-consecutive"):
-        assert campaigns.CLASSES[name](d, 10**6, 2) is answer, name
+        assert campaigns.CLASSES[name](d, 10**6, 3) is answer, name
 
 
 @pytest.mark.parametrize("property_id", sorted(CAMPAIGNS))
 def test_the_budget_reaches_every_class_check(property_id):
     # one search step decides no instance of these sizes, so a campaign that
-    # reads the budget skips every instance for it, and the others ignore it
-    cut = run_campaign(property_id, CampaignParams(n=5, trials=6, seed=1, budget=1))
+    # reads the budget skips every instance for it at minimum cycle length 3
+    # (length 2 needs no search), and the others ignore it
+    cut = run_campaign(
+        property_id, CampaignParams(n=5, trials=6, seed=1, budget=1, min_cycle_len=3)
+    )
     if property_id in PARAMETER_READERS["budget"]:
         assert cut.occupancy["tried"] > 0
         assert cut.occupancy["skipped"]["budget"] == cut.occupancy["tried"]
@@ -298,7 +324,7 @@ def test_trace_campaigns_build_no_distance_matrix(monkeypatch):
         ("pre-kernel-props", CampaignParams(n=8, trials=6, seed=1)),
         ("additive-inverse", CampaignParams(n=6, trials=40, seed=7)),
         ("theorem4", CampaignParams(n=6, trials=4, seed=1)),
-        ("reverse-path", CampaignParams(n=4, exhaustive=True)),
+        ("reverse-path", CampaignParams(n=4, exhaustive=True, min_cycle_len=3)),
     ]:
         report = run_campaign(property_id, params)
         assert report.instances_checked > 0, property_id

@@ -19,7 +19,11 @@ The circuit class is the class of digraphs whose cycle lengths are all
 = 0 mod 3 (README "Reported findings").  `CLASSES["circuit"]` decides it by
 `_cycle_lengths_0_mod_3`, a residue test on masks, which is compared with
 the full circuit search (the reference) and with `cycle_lengths_are_0_mod_3`,
-the same test on networkx's strong components.
+the same test on networkx's strong components.  On a strongly connected
+member with n >= 2 each class of a residue map is a 3-kernel (README
+"Reported findings"); `residue_classes` builds the map from networkx hop
+counts and `is_3_kernel_by_distances` checks each class on networkx
+distances, never on the kernel engine.
 
 Duchet's class is the class of digraphs whose one-way arcs form an acyclic
 digraph (README "Reported findings").  `CLASSES["duchet"]` decides it by
@@ -38,6 +42,7 @@ from hypothesis import strategies as st
 from dataclasses import dataclass
 
 from kernelkit import (
+    CampaignParams,
     ClosedWalk,
     CycleHypothesisVariant,
     HypothesisReport,
@@ -48,7 +53,9 @@ from kernelkit import (
     enumerate_circuits,
     enumerate_cycles,
     every_cycle_has_symmetric_arc,
+    run_campaign,
 )
+from kernelkit import campaigns
 from kernelkit.campaigns import CLASSES
 from kernelkit.cycles import (
     Violation,
@@ -827,6 +834,75 @@ def test_residue_test_agrees_with_the_cycle_lengths():
               build_digraph(3, [(0, 1), (1, 0)])):
         expected = all(len(cyc) % 3 == 0 for cyc in enumerate_cycles(d))
         assert_residue_tests_give(d, expected)
+
+
+# -- each residue class of a strong circuit-class member is a 3-kernel ---------
+
+def residue_classes(d):
+    """The three classes of the residue map r(v) = d(0, v) mod 3 of a
+    strongly connected D whose cycle lengths are all = 0 mod 3, hop counts
+    by networkx.  Every walk from 0 to v has length = r(v) mod 3, so
+    r(v) = r(u) + 1 on every arc u -> v, which this checks."""
+    g = nx.DiGraph(d.arcs)
+    g.add_nodes_from(d.vertices())
+    hops = nx.single_source_shortest_path_length(g, 0)
+    assert len(hops) == d.vertex_count  # strongly connected
+    assert all((hops[v] - hops[u]) % 3 == 1 for u, v in d.arcs), d.arcs
+    return [tuple(v for v in d.vertices() if hops[v] % 3 == r) for r in range(3)]
+
+
+def is_3_kernel_by_distances(d, members):
+    """Whether `members` is a 3-kernel of D by networkx distances: members
+    pairwise at distance >= 3 (or unreachable), every other vertex within 2
+    of a member."""
+    g = nx.DiGraph(d.arcs)
+    g.add_nodes_from(d.vertices())
+    dist = dict(nx.all_pairs_shortest_path_length(g))
+    independent = all(dist[u].get(v, 3) >= 3 for u in members for v in members if u != v)
+    absorbed = all(
+        any(dist[u].get(v, 3) <= 2 for v in members) for u in d.vertices() if u not in members
+    )
+    return independent and absorbed
+
+
+def assert_every_residue_class_is_a_3_kernel(d):
+    classes = residue_classes(d)
+    assert all(classes), d.arcs  # n >= 2: any cycle passes all three residues
+    for members in classes:
+        assert is_3_kernel_by_distances(d, members), (d.arcs, members)
+
+
+def test_every_residue_class_is_a_3_kernel_on_every_strong_member_up_to_4():
+    members = [
+        d
+        for n in range(2, 5)
+        for d in enumerate_labeled_digraphs(n)
+        if d.is_strongly_connected() and cycle_lengths_are_0_mod_3(d)
+    ]
+    assert len(members) == 14  # 2 at n = 3 and 12 at n = 4
+    for d in members:
+        assert_every_residue_class_is_a_3_kernel(d)
+
+
+def test_every_residue_class_is_a_3_kernel_on_theorem4s_accepted_instances(monkeypatch):
+    # theorem4 asks its "has a 3-kernel" step of each accepted instance only,
+    # so the instances it asks are the accepted ones, and the step never fails
+    asked = []
+
+    def has_3_kernel_step(d, query):
+        result = find_kl_kernel(d, query)
+        asked.append((d, result.found))
+        return result
+
+    find_kl_kernel = campaigns.find_kl_kernel
+    monkeypatch.setattr(campaigns, "find_kl_kernel", has_3_kernel_step)
+    # the shape of the `perfection` benchmark workload at its default seed
+    params = CampaignParams(n=9, extra_arc_prob=0.03, trials=210, seed=20260823)
+    report = run_campaign("theorem4", params)
+    assert len(asked) == report.occupancy["accepted"] == 51  # C9 and 50 draws
+    for d, found in asked:
+        assert found
+        assert_every_residue_class_is_a_3_kernel(d)
 
 
 # -- Duchet's class is the class with acyclic one-way arcs --------------------

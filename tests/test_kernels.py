@@ -9,8 +9,8 @@ All three scans decide and name from one walk over the weakly connected
 vertex sets, which is checked against networkx; a failing scan's
 counterexample must be weakly connected, have no kernel by brute force, and
 be the first brute-force failure in the walk's order.  The balls the walk
-carries from set to set are checked against `_kernel_balls`, which builds
-them from scratch, at every set it visits.
+carries from set to set are checked against `_kernel_balls`' filler, which
+builds them from scratch, at every set it visits.
 """
 
 import math
@@ -281,6 +281,74 @@ def test_kl_kernels_size_bound():
         kl_kernels(directed_cycle(25), KERNEL)
 
 
+# -- on-demand balls against balls built up front -----------------------------
+
+ENGINE_QUERIES = [KernelQuery(2, 1), KernelQuery(3, 2), KernelQuery(4, 3), KernelQuery(3, 1),
+                  KernelQuery(2, 2)]
+
+
+def eager_search(d, query, whole, first):
+    """Reference: every member's conflict and absorbed-by balls in D[whole]
+    built up front from `_ball`, then the engine's recursion, which then
+    never needs its filler."""
+    out_masks, in_masks = d.out_masks, d.in_masks
+    conflict, absorbed_by = [0] * d.vertex_count, [0] * d.vertex_count
+    for v in _members(whole):
+        conflict[v] = _ball(out_masks, v, whole, query.k - 1) | _ball(
+            in_masks, v, whole, query.k - 1
+        )
+        absorbed_by[v] = _ball(in_masks, v, whole, query.l)
+    return kernels._search_balls(whole, conflict, absorbed_by, first)
+
+
+def record_fills(monkeypatch):
+    """Every vertex the kernel engine's recursion asks its filler for, in
+    order; a caller that passes no filler fails at its first request."""
+    asked = []
+    search = kernels._search_balls
+
+    def recording(whole, conflict, absorbed_by, first, fill=None):
+        def counted(v):
+            asked.append(v)
+            return fill(v)
+
+        return search(whole, conflict, absorbed_by, first, counted)
+
+    monkeypatch.setattr(kernels, "_search_balls", recording)
+    return asked
+
+
+@given(digraphs_up_to(10), st.integers(0, 2**10 - 1), st.sampled_from(ENGINE_QUERIES))
+@example(directed_cycle(6), 2**10 - 1, THREE_KERNEL)
+@example(directed_cycle(7), 0b1110111, KernelQuery(2, 2))
+@example(build_digraph(1, []), 0, KERNEL)
+@settings(max_examples=200, deadline=None)
+def test_on_demand_balls_match_balls_built_up_front(d, picks, query):
+    whole = (1 << d.vertex_count) - 1
+    found, examined = eager_search(d, query, whole, True)
+    assert find_kl_kernel(d, query) == KernelResult(bool(found), found[0] if found else None,
+                                                    examined)
+    assert kl_kernels(d, query) == eager_search(d, query, whole, False)[0]
+    within = picks & whole
+    found, examined = eager_search(d, query, within, True)
+    assert find_kl_kernel(d, query, within=_members(within)) == KernelResult(
+        bool(found), found[0] if found else None, examined
+    )
+
+
+@given(digraphs_up_to(10), st.sampled_from(ENGINE_QUERIES))
+@settings(max_examples=60, deadline=None)
+def test_the_search_fills_each_vertex_it_picks_once(d, query):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        fills = record_fills(monkeypatch)
+        find_kl_kernel(d, query)
+        assert len(fills) == len(set(fills))
+        assert bool(fills) == (d.vertex_count > 0)  # the search picks vertex 0 first
+        fills.clear()
+        kl_kernels(d, query)
+        assert len(fills) == len(set(fills)) == d.vertex_count  # a full walk picks each
+
+
 @given(digraphs, st.integers(2, 4))
 @settings(max_examples=60, deadline=None)
 def test_independence_monotone_in_k(d, k):
@@ -437,6 +505,19 @@ def test_kernel_perfection_makes_no_kernel_search(d, searched):
     assert searched
 
 
+@pytest.mark.parametrize("d", [ISOLATED_AND_TRIANGLE, PATH_AND_TRIANGLE, directed_cycle(6),
+                               random_strongly_connected(9, 0.03, 1), random_digraph(8, 0.3, 2)])
+def test_perfection_scans_never_call_the_filler(d, monkeypatch):
+    # the scans hand the recursion the balls they carry, every member's
+    fills = record_fills(monkeypatch)
+    is_3_kernel_perfect(d)
+    is_quasi_3_kernel_perfect(d)
+    kernels._perfection_scan(d, KERNEL, False)
+    assert fills == []
+    find_kl_kernel(d, THREE_KERNEL)  # positive control: a search fills its balls
+    assert fills
+
+
 def sym(arcs):
     return [arc for u, v in arcs for arc in ((u, v), (v, u))]
 
@@ -524,14 +605,14 @@ def test_connected_set_walk_asks_each_weakly_connected_set_once(d):
 
 def assert_carried_balls_match_kernel_balls(d):
     """At every set C the walk visits, the balls it carries, masked to C,
-    are `_kernel_balls`' balls in D[C] built from scratch."""
+    are the balls in D[C] that `_kernel_balls`' filler builds from scratch."""
     for query in (KERNEL, THREE_KERNEL):
 
         def ok(mask, conflict, absorbed_by):
             members = _members(mask)
-            expected_conflict, expected_absorbed_by = kernels._kernel_balls(d, members, mask, query)
+            _, expected_absorbed_by, fill = kernels._kernel_balls(d, mask, query)
             for v in members:
-                assert conflict[v] & mask == expected_conflict[v], (query, members, v)
+                assert conflict[v] & mask == fill(v), (query, members, v)
                 assert absorbed_by[v] & mask == expected_absorbed_by[v], (query, members, v)
             return True
 

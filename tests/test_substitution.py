@@ -61,9 +61,10 @@ from kernelkit.errors import (
     NoRoadFoundError,
     NotAKernelError,
     SubkernelMissingError,
+    TraceInvariantError,
 )
 from kernelkit.generators import random_digraph, random_strongly_connected
-from kernelkit.substitution import ConditionResult, _close_path
+from kernelkit.substitution import ConditionResult, _check_trace_invariants, _close_path
 
 
 @pytest.fixture
@@ -473,6 +474,51 @@ def test_trace_sets_match_the_set_equations(d):
         for i in range(-1, 3 * trace.p + 6):
             assert trace.intermediate_at(i) == reference_intermediate(trace, i)
         assert trace.m_sets == reference_m_sets(trace)
+
+
+@given(
+    st.builds(
+        random_strongly_connected, st.integers(1, 10), st.floats(0, 1), st.integers(0, 2**32)
+    )
+)
+@example(directed_cycle(6))
+@example(DIGRAPH_B)
+@example(build_digraph(1, []))
+@settings(max_examples=120, deadline=None)
+def test_construction_fills_the_label_masks_the_set_tuples_give(d):
+    for x0 in d.vertices():
+        try:
+            trace = start_substitution(d, x0)
+        except (NoBaseKernelError, SubkernelMissingError):
+            continue
+        assert "_label_masks" in vars(trace)  # filled by the construction, not on first read
+        assert trace._label_masks == SubstitutionTrace._label_masks.func(trace)
+
+
+@pytest.mark.parametrize(
+    "broken, message",
+    [
+        # 5 is in N_1 and in N_2
+        ({"removed_two": ((5,), (), ())}, "substitution sets must be disjoint"),
+        # 3 twice in N_3: the masks alone cannot tell, the set sizes can
+        ({"added": ((0,), (3, 3), ())}, "substitution sets must be disjoint"),
+        ({"m_sets": ((1,), (3,), ())}, "round 0 must add exactly x0"),
+        ({"removed_one": ((5,), (4,), ())}, "round 1 removes vertices outside the base kernel"),
+        (
+            {"added": ((0,), (2,), ()), "removed_one": ((5,), (), ())},
+            "round 1 adds base-kernel vertices",
+        ),
+        (
+            {"base_kernel": (1, 2, 5), "removed_two": ((), (), (1,))},
+            "terminal round 2 removes vertices",
+        ),
+    ],
+)
+def test_trace_invariants_reject_each_hand_broken_trace(c6_trace, broken, message):
+    _check_trace_invariants(c6_trace)  # the C6 trace itself holds every invariant
+    with pytest.raises(TraceInvariantError) as raised:
+        _check_trace_invariants(dataclasses.replace(c6_trace, **broken))
+    assert str(raised.value) == message
 
 
 # -- lemma checkers and the method's verdict against distances ---------------
