@@ -10,7 +10,10 @@ vertex sets, which is checked against networkx; a failing scan's
 counterexample must be weakly connected, have no kernel by brute force, and
 be the first brute-force failure in the walk's order.  The balls the walk
 carries from set to set are checked against `_kernel_balls`' filler, which
-builds them from scratch, at every set it visits.
+builds them from scratch, at every set it visits.  The search, which builds
+a vertex's balls when it first picks the vertex, must give what it gives on
+balls built up front for every member, and the scans, which hand it their
+carried balls, must never ask it to build one.
 """
 
 import math
@@ -301,6 +304,12 @@ def eager_search(d, query, whole, first):
     return kernels._search_balls(whole, conflict, absorbed_by, first)
 
 
+def eager_result(d, query, whole):
+    """`find_kl_kernel`'s answer on D[whole] from `eager_search`."""
+    found, examined = eager_search(d, query, whole, True)
+    return KernelResult(bool(found), found[0] if found else None, examined)
+
+
 def record_fills(monkeypatch):
     """Every vertex the kernel engine's recursion asks its filler for, in
     order; a caller that passes no filler fails at its first request."""
@@ -325,15 +334,10 @@ def record_fills(monkeypatch):
 @settings(max_examples=200, deadline=None)
 def test_on_demand_balls_match_balls_built_up_front(d, picks, query):
     whole = (1 << d.vertex_count) - 1
-    found, examined = eager_search(d, query, whole, True)
-    assert find_kl_kernel(d, query) == KernelResult(bool(found), found[0] if found else None,
-                                                    examined)
+    assert find_kl_kernel(d, query) == eager_result(d, query, whole)
     assert kl_kernels(d, query) == eager_search(d, query, whole, False)[0]
     within = picks & whole
-    found, examined = eager_search(d, query, within, True)
-    assert find_kl_kernel(d, query, within=_members(within)) == KernelResult(
-        bool(found), found[0] if found else None, examined
-    )
+    assert find_kl_kernel(d, query, within=_members(within)) == eager_result(d, query, within)
 
 
 @given(digraphs_up_to(10), st.sampled_from(ENGINE_QUERIES))

@@ -14,6 +14,9 @@ sorted out-lists kept here as references.  The road conditions, the labels
 and the unique-chord checker read the trace's label masks; the references
 here test membership in the trace's sorted set tuples and arcs in
 `Digraph.arcs`, and the reference road search checks only whole paths.
+The label masks the construction stores must equal those the set tuples
+give, and the trace invariants, checked on those masks, must reject a
+hand-broken C6 trace of each of their five kinds.
 
 Three small strongly connected digraphs (A, B, C at the bottom) are frozen
 as regression inputs for the lemma checkers: on each of them one of the
