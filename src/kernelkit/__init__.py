@@ -8,7 +8,6 @@ from .cycles import (
     HypothesisReport,
     check_circuit_hypothesis,
     check_cycle_hypothesis,
-    enumerate_circuits,
     enumerate_cycles,
     every_cycle_has_symmetric_arc,
 )

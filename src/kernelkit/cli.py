@@ -7,6 +7,7 @@ Exit codes: 0 pass, 1 property failure, 2 usage/parse error, 3 resource bound.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -78,34 +79,30 @@ def _hypothesis_summary(report) -> dict:
         "violations": [
             {"vertices": list(v.subject), "reason": v.reason} for v in report.violations
         ],
-        "examined": report.cycles_examined,
     }
+
+
+def _cycle_summary(report) -> dict:
+    return {**_hypothesis_summary(report), "examined": report.cycles_examined}
 
 
 def _cmd_analyze(args) -> int:
     if args.max_circuit_len is not None and args.max_circuit_len < 2:
         raise ValueError("--max-circuit-len must be >= 2")
     d = _load(args.file)
-    # one enumeration of every simple cycle; past the budget no section is decided: exit 3
+    # one enumeration of every simple cycle; past the budget nothing is written: exit 3
     duchet, two_consecutive, crossing = _cycle_reports(d, args.min_cycle_len, args.budget)
+    max_len = len(d.arcs) if args.max_circuit_len is None else args.max_circuit_len
     payload = {
         "n": d.vertex_count,
         "m": len(d.arcs),
         "strongly_connected": d.is_strongly_connected(),
         "cycles": duchet.cycles_examined,
-        "duchet": _hypothesis_summary(duchet),
-        "cycle_hypothesis_two_consecutive": _hypothesis_summary(two_consecutive),
-        "cycle_hypothesis_three_with_crossing": _hypothesis_summary(crossing),
+        "duchet": _cycle_summary(duchet),
+        "cycle_hypothesis_two_consecutive": _cycle_summary(two_consecutive),
+        "cycle_hypothesis_three_with_crossing": _cycle_summary(crossing),
+        "circuit_hypothesis": _hypothesis_summary(check_circuit_hypothesis(d, max_len)),
     }
-    max_len = len(d.arcs) if args.max_circuit_len is None else args.max_circuit_len
-    try:
-        circuits = check_circuit_hypothesis(d, max_len=max_len, budget=args.budget)
-    except BudgetExceededError:
-        # the sections above are decided; write them before exiting 3
-        payload["circuit_hypothesis"] = None
-        _emit(payload, args.format, args.out)
-        raise
-    payload["circuit_hypothesis"] = _hypothesis_summary(circuits)
     _emit(payload, args.format, args.out)
     return EXIT_PASS
 
@@ -249,7 +246,10 @@ def _cmd_generate(args) -> int:
     return EXIT_PASS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: every caller shares
+    it, and none may change it."""
     parser = argparse.ArgumentParser(
         prog="kernelkit",
         description="Digraph kernel workbench: kernels, closures, chord "
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-cycle-len", type=int, default=2)
     p.add_argument("--max-circuit-len", type=int, default=None)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="step budget of each length pass of the cycle and circuit searches")
+                   help="step budget of each length pass of the cycle search")
     common(p)
     p.set_defaults(func=_cmd_analyze)
 

@@ -1,39 +1,35 @@
-"""Cycle and circuit enumeration and the chord-condition predicates.
+"""Cycle enumeration and the chord-condition predicates.
 
-Both are `ClosedWalk`s.  Cycles are simple directed cycles stored with their
-smallest vertex first.  Circuits are closed trails (arcs pairwise distinct,
-vertices may repeat) stored in their lexicographically least rotation;
-every cycle is also a circuit.
-
-The cycle checks read the vertex tuples of `_cycle_tuples`, the search
-behind `enumerate_cycles`; a `ClosedWalk` is made only where
+Cycles are simple directed cycles, `ClosedWalk`s stored with their smallest
+vertex first.  The cycle checks read the vertex tuples of `_cycle_tuples`,
+the search behind `enumerate_cycles`; a `ClosedWalk` is made only where
 `enumerate_cycles` yields one.
 
 Every chord condition concerns only short chords (length 2), and the
 hypothesis checks read them by position: position i holds one when
-(seq[i], seq[i+2]) is an arc and not an arc of the walk, one arc test
-each, so repeated vertices on a circuit contribute separately.
-The cycle and circuit walks and every chord test read the adjacency
-masks of `Digraph`.  The cycle checks keep the chord positions as an
-n-bit mask, where consecutive and crossing short chords are rotations of
-it.
+(seq[i], seq[i+2]) is an arc, one arc test each on the adjacency masks of
+`Digraph`.  The cycle checks keep the chord positions as an n-bit mask,
+where consecutive and crossing short chords are rotations of it.
 `check_cycle_hypothesis` takes `stop_at_first`, which ends the check at
 the first violation (the full report's first one) for callers that read
-only `.satisfied`; every hypothesis check takes a `budget` of steps per
-length pass of its search.  Two classes are decided without a search
-(README "Reported findings"): the circuit hypothesis holds exactly on the
-digraphs whose cycle lengths are all = 0 mod 3, tested by
-`_cycle_lengths_0_mod_3`, and Duchet's exactly on those whose one-way arcs
-form an acyclic digraph, tested by `_one_way_arcs_acyclic` with the peel of
-`_acyclic`, which also decides both cycle hypotheses at minimum length 2:
-there they hold exactly on the acyclic digraphs.
-`check_circuit_hypothesis` and `every_cycle_has_symmetric_arc` serve the
-callers that list violations.
+only `.satisfied`; every cycle check takes a `budget` of steps per length
+pass of its search.
 
-Each length pass's search is a nested function that calls itself, and a
-closure that holds itself is cyclic garbage; so the pass deletes its name
-before it yields, since a caller may abandon the generator there, and on
-the way out of a BudgetExceededError.
+The circuit hypothesis searches nothing (README "Reported findings"): it
+holds exactly on the digraphs whose cycle lengths are all = 0 mod 3, tested
+by `_cycle_lengths_0_mod_3`, and its first violation is the least shortest
+cycle of length != 0 mod 3, which `check_circuit_hypothesis` finds by a
+greedy walk on reach masks.  Duchet's class holds exactly on the digraphs
+whose one-way arcs form an acyclic digraph, tested by
+`_one_way_arcs_acyclic` with the peel of `_acyclic`, which also decides
+both cycle hypotheses at minimum length 2: there they hold exactly on the
+acyclic digraphs.  `check_circuit_hypothesis` and
+`every_cycle_has_symmetric_arc` serve the callers that list violations.
+
+Each length pass's cycle search is a nested function that calls itself,
+and a closure that holds itself is cyclic garbage; so the pass deletes its
+name before it yields, since a caller may abandon the generator there, and
+on the way out of a BudgetExceededError.
 """
 
 from __future__ import annotations
@@ -50,7 +46,7 @@ DEFAULT_BUDGET = 10**6
 
 @dataclass(frozen=True)
 class ClosedWalk:
-    """A simple cycle or closed trail, stored in its canonical rotation."""
+    """A simple cycle, stored with its smallest vertex first."""
 
     vertices: tuple[int, ...]
 
@@ -88,10 +84,10 @@ def enumerate_cycles(
     """Yield every simple directed cycle with min_len <= length <= max_len,
     sorted by length then lexicographically, each in canonical rotation.
 
-    One path search per length L from min_len up, as in `enumerate_circuits`;
-    each pass meets its cycles in lexicographic order and yields them before
-    the next starts, and the search ends after a pass in which no path from
-    a root through larger vertices reaches L vertices.
+    One path search per length L from min_len up; each pass meets its
+    cycles in lexicographic order and yields them before the next starts,
+    and the search ends after a pass in which no path from a root through
+    larger vertices reaches L vertices.
 
     `budget` bounds the steps (paths extended) of each pass, not their sum;
     BudgetExceededError is raised from the first pass that exceeds it.  On a
@@ -185,83 +181,6 @@ def _cycle_tuples(
             return
 
 
-def _canonical_rotation(seq: list[int]) -> list[int]:
-    return min(seq[i:] + seq[:i] for i in range(len(seq)))
-
-
-def enumerate_circuits(
-    d: Digraph,
-    max_len: int,
-    min_len: int = 2,
-    budget: int = DEFAULT_BUDGET,
-) -> Iterator[ClosedWalk]:
-    """Yield every closed trail up to max_len arcs, once per canonical
-    rotation, sorted by length then lexicographically.
-
-    The search is iterative deepening: one trail search per length L from
-    min_len up, each yielding the closed trails of exactly L arcs before the
-    next one starts, so a caller that stops early never pays for the longer
-    layers.  The search ends after the first pass in which no trail reaches
-    L arcs, since no longer trail can exist then.
-    A pass keeps each circuit when it meets it at its canonical rotation,
-    which starts at the root; roots ascend and trails extend lowest first, so
-    that is the final order.
-
-    `budget` bounds the steps (arcs tried) of each pass, not their sum;
-    BudgetExceededError is raised from the first pass that exceeds it.  A
-    pass tries a subset of the arcs that one search to depth max_len tries,
-    and the deepest pass tries exactly those, so the search exceeds the
-    budget for the same digraphs that one such search does.  Consuming every
-    layer repeats the shorter passes: on dense n=7 digraphs (m = 21-26) the
-    full enumeration took 1.0x-2.7x the time of one search, and on five that
-    exceed the default budget 2.0x in sum (6.2x on the worst one).
-    """
-    if min_len < 2:
-        raise ValueError("min_len must be >= 2")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    # unused[u]: u's out-arcs not on the trail; each step restores what it takes
-    unused = list(d.out_masks)
-    for length in range(min_len, max_len + 1):
-        found: list[tuple[int, ...]] = []
-        steps = 0
-        reached = False
-
-        def extend(root: int, u: int, trail: list[int]) -> None:
-            nonlocal steps, reached
-            last = len(trail) == length
-            nexts = unused[u] >> root << root
-            while nexts:
-                low = nexts & -nexts
-                nexts ^= low
-                w = low.bit_length() - 1
-                steps += 1
-                if steps > budget:
-                    raise BudgetExceededError(
-                        f"circuit enumeration exceeded {budget} steps at length {length}"
-                    )
-                if last:
-                    reached = True
-                    if w == root and _canonical_rotation(trail) == trail:
-                        found.append(tuple(trail))
-                else:
-                    trail.append(w)
-                    unused[u] ^= low
-                    extend(root, w, trail)
-                    unused[u] ^= low
-                    trail.pop()
-
-        try:
-            for root in d.vertices():
-                extend(root, root, [root])
-        finally:
-            del extend
-        for seq in found:
-            yield ClosedWalk(seq)
-        if not reached:
-            return
-
-
 def _rotate(mask: int, j: int, n: int) -> int:
     """The n-bit mask rotated so that bit i holds bit (i + j) mod n."""
     j %= n
@@ -346,31 +265,40 @@ def check_cycle_hypothesis(
     )
 
 
-def _circuit_violation(out_masks: tuple[int, ...], circ: ClosedWalk) -> Violation | None:
-    seq, n = circ.vertices, len(circ)
-    if n % 3 == 0:
-        return None
-    # only a circuit that repeats a vertex has walk arcs (seq[i], seq[i+2])
-    walk_arcs = circ.arcs() if len(set(seq)) < n else ()
-    count = 0
-    for u, w in zip(seq, seq[2:] + seq[:2]):
-        if out_masks[u] >> w & 1 and (u, w) not in walk_arcs:
-            count += 1
-            if count == 4:
-                return None
-    return Violation(seq, f"length != 0 mod 3 with only {count} short chords")
+def check_circuit_hypothesis(d: Digraph, max_len: int) -> HypothesisReport:
+    """Every circuit of length != 0 mod 3 and at most max_len arcs must have
+    at least four short chords, counted by position.  None has them, and the
+    first violation in length-then-lex order is the least shortest cycle of
+    length != 0 mod 3 (README "Reported findings"), so the check returns that
+    cycle alone, or nothing, and examines only it.
 
-
-def check_circuit_hypothesis(
-    d: Digraph, max_len: int, budget: int = DEFAULT_BUDGET
-) -> HypothesisReport:
-    """Every circuit of length != 0 mod 3 (within the bounds) must have at
-    least four short chords, counted by position: an arc that is the short
-    chord at two positions counts twice.  `budget` bounds each pass of
-    `enumerate_circuits`."""
-    circuits = enumerate_circuits(d, max_len=max_len, budget=budget)
-    out_masks = d.out_masks
-    return _report(circuits, lambda circ: _circuit_violation(out_masks, circ), False)
+    For each such length L and each root r ascending, reach[j] holds the
+    vertices above r that reach r in exactly j arcs through vertices above r.
+    When r has an out-neighbour in reach[L - 1], the walk from r that moves to
+    the least out-neighbour in reach[L - 1], reach[L - 2], ..., reach[1] and
+    then closes at r is that cycle."""
+    n = d.vertex_count
+    out_masks, in_masks = d.out_masks, d.in_masks
+    reaches = [[1 << r] for r in range(n)]
+    for length in range(2, min(max_len, n) + 1):
+        for root, reach in enumerate(reaches):
+            step, last = 0, reach[-1]
+            while last:
+                low = last & -last
+                step |= in_masks[low.bit_length() - 1]
+                last ^= low
+            reach.append(step & -2 << root)  # the vertices above root
+            if length % 3 == 0 or not out_masks[root] & reach[-1]:
+                continue
+            seq = [root]
+            for j in range(length - 1, 0, -1):
+                nexts = out_masks[seq[-1]] & reach[j]
+                seq.append((nexts & -nexts).bit_length() - 1)
+            seq = tuple(seq)
+            chords = _short_chords(out_masks, seq).bit_count()
+            reason = f"length != 0 mod 3 with only {chords} short chords"
+            return HypothesisReport(False, (Violation(seq, reason),), 1)
+    return HypothesisReport(True, (), 0)
 
 
 def _cycle_lengths_0_mod_3(d: Digraph) -> bool:

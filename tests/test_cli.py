@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import kernelkit
-from kernelkit import build_digraph
+from kernelkit import build_digraph, directed_cycle
 from kernelkit.campaigns import CAMPAIGNS, PARAMETER_READERS
 from kernelkit.cli import EXIT_FAILURE, EXIT_PASS, EXIT_RESOURCE, EXIT_USAGE, main
 from kernelkit.generators import random_strongly_connected
@@ -234,18 +234,29 @@ def test_campaign_options_reach_the_campaigns_that_read_them(property_id, option
     assert json.loads(out)["body"]["parameters"][option[2:].replace("-", "_")] == 3
 
 
-def test_analyze_writes_the_decided_sections_when_the_circuit_budget_runs_out(tmp_path, capsys):
+def test_analyze_decides_the_circuit_section_of_a_dense_digraph(tmp_path, capsys):
+    # m = 27: the circuit check searches nothing, so the default budget decides it
     path = tmp_path / "dense.txt"
     path.write_text(format_digraph_text(random_strongly_connected(6, 0.8, 1)))
     code, out, err = run(capsys, "analyze", str(path), "--format", "json")
-    assert code == EXIT_RESOURCE
-    assert err.startswith("resource bound: ") and "Traceback" not in err
-    partial = json.loads(out)
-    assert partial["circuit_hypothesis"] is None
+    assert code == EXIT_PASS and err == ""
+    assert json.loads(out)["circuit_hypothesis"] == {
+        "satisfied": False,
+        "violations": [
+            {"vertices": [0, 1], "reason": "length != 0 mod 3 with only 0 short chords"}
+        ],
+    }
+
+
+@pytest.mark.parametrize("max_len, satisfied", [("3", True), ("4", False), ("12", False)])
+def test_analyze_max_circuit_len_bounds_the_first_violation(max_len, satisfied, tmp_path, capsys):
+    # C4: its one cycle is the first violation, of length 4
+    path = tmp_path / "c4.txt"
+    path.write_text(format_digraph_text(directed_cycle(4)))
     code, out, _ = run(capsys, "analyze", str(path), "--format", "json",
-                       "--max-circuit-len", "5")
+                       "--max-circuit-len", max_len)
     assert code == EXIT_PASS
-    assert partial == {**json.loads(out), "circuit_hypothesis": None}
+    assert json.loads(out)["circuit_hypothesis"]["satisfied"] is satisfied
 
 
 def test_analyze_exits_3_when_the_cycle_budget_runs_out(tmp_path, capsys):
@@ -257,7 +268,7 @@ def test_analyze_exits_3_when_the_cycle_budget_runs_out(tmp_path, capsys):
     code, out, err = run(capsys, "analyze", str(path), "--budget", "64")
     assert code == EXIT_RESOURCE and out == ""
     assert err == "resource bound: cycle enumeration exceeded 64 steps at length 5\n"
-    code, out, _ = run(capsys, "analyze", str(path), "--budget", "65", "--max-circuit-len", "2")
+    code, out, _ = run(capsys, "analyze", str(path), "--budget", "65")
     assert code == EXIT_PASS and "cycles: 84\n" in out
 
 
@@ -292,7 +303,7 @@ def test_analyze_enumerates_the_cycles_once(k5_file, capsys, monkeypatch):
     for module in (kernelkit, kernelkit.cycles, kernelkit.cli):
         if hasattr(module, "enumerate_cycles"):
             monkeypatch.setattr(module, "enumerate_cycles", counted)
-    code, out, _ = run(capsys, "analyze", k5_file, "--max-circuit-len", "2")
+    code, out, _ = run(capsys, "analyze", k5_file)
     assert code == EXIT_PASS and "cycles: 84\n" in out
     assert passes == [2]
 

@@ -1,12 +1,14 @@
-"""Cycle/circuit enumeration and the chord-condition predicates.
+"""Cycle enumeration, the circuit check and the chord-condition predicates.
 
-The independent oracle here is a naive closed-trail enumerator written
-differently from the library's (it walks raw arc sequences and dedupes by
-rotation at the end).  The length-layered circuit search is also compared
-with `single_pass_circuits`, the one-pass trail search it replaced, whose
-step count defines what fits a budget.  Simple cycles are compared with
-networkx's `simple_cycles`, and `check_cycle_hypothesis`'s `stop_at_first`
-report with the full report.
+The circuit search lives here as the reference: `single_pass_circuits`, a
+closed-trail search with a step budget that returns the circuits in
+length-then-lex order, compared with `naive_circuits`, an oracle written
+differently (it walks raw arc sequences and dedupes by rotation at the
+end).  `check_circuit_hypothesis` returns only the first violation, the
+least shortest cycle of length != 0 mod 3 (README "Reported findings"), and
+must equal the reference report cut to its first violation.  Simple cycles
+are compared with networkx's `simple_cycles`, and `check_cycle_hypothesis`'s
+`stop_at_first` report with the full report.
 
 The library decides the chord hypotheses on chord-position masks.  The
 chord-object API it replaced lives here as the reference: `Chord`,
@@ -18,8 +20,8 @@ reference violations built on them give.
 The circuit class is the class of digraphs whose cycle lengths are all
 = 0 mod 3 (README "Reported findings").  `CLASSES["circuit"]` decides it by
 `_cycle_lengths_0_mod_3`, a residue test on masks, which is compared with
-the full circuit search (the reference) and with `cycle_lengths_are_0_mod_3`,
-the same test on networkx's strong components.  On a strongly connected
+the reference circuit search, with the circuit check and with
+`cycle_lengths_are_0_mod_3`, the same test on networkx's strong components.  On a strongly connected
 member with n >= 2 each class of a residue map is a 3-kernel (README
 "Reported findings"); `residue_classes` builds the map from networkx hop
 counts and `is_3_kernel_by_distances` checks each class on networkx
@@ -50,7 +52,6 @@ from kernelkit import (
     check_circuit_hypothesis,
     check_cycle_hypothesis,
     directed_cycle,
-    enumerate_circuits,
     enumerate_cycles,
     every_cycle_has_symmetric_arc,
     run_campaign,
@@ -66,6 +67,7 @@ from kernelkit.cycles import (
 )
 from kernelkit.errors import BudgetExceededError
 from kernelkit.generators import (
+    derive_trial_seed,
     enumerate_labeled_digraphs,
     random_digraph,
     random_strongly_connected,
@@ -339,15 +341,10 @@ def test_acyclic_has_no_cycles():
 
 
 def test_figure_eight_circuits():
-    # two triangles sharing vertex 0
-    d = build_digraph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
-    circuits = list(enumerate_circuits(d, max_len=6))
-    seqs = {c.vertices for c in circuits}
-    assert (0, 1, 2) in seqs
-    assert (0, 3, 4) in seqs
-    # the figure-eight closed trail uses all six arcs
-    assert (0, 1, 2, 0, 3, 4) in seqs
-    assert len(seqs) == 3
+    # two triangles sharing vertex 0; the figure-eight closed trail uses all six arcs
+    expected = [(0, 1, 2), (0, 3, 4), (0, 1, 2, 0, 3, 4)]
+    assert single_pass_circuits(FIGURE_EIGHT, 6, 10**6) == expected
+    assert naive_circuits(FIGURE_EIGHT, 6) == set(expected)
 
 
 @pytest.mark.parametrize("seed_arcs", [
@@ -358,49 +355,30 @@ def test_figure_eight_circuits():
 def test_circuits_match_naive_oracle(seed_arcs):
     n = 1 + max(v for arc in seed_arcs for v in arc)
     d = build_digraph(n, seed_arcs)
-    mine = {c.vertices for c in enumerate_circuits(d, max_len=len(seed_arcs))}
+    mine = set(single_pass_circuits(d, len(seed_arcs), 10**6))
     assert mine == naive_circuits(d, len(seed_arcs))
 
 
 def test_circuit_canonical_rotation_is_lex_least():
-    d = directed_cycle(4)
-    (only,) = enumerate_circuits(d, max_len=4)
-    assert only == ClosedWalk((0, 1, 2, 3))
-
-
-def test_circuit_budget():
-    with pytest.raises(BudgetExceededError):
-        list(enumerate_circuits(complete_symmetric(5), max_len=20, budget=50))
-    with pytest.raises(ValueError):
-        list(enumerate_circuits(directed_cycle(3), max_len=3, budget=0))
+    # the 4-cycle 0 -> 3 -> 1 -> 2 -> 0, arcs listed from vertex 2
+    d = build_digraph(4, [(2, 0), (0, 3), (3, 1), (1, 2)])
+    assert single_pass_circuits(d, 4, 10**6) == [(0, 3, 1, 2)]
+    (violation,) = check_circuit_hypothesis(d, 4).violations
+    assert violation.subject == (0, 3, 1, 2)
 
 
 @given(digraphs, st.integers(2, 5))
 @example(FIGURE_EIGHT, 6)
 @settings(max_examples=80, deadline=None)
 def test_circuits_match_naive_oracle_in_length_lex_order(d, max_len):
-    mine = [c.vertices for c in enumerate_circuits(d, max_len)]
+    mine = single_pass_circuits(d, max_len, 10**6)
     assert mine == sorted(naive_circuits(d, max_len), key=lambda seq: (len(seq), seq))
-
-
-@given(digraphs, st.integers(2, 30), st.sampled_from([1, 30, 300, 3000]))
-@settings(max_examples=150, deadline=None)
-def test_layered_search_decides_whatever_the_single_pass_decides(d, max_len, budget):
-    try:
-        expected = single_pass_circuits(d, max_len, budget)
-    except BudgetExceededError:
-        # the deepest pass tries the same arcs as the single pass
-        with pytest.raises(BudgetExceededError):
-            list(enumerate_circuits(d, max_len, budget=budget))
-        return
-    assert [c.vertices for c in enumerate_circuits(d, max_len, budget=budget)] == expected
 
 
 def test_every_cycle_is_a_circuit():
     d = build_digraph(5, [(0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (4, 1)])
     cycles = {c.vertices for c in enumerate_cycles(d)}
-    circuits = {c.vertices for c in enumerate_circuits(d, max_len=len(d.arcs))}
-    assert cycles <= circuits
+    assert cycles <= naive_circuits(d, len(d.arcs))
 
 
 # -- chords ------------------------------------------------------------------
@@ -485,7 +463,7 @@ def test_chords_positions_and_lengths():
 @example(complete_symmetric(3))
 @settings(max_examples=100, deadline=None)
 def test_short_chords_match_the_short_chords_of_chords_of(d):
-    walks = [*enumerate_cycles(d), *enumerate_circuits(d, max_len=6)]
+    walks = [*enumerate_cycles(d), *map(ClosedWalk, single_pass_circuits(d, 6, 10**6))]
     for c in walks:
         assert short_chords(d, c) == [ch for ch in chords_of(d, c) if is_short_chord(ch)]
 
@@ -643,9 +621,7 @@ def test_one_cycle_enumeration_gives_the_three_full_reports(d, min_cycle_len, bu
 
 def test_circuit_hypothesis_vacuous_when_lengths_divide_three():
     d = directed_cycle(6)
-    report = check_circuit_hypothesis(d, max_len=len(d.arcs))
-    assert report.satisfied
-    assert report.cycles_examined == 1
+    assert check_circuit_hypothesis(d, max_len=len(d.arcs)) == HypothesisReport(True, (), 0)
 
 
 def test_circuit_hypothesis_flags_short_chord_deficit():
@@ -711,6 +687,32 @@ def reference_report(walks, violation):
     return HypothesisReport(not violations, violations, len(walks))
 
 
+def first_violation_of(d, circuits):
+    """Reference: the circuit hypothesis's report on `circuits`, in order,
+    cut to its first violation, which is all `check_circuit_hypothesis`
+    reports (and all it examines)."""
+    full = reference_report(circuits, lambda circ: reference_circuit_violation(d, circ))
+    first = full.violations[:1]
+    return HypothesisReport(not first, first, len(first))
+
+
+def reference_circuit_report(d, max_len, budget=10**6):
+    """`first_violation_of` the reference circuit search up to max_len arcs."""
+    return first_violation_of(d, list(map(ClosedWalk, single_pass_circuits(d, max_len, budget))))
+
+
+def expected_circuit_report(d, max_len):
+    """`reference_circuit_report` within 10**5 steps.  Past them, too many
+    circuits for the reference search: the first cycle of length != 0 mod 3
+    in length-then-lex order, the first violation by the README's
+    shortest-violation lemma, decides."""
+    try:
+        return reference_circuit_report(d, max_len, budget=10**5)
+    except BudgetExceededError:
+        cycles = [c for c in enumerate_cycles(d, max_len=max_len) if len(c) % 3]
+        return first_violation_of(d, cycles[:1])
+
+
 def cycle_with_arcs(n, extra):
     return build_digraph(n, [(i, (i + 1) % n) for i in range(n)] + extra)
 
@@ -746,24 +748,71 @@ def test_mask_checks_give_the_reports_of_the_chord_references(d, max_len):
         list(enumerate_cycles(d)), lambda cyc: reference_asymmetric_cycle(d, cyc)
     )
     assert every_cycle_has_symmetric_arc(d) == expected
-    try:
-        circuits = list(enumerate_circuits(d, max_len, budget=3000))
-    except BudgetExceededError:
-        with pytest.raises(BudgetExceededError):
-            check_circuit_hypothesis(d, max_len, budget=3000)
-        return
-    expected = reference_report(circuits, lambda circ: reference_circuit_violation(d, circ))
-    assert check_circuit_hypothesis(d, max_len, budget=3000) == expected
+    assert check_circuit_hypothesis(d, max_len) == expected_circuit_report(d, max_len)
 
 
 def test_circuit_short_chords_count_positions_not_arcs():
     # one extra arc, the short chord at two positions of a repeated-vertex circuit
     circuit = ClosedWalk(REPEATED_VERTEX_CIRCUIT)
-    assert circuit in enumerate_circuits(REPEATED_VERTEX, max_len=8)
+    assert REPEATED_VERTEX_CIRCUIT in single_pass_circuits(REPEATED_VERTEX, 8, 10**6)
     assert short_chords(REPEATED_VERTEX, circuit) == [Chord(0, 2, 2), Chord(4, 6, 2)]
     expected = Violation(REPEATED_VERTEX_CIRCUIT, "length != 0 mod 3 with only 2 short chords")
     assert reference_circuit_violation(REPEATED_VERTEX, circuit) == expected
-    assert expected in check_circuit_hypothesis(REPEATED_VERTEX, max_len=8).violations
+    # a shorter cycle violates first, and the check reports that one alone
+    first = Violation((0, 1, 2, 4), "length != 0 mod 3 with only 1 short chords")
+    assert check_circuit_hypothesis(REPEATED_VERTEX, max_len=8).violations == (first,)
+    assert reference_circuit_report(REPEATED_VERTEX, 8).violations == (first,)
+
+
+# -- the circuit check is the circuit search's first violation -----------------
+
+
+def test_circuit_check_is_the_first_violation_of_the_search_on_every_digraph_up_to_4():
+    violated = 0
+    for n in range(5):
+        for d in enumerate_labeled_digraphs(n):
+            m = len(d.arcs)
+            circuits = list(map(ClosedWalk, single_pass_circuits(d, m, 10**6)))
+            for max_len in range(2, max(m, 2) + 1):
+                expected = first_violation_of(d, [c for c in circuits if len(c) <= max_len])
+                report = check_circuit_hypothesis(d, max_len)
+                assert report == expected, (d.arcs, max_len)
+                if max_len >= n:
+                    assert report.satisfied is _cycle_lengths_0_mod_3(d)
+                violated += not report.satisfied
+    assert violated > 0  # positive control: violations occur
+
+
+@given(
+    st.sampled_from([random_digraph, random_strongly_connected]),
+    st.integers(1, 8),
+    st.sampled_from([0.03, 0.1, 0.2, 0.35, 0.6]),
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 12),
+)
+@example(random_strongly_connected, 7, 0.03, 0, 7)  # a directed C7 plus chords
+@example(random_strongly_connected, 6, 0.8, 1, 5)  # m = 27, the dense analyze golden
+@settings(max_examples=150, deadline=None)
+def test_circuit_check_is_the_first_violation_of_the_search_on_random_digraphs(
+    model, n, prob, seed, max_len
+):
+    d = model(n, prob, seed)
+    report = check_circuit_hypothesis(d, max_len)
+    assert report == expected_circuit_report(d, max_len)
+    if max_len >= n:
+        assert report.satisfied is _cycle_lengths_0_mod_3(d)
+
+
+@pytest.mark.parametrize("seed, trials", [(1, 234), (20260823, 209)])
+def test_the_perfection_workload_draws_its_pinned_trial_counts(seed, trials):
+    # the `perfection` benchmark workload draws until 50 instances satisfy the
+    # circuit check; its pinned trial counts move if the check's answers do
+    scanned = drawn = 0
+    while scanned < 50:
+        d = random_strongly_connected(9, 0.03, derive_trial_seed(seed, drawn))
+        scanned += check_circuit_hypothesis(d, max_len=len(d.arcs)).satisfied
+        drawn += 1
+    assert drawn == trials
 
 
 # -- the circuit class is the mod-3 class --------------------------------------
@@ -795,6 +844,7 @@ def cycle_lengths_are_0_mod_3(d):
 
 def assert_residue_tests_give(d, expected):
     assert _cycle_lengths_0_mod_3(d) is expected, d.arcs
+    assert check_circuit_hypothesis(d, d.vertex_count).satisfied is expected, d.arcs
     assert CLASSES["circuit"](d, 10**6, 2) is expected, d.arcs
     assert cycle_lengths_are_0_mod_3(d) is expected, d.arcs
 
@@ -803,7 +853,7 @@ def test_residue_test_is_the_circuit_class_on_every_digraph_up_to_4():
     members = 0
     for n in range(5):
         for d in enumerate_labeled_digraphs(n):
-            expected = check_circuit_hypothesis(d, len(d.arcs)).satisfied
+            expected = reference_circuit_report(d, len(d.arcs)).satisfied
             assert_residue_tests_give(d, expected)
             members += expected
     assert members > 0  # positive control: both answers occur
@@ -821,7 +871,7 @@ def test_residue_test_is_the_circuit_class_on_every_digraph_up_to_4():
 def test_residue_test_is_the_circuit_class_on_random_digraphs(model, n, prob, seed):
     d = model(n, prob, seed)
     try:
-        expected = check_circuit_hypothesis(d, len(d.arcs), budget=10**4).satisfied
+        expected = reference_circuit_report(d, len(d.arcs), budget=10**4).satisfied
     except BudgetExceededError:
         # too many circuits for the reference search: the networkx test decides
         expected = cycle_lengths_are_0_mod_3(d)

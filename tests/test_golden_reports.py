@@ -1,7 +1,8 @@
 """Golden report bodies: every campaign, at fixed small parameters, must
 reproduce its committed `body_json()` byte for byte, `substitute --trace`
 its committed trace document, `analyze --format json` its committed
-summary (the full hypothesis reports, every violation listed), and
+summary (the full cycle-hypothesis reports, every violation listed, and the
+circuit hypothesis's first violation), and
 `kernel --format json` its committed payloads (witness and subsets examined).
 
 The files in tests/golden/ lock the campaigns' observable behaviour, so a
@@ -78,7 +79,8 @@ TRACES = {
 }
 
 # `analyze --format json` inputs: (digraph text, extra arguments).  The dense
-# digraph (m=27) needs a circuit length bound to fit the default budget.
+# digraph (m=27) runs with both length options; its first circuit violation,
+# a digon, is within the circuit length bound.
 ANALYSES = {
     "c6": (C6, []),
     "digraph_a": (DIGRAPH_A, []),
@@ -155,11 +157,11 @@ def test_report_body_matches_golden(name, tmp_path):
 )
 def test_the_circuit_class_campaigns_search_no_circuits(name, tmp_path, monkeypatch):
     # the circuit class is decided by its residue test: with the circuit
-    # search gone, the campaigns that filter by it still match their goldens
+    # check gone, the campaigns that filter by it still match their goldens
     def no_search(*args, **kwargs):
-        raise AssertionError("circuit search reached from a campaign")
+        raise AssertionError("circuit check reached from a campaign")
 
-    monkeypatch.setattr(kernelkit.cycles, "enumerate_circuits", no_search)
+    monkeypatch.setattr(kernelkit.cycles, "check_circuit_hypothesis", no_search)
     expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert body(name, tmp_path) == expected
 

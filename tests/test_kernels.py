@@ -284,6 +284,37 @@ def test_kl_kernels_size_bound():
         kl_kernels(directed_cycle(25), KERNEL)
 
 
+# -- every digraph has a quasi-kernel (Chvatal-Lovasz) -------------------------
+
+# A (2,2)-kernel is a quasi-kernel: an independent set that every other vertex
+# reaches in one or two steps.  Chvatal and Lovasz (1974) showed that every
+# digraph has one, while a (2,1)-kernel, a classic kernel, can be missing.
+QUASI_KERNEL = KernelQuery(2, 2)
+MODELS = [random_digraph, random_strongly_connected]
+PROBS = [0.05, 0.1, 0.2, 0.35, 0.6]
+
+
+@given(st.sampled_from(MODELS), st.integers(1, 12), st.sampled_from(PROBS),
+       st.integers(0, 2**32 - 1))
+@example(random_strongly_connected, 3, 0.05, 0)  # a directed C3: no kernel
+@settings(max_examples=200, deadline=None)
+def test_every_random_digraph_has_a_quasi_kernel(model, n, prob, seed):
+    d = model(n, prob, seed)
+    result = find_kl_kernel(d, QUASI_KERNEL)
+    assert result.found and is_kl_kernel(d, result.witness, QUASI_KERNEL), d.arcs
+
+
+def test_random_digraphs_without_a_kernel_still_have_a_quasi_kernel():
+    draws = [
+        model(n, prob, seed)
+        for model in MODELS for n in range(1, 13) for prob in PROBS for seed in range(6)
+    ]
+    kernelless = [d for d in draws if not find_kl_kernel(d, KERNEL).found]
+    assert kernelless  # positive control: the weaker demand is not vacuous
+    for d in draws:
+        assert find_kl_kernel(d, QUASI_KERNEL).found, d.arcs
+
+
 # -- on-demand balls against balls built up front -----------------------------
 
 ENGINE_QUERIES = [KernelQuery(2, 1), KernelQuery(3, 2), KernelQuery(4, 3), KernelQuery(3, 1),

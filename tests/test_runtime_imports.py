@@ -121,7 +121,7 @@ PUBLIC_NAMES = [
     "assemble_pre_3_kernel", "build_digraph", "build_substitution_sequence", "campaigns",
     "check_additive_inverse_property", "check_circuit_hypothesis", "check_cycle_hypothesis",
     "check_pre_kernel_properties", "check_unique_short_chord", "cycles", "digraph",
-    "directed_cycle", "enumerate_circuits", "enumerate_cycles", "enumerate_labeled_digraphs",
+    "directed_cycle", "enumerate_cycles", "enumerate_labeled_digraphs",
     "errors", "every_cycle_has_symmetric_arc", "find_kernel_via_closure", "find_kl_kernel",
     "find_road", "format_digraph_text", "generators", "is_3_kernel_perfect",
     "is_k_independent", "is_kernel_perfect", "is_kl_kernel", "is_l_absorbent",
