@@ -3,7 +3,6 @@ the 3-substitution method, and an empirical verification harness."""
 
 from .digraph import Digraph, as_vertex_set, build_digraph, directed_cycle
 from .cycles import (
-    ClosedWalk,
     CycleHypothesisVariant,
     HypothesisReport,
     check_circuit_hypothesis,

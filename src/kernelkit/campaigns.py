@@ -177,9 +177,7 @@ def _cycle_member(variant: CycleHypothesisVariant) -> _Member:
         if min_cycle_len == 2:
             return _acyclic(d.in_masks)
         try:
-            return check_cycle_hypothesis(
-                d, variant, min_cycle_len, budget=budget, stop_at_first=True
-            ).satisfied
+            return check_cycle_hypothesis(d, variant, min_cycle_len, budget=budget).satisfied
         except BudgetExceededError:
             return None
 

@@ -14,7 +14,13 @@ from pathlib import Path
 from typing import Iterator
 
 from .campaigns import CAMPAIGNS, PARAMETER_READERS, CampaignParams, run_campaign
-from .cycles import DEFAULT_BUDGET, _cycle_reports, check_circuit_hypothesis
+from .cycles import (
+    DEFAULT_BUDGET,
+    CycleHypothesisVariant,
+    check_circuit_hypothesis,
+    check_cycle_hypothesis,
+    every_cycle_has_symmetric_arc,
+)
 from .digraph import Digraph, directed_cycle
 from .errors import (
     BudgetExceededError,
@@ -82,25 +88,24 @@ def _hypothesis_summary(report) -> dict:
     }
 
 
-def _cycle_summary(report) -> dict:
-    return {**_hypothesis_summary(report), "examined": report.cycles_examined}
-
-
 def _cmd_analyze(args) -> int:
     if args.max_circuit_len is not None and args.max_circuit_len < 2:
         raise ValueError("--max-circuit-len must be >= 2")
     d = _load(args.file)
-    # one enumeration of every simple cycle; past the budget nothing is written: exit 3
-    duchet, two_consecutive, crossing = _cycle_reports(d, args.min_cycle_len, args.budget)
     max_len = len(d.arcs) if args.max_circuit_len is None else args.max_circuit_len
+    # each check reports its first violation; only the cycle hypotheses past
+    # minimum length 2 search, and past the budget nothing is written: exit 3
     payload = {
         "n": d.vertex_count,
         "m": len(d.arcs),
         "strongly_connected": d.is_strongly_connected(),
-        "cycles": duchet.cycles_examined,
-        "duchet": _cycle_summary(duchet),
-        "cycle_hypothesis_two_consecutive": _cycle_summary(two_consecutive),
-        "cycle_hypothesis_three_with_crossing": _cycle_summary(crossing),
+        "duchet": _hypothesis_summary(every_cycle_has_symmetric_arc(d)),
+        **{
+            f"cycle_hypothesis_{variant.name.lower()}": _hypothesis_summary(
+                check_cycle_hypothesis(d, variant, args.min_cycle_len, budget=args.budget)
+            )
+            for variant in CycleHypothesisVariant
+        },
         "circuit_hypothesis": _hypothesis_summary(check_circuit_hypothesis(d, max_len)),
     }
     _emit(payload, args.format, args.out)
@@ -268,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-cycle-len", type=int, default=2)
     p.add_argument("--max-circuit-len", type=int, default=None)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="step budget of each length pass of the cycle search")
+                   help="step budget of each length pass of the cycle search, "
+                   "read only at --min-cycle-len >= 3")
     common(p)
     p.set_defaults(func=_cmd_analyze)
 

@@ -1,30 +1,26 @@
-"""Cycle enumeration and the chord-condition predicates.
+"""Cycle enumeration and the hypothesis checks.
 
-Cycles are simple directed cycles, `ClosedWalk`s stored with their smallest
-vertex first.  The cycle checks read the vertex tuples of `_cycle_tuples`,
-the search behind `enumerate_cycles`; a `ClosedWalk` is made only where
-`enumerate_cycles` yields one.
+Cycles are simple directed cycles, vertex tuples with their smallest vertex
+first, which `enumerate_cycles` yields in length-then-lex order.  Every
+hypothesis check reports its first violation in that order alone, or none.
+For the circuit hypothesis, Duchet's and both cycle hypotheses at minimum
+length 2 it is the lexicographically least shortest cycle of some digraph
+(README "Reported findings"), found by the greedy walk of `_least_cycle`;
+past length 2 `check_cycle_hypothesis` runs `enumerate_cycles` up to it,
+within a `budget` of steps per length pass.
 
 Every chord condition concerns only short chords (length 2), and the
 hypothesis checks read them by position: position i holds one when
 (seq[i], seq[i+2]) is an arc, one arc test each on the adjacency masks of
 `Digraph`.  The cycle checks keep the chord positions as an n-bit mask,
 where consecutive and crossing short chords are rotations of it.
-`check_cycle_hypothesis` takes `stop_at_first`, which ends the check at
-the first violation (the full report's first one) for callers that read
-only `.satisfied`; every cycle check takes a `budget` of steps per length
-pass of its search.
 
-The circuit hypothesis searches nothing (README "Reported findings"): it
-holds exactly on the digraphs whose cycle lengths are all = 0 mod 3, tested
-by `_cycle_lengths_0_mod_3`, and its first violation is the least shortest
-cycle of length != 0 mod 3, which `check_circuit_hypothesis` finds by a
-greedy walk on reach masks.  Duchet's class holds exactly on the digraphs
-whose one-way arcs form an acyclic digraph, tested by
-`_one_way_arcs_acyclic` with the peel of `_acyclic`, which also decides
-both cycle hypotheses at minimum length 2: there they hold exactly on the
-acyclic digraphs.  `check_circuit_hypothesis` and
-`every_cycle_has_symmetric_arc` serve the callers that list violations.
+Class membership is decided without a walk: the circuit class holds exactly
+on the digraphs whose cycle lengths are all = 0 mod 3, tested by
+`_cycle_lengths_0_mod_3`, and Duchet's class exactly on the digraphs whose
+one-way arcs form an acyclic digraph, tested by `_one_way_arcs_acyclic` with
+the peel of `_acyclic`, which also decides both cycle hypotheses at minimum
+length 2: there they hold exactly on the acyclic digraphs.
 
 Each length pass's cycle search is a nested function that calls itself,
 and a closure that holds itself is cyclic garbage; so the pass deletes its
@@ -36,28 +32,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterator, Sequence
 
 from .digraph import Digraph, _ball
 from .errors import BudgetExceededError
 
 DEFAULT_BUDGET = 10**6
-
-
-@dataclass(frozen=True)
-class ClosedWalk:
-    """A simple cycle, stored with its smallest vertex first."""
-
-    vertices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def arcs(self) -> frozenset:
-        n = len(self.vertices)
-        return frozenset(
-            (self.vertices[i], self.vertices[(i + 1) % n]) for i in range(n)
-        )
 
 
 @dataclass(frozen=True)
@@ -80,32 +60,23 @@ class CycleHypothesisVariant(enum.Enum):
 
 def enumerate_cycles(
     d: Digraph, min_len: int = 2, max_len: int | None = None, budget: int = DEFAULT_BUDGET
-) -> Iterator[ClosedWalk]:
-    """Yield every simple directed cycle with min_len <= length <= max_len,
-    sorted by length then lexicographically, each in canonical rotation.
+) -> Iterator[tuple[int, ...]]:
+    """Yield every simple directed cycle with min_len <= length <= max_len
+    as a vertex tuple, sorted by length then lexicographically, each in
+    canonical rotation.
 
     One path search per length L from min_len up; each pass meets its
     cycles in lexicographic order and yields them before the next starts,
     and the search ends after a pass in which no path from a root through
-    larger vertices reaches L vertices.
+    larger vertices reaches L vertices.  A path of L-1 vertices is a leaf of
+    pass L.  Each leaf runs in its parent's loop, which counts its step
+    where its own call would have, so the budget is checked at the same
+    steps; a root that is its own leaf (L = 2) is handled at the root.
 
     `budget` bounds the steps (paths extended) of each pass, not their sum;
     BudgetExceededError is raised from the first pass that exceeds it.  On a
     complete symmetric digraph every cycle passes the hypothesis checks, so
     only the budget ends a dense search early."""
-    for seq in _cycle_tuples(d, min_len, max_len, budget):
-        yield ClosedWalk(seq)
-
-
-def _cycle_tuples(
-    d: Digraph, min_len: int, max_len: int | None, budget: int
-) -> Iterator[tuple[int, ...]]:
-    """`enumerate_cycles` as vertex tuples, for the checks that read them.
-
-    A path of L-1 vertices is a leaf of pass L.  Each leaf runs in its
-    parent's loop, which counts its step where its own call would have, so
-    the budget is checked at the same steps; a root that is its own leaf
-    (L = 2) is handled at the root."""
     if max_len is None:
         max_len = d.vertex_count
     if min_len < 2:
@@ -222,63 +193,24 @@ def _cycle_ok(
     )
 
 
-_Walk = TypeVar("_Walk")
+def _least_cycle(
+    out_masks: Sequence[int], in_masks: Sequence[int], max_len: int, not_0_mod_3: bool
+) -> tuple[int, ...] | None:
+    """The lexicographically least of the shortest cycles of at most max_len
+    arcs of the digraph with these masks (of length != 0 mod 3 when
+    `not_0_mod_3`), or None when it has none.
 
-
-def _report(
-    walks: Iterable[_Walk],
-    violation: Callable[[_Walk], Violation | None],
-    stop_at_first: bool,
-) -> HypothesisReport:
-    """Collect each walk's violation in order (a walk may come with what its
-    check reads); stop_at_first ends at the first."""
-    violations = []
-    examined = 0
-    for walk in walks:
-        examined += 1
-        bad = violation(walk)
-        if bad is not None:
-            violations.append(bad)
-            if stop_at_first:
-                break
-    return HypothesisReport(not violations, tuple(violations), examined)
-
-
-def check_cycle_hypothesis(
-    d: Digraph,
-    variant: CycleHypothesisVariant,
-    min_cycle_len: int = 2,
-    stop_at_first: bool = False,
-    budget: int = DEFAULT_BUDGET,
-) -> HypothesisReport:
-    """Check the short-chord hypothesis over every simple cycle of length
-    >= min_cycle_len (ValueError below 2).
-
-    With stop_at_first the check ends at the first violation, which is the
-    full report's first one.  `budget` bounds each pass of
-    `enumerate_cycles`.
-    """
-    cycles = _cycle_tuples(d, min_cycle_len, None, budget)
-    out_masks = d.out_masks
-    return _report(
-        cycles, lambda seq: _cycle_ok(seq, _short_chords(out_masks, seq), variant), stop_at_first
-    )
-
-
-def check_circuit_hypothesis(d: Digraph, max_len: int) -> HypothesisReport:
-    """Every circuit of length != 0 mod 3 and at most max_len arcs must have
-    at least four short chords, counted by position.  None has them, and the
-    first violation in length-then-lex order is the least shortest cycle of
-    length != 0 mod 3 (README "Reported findings"), so the check returns that
-    cycle alone, or nothing, and examines only it.
-
-    For each such length L and each root r ascending, reach[j] holds the
-    vertices above r that reach r in exactly j arcs through vertices above r.
-    When r has an out-neighbour in reach[L - 1], the walk from r that moves to
-    the least out-neighbour in reach[L - 1], reach[L - 2], ..., reach[1] and
-    then closes at r is that cycle."""
-    n = d.vertex_count
-    out_masks, in_masks = d.out_masks, d.in_masks
+    For each such length L from 2 up and each root r ascending, reach[j]
+    holds the vertices above r that reach r in exactly j arcs through
+    vertices above r.  When r has an out-neighbour in reach[L - 1], the walk
+    from r that moves to the least out-neighbour in reach[L - 1],
+    reach[L - 2], ..., reach[1] and then closes at r is that cycle: at the
+    first such L, a closed walk that repeats a vertex would split into two
+    shorter closed walks, one of them of a length searched (README "Reported
+    findings").  Keeping only the vertices above r saves work and changes no
+    answer: at that L no closed walk of length L through r meets a vertex
+    below r, or a lower root would have closed it first."""
+    n = len(out_masks)
     reaches = [[1 << r] for r in range(n)]
     for length in range(2, min(max_len, n) + 1):
         for root, reach in enumerate(reaches):
@@ -288,17 +220,60 @@ def check_circuit_hypothesis(d: Digraph, max_len: int) -> HypothesisReport:
                 step |= in_masks[low.bit_length() - 1]
                 last ^= low
             reach.append(step & -2 << root)  # the vertices above root
-            if length % 3 == 0 or not out_masks[root] & reach[-1]:
+            if (not_0_mod_3 and length % 3 == 0) or not out_masks[root] & reach[-1]:
                 continue
             seq = [root]
             for j in range(length - 1, 0, -1):
                 nexts = out_masks[seq[-1]] & reach[j]
                 seq.append((nexts & -nexts).bit_length() - 1)
-            seq = tuple(seq)
-            chords = _short_chords(out_masks, seq).bit_count()
-            reason = f"length != 0 mod 3 with only {chords} short chords"
-            return HypothesisReport(False, (Violation(seq, reason),), 1)
-    return HypothesisReport(True, (), 0)
+            return tuple(seq)
+    return None
+
+
+def check_cycle_hypothesis(
+    d: Digraph,
+    variant: CycleHypothesisVariant,
+    min_cycle_len: int = 2,
+    *,
+    budget: int = DEFAULT_BUDGET,
+) -> HypothesisReport:
+    """Check the short-chord hypothesis on the simple cycles of length
+    >= min_cycle_len in length-then-lex order, up to the first violation,
+    which the report holds alone.  At minimum length 2 that is D's least
+    shortest cycle, from `_least_cycle`, since a shortest cycle has no short
+    chord (README "Reported findings"); past it `enumerate_cycles` searches,
+    each pass within `budget` steps.  Both arguments are checked first."""
+    if min_cycle_len < 2:
+        raise ValueError("min_len must be >= 2")
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    out_masks = d.out_masks
+    if min_cycle_len == 2:
+        least = _least_cycle(out_masks, d.in_masks, d.vertex_count, False)
+        cycles = () if least is None else (least,)
+    else:
+        cycles = enumerate_cycles(d, min_cycle_len, budget=budget)
+    examined = 0
+    for seq in cycles:
+        examined += 1
+        violation = _cycle_ok(seq, _short_chords(out_masks, seq), variant)
+        if violation is not None:
+            return HypothesisReport(False, (violation,), examined)
+    return HypothesisReport(True, (), examined)
+
+
+def check_circuit_hypothesis(d: Digraph, max_len: int) -> HypothesisReport:
+    """Every circuit of length != 0 mod 3 and at most max_len arcs must have
+    at least four short chords, counted by position.  None has them, and the
+    first violation in length-then-lex order is the least shortest cycle of
+    length != 0 mod 3 (README "Reported findings"), so the check returns that
+    cycle alone, from `_least_cycle`, or nothing, and examines only it."""
+    seq = _least_cycle(d.out_masks, d.in_masks, max_len, True)
+    if seq is None:
+        return HypothesisReport(True, (), 0)
+    chords = _short_chords(d.out_masks, seq).bit_count()
+    reason = f"length != 0 mod 3 with only {chords} short chords"
+    return HypothesisReport(False, (Violation(seq, reason),), 1)
 
 
 def _cycle_lengths_0_mod_3(d: Digraph) -> bool:
@@ -357,38 +332,14 @@ def _one_way_arcs_acyclic(d: Digraph) -> bool:
     return _acyclic([ins & ~outs for outs, ins in zip(d.out_masks, d.in_masks)])
 
 
-def _asymmetric_cycle(out_masks: tuple[int, ...], seq: tuple[int, ...]) -> Violation | None:
-    for u, w in zip(seq, seq[1:] + seq[:1]):
-        if out_masks[w] >> u & 1:
-            return None
-    return Violation(seq, "cycle without symmetric arc")
-
-
-def every_cycle_has_symmetric_arc(d: Digraph, budget: int = DEFAULT_BUDGET) -> HypothesisReport:
+def every_cycle_has_symmetric_arc(d: Digraph) -> HypothesisReport:
     """Duchet's hypothesis: each simple cycle contains an arc whose reverse
-    is also present, every violation listed.  `budget` bounds each pass of
-    `enumerate_cycles`."""
-    out_masks = d.out_masks
-    return _report(
-        _cycle_tuples(d, 2, None, budget), lambda seq: _asymmetric_cycle(out_masks, seq), False
-    )
-
-
-def _cycle_reports(d: Digraph, min_cycle_len: int, budget: int) -> list[HypothesisReport]:
-    """Duchet's full report on every simple cycle, then each variant's on those
-    of length >= min_cycle_len, from one `enumerate_cycles` run: a length pass
-    takes the same steps at any min_len, so they are a min_cycle_len run's.
-    Both variants read one short-chord mask per cycle."""
-    cycles = list(enumerate_cycles(d, budget=budget))
-    if min_cycle_len < 2:  # after the run, so its BudgetExceededError comes first
-        raise ValueError("min_len must be >= 2")
-    out_masks = d.out_masks
-    chorded = [
-        (cyc.vertices, _short_chords(out_masks, cyc.vertices))
-        for cyc in cycles
-        if len(cyc) >= min_cycle_len
-    ]
-    return [_report(cycles, lambda cyc: _asymmetric_cycle(out_masks, cyc.vertices), False)] + [
-        _report(chorded, lambda pair: _cycle_ok(*pair, variant), False)
-        for variant in CycleHypothesisVariant
-    ]
+    is also present.  The violations are the cycles of the one-way arcs
+    (u -> v without v -> u), so the check returns their least shortest
+    cycle alone, from `_least_cycle`, or nothing, and examines only it."""
+    pairs = list(zip(d.out_masks, d.in_masks))
+    one_way_out = [outs & ~ins for outs, ins in pairs]
+    seq = _least_cycle(one_way_out, [ins & ~outs for outs, ins in pairs], d.vertex_count, False)
+    if seq is None:
+        return HypothesisReport(True, (), 0)
+    return HypothesisReport(False, (Violation(seq, "cycle without symmetric arc"),), 1)

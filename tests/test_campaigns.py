@@ -217,11 +217,12 @@ def test_cycle_checks_past_the_budget_are_counted_as_budget_skips(property_id, m
 
 def test_duchet_ignores_the_budget():
     # Duchet's class is decided without a cycle search: K5*, every arc of it
-    # symmetric, is a member at a budget its cycle search runs out of
+    # symmetric, is a member at a budget the reference cycle search runs out of
     k5 = build_digraph(5, [(u, v) for u in range(5) for v in range(5) if u != v])
     with pytest.raises(BudgetExceededError):
-        every_cycle_has_symmetric_arc(k5, budget=64)
+        list(enumerate_cycles(k5, budget=64))
     assert CLASSES["duchet"](k5, 64, 2) is True
+    assert every_cycle_has_symmetric_arc(k5) == HypothesisReport(True, (), 0)
     assert CLASSES["duchet"](directed_cycle(3), 1, 3) is False
     assert complete_symmetric_occupancy("duchet", 64, 2) == {"tried": 3, "accepted": 3}
 
@@ -407,16 +408,18 @@ def test_the_campaigns_leave_no_reference_cycles():
 
 
 def test_the_early_exits_leave_no_reference_cycles():
-    k4 = build_digraph(4, [(u, v) for u in range(4) for v in range(4) if u != v])
+    c4_chord = build_digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     k5 = build_digraph(5, [(u, v) for u in range(5) for v in range(5) if u != v])
     missing_road = start_substitution(parse_digraph_text(DIGRAPH_B), 4)
     with collector_off():
-        # the first violation, a digon, comes in the first of three passes,
+        # the first violation, the chordless triangle (0, 2, 3), comes in the
+        # length-3 pass, before the length-4 pass of the cycle (0, 1, 2, 3),
         # so the check abandons the cycle search mid-way
         report = check_cycle_hypothesis(
-            k4, CycleHypothesisVariant.THREE_WITH_CROSSING, 2, stop_at_first=True
+            c4_chord, CycleHypothesisVariant.THREE_WITH_CROSSING, 3
         )
-        assert len(report.violations[0].subject) == 2 and report.cycles_examined == 1
+        assert report.violations[0].subject == (0, 2, 3) and report.cycles_examined == 1
+        assert list(enumerate_cycles(c4_chord, 4)) == [(0, 1, 2, 3)]
         assert gc.collect() == 0
         with pytest.raises(BudgetExceededError, match="at length 3"):
             list(enumerate_cycles(k5, budget=10))

@@ -59,9 +59,18 @@ def test_analyze_json(c6_file, capsys):
     payload = json.loads(out)
     assert payload["n"] == 6 and payload["m"] == 6
     assert payload["strongly_connected"] is True
-    assert payload["cycles"] == 1
-    assert payload["circuit_hypothesis"]["satisfied"] is True
-    assert payload["cycle_hypothesis_two_consecutive"]["satisfied"] is False
+    assert payload["circuit_hypothesis"] == {"satisfied": True, "violations": []}
+    # every section is a first violation alone, or none
+    c6 = {"vertices": [0, 1, 2, 3, 4, 5]}
+    assert payload["duchet"] == {
+        "satisfied": False, "violations": [{**c6, "reason": "cycle without symmetric arc"}]
+    }
+    for variant in ("two_consecutive", "three_with_crossing"):
+        assert payload[f"cycle_hypothesis_{variant}"] == {
+            "satisfied": False,
+            "violations": [{**c6, "reason": "length = 0 mod 3 but no short chord"}],
+        }
+    assert len(payload) == 7
 
 
 def test_kernel_search(c6_file, capsys):
@@ -157,6 +166,7 @@ def test_usage_errors(capsys):
         ["verify", "reverse-path", "--n", "4", "--trials", "20", "--min-cycle-len", "1"],
         ["verify", "theorem2", "--n", "4", "--trials", "20", "--min-cycle-len", "0"],
         ["analyze", "C6", "--min-cycle-len", "-3"],
+        ["analyze", "C6", "--min-cycle-len", "1"],
         *(
             ["verify", property_id, "--n", "3", "--trials", "2", "--exhaustive"]
             for property_id in (
@@ -259,23 +269,11 @@ def test_analyze_max_circuit_len_bounds_the_first_violation(max_len, satisfied, 
     assert json.loads(out)["circuit_hypothesis"]["satisfied"] is satisfied
 
 
-def test_analyze_exits_3_when_the_cycle_budget_runs_out(tmp_path, capsys):
-    # K5*: its length-5 pass extends 65 paths, the others fewer
-    path = tmp_path / "k5.txt"
-    path.write_text(format_digraph_text(
-        build_digraph(5, [(u, v) for u in range(5) for v in range(5) if u != v])
-    ))
-    code, out, err = run(capsys, "analyze", str(path), "--budget", "64")
-    assert code == EXIT_RESOURCE and out == ""
-    assert err == "resource bound: cycle enumeration exceeded 64 steps at length 5\n"
-    code, out, _ = run(capsys, "analyze", str(path), "--budget", "65")
-    assert code == EXIT_PASS and "cycles: 84\n" in out
-
-
 @pytest.fixture
 def k5_file(tmp_path):
-    """The complete symmetric digraph K5*: 84 cycles; its length-5 pass
-    extends 65 paths, the others fewer."""
+    """The complete symmetric digraph K5*: 84 cycles, each satisfying both
+    cycle hypotheses past length 2; its length-5 pass extends 65 paths, the
+    others fewer."""
     path = tmp_path / "k5.txt"
     path.write_text(format_digraph_text(
         build_digraph(5, [(u, v) for u in range(5) for v in range(5) if u != v])
@@ -283,29 +281,36 @@ def k5_file(tmp_path):
     return str(path)
 
 
-def test_analyze_exits_3_before_it_reads_min_cycle_len(k5_file, capsys):
-    # the cycle budget runs out, so --min-cycle-len 1 is never reached
-    code, out, err = run(capsys, "analyze", k5_file, "--budget", "64", "--min-cycle-len", "1")
+def test_analyze_exits_3_when_the_cycle_budget_runs_out(k5_file, capsys):
+    args = ["analyze", k5_file, "--min-cycle-len", "3"]
+    code, out, err = run(capsys, *args, "--budget", "64")
     assert code == EXIT_RESOURCE and out == ""
     assert err == "resource bound: cycle enumeration exceeded 64 steps at length 5\n"
-    code, out, err = run(capsys, "analyze", k5_file, "--budget", "65", "--min-cycle-len", "1")
+    code, out, _ = run(capsys, *args, "--budget", "65")
+    assert code == EXIT_PASS and "cycle_hypothesis_three_with_crossing.satisfied: True\n" in out
+
+
+def test_analyze_reads_min_cycle_len_before_any_search(k5_file, capsys):
+    # at the default length nothing searches, so the budget cuts nothing;
+    # an invalid length is refused before any check runs
+    code, out, err = run(capsys, "analyze", k5_file, "--budget", "1")
+    assert code == EXIT_PASS and err == "" and "duchet.satisfied: True\n" in out
+    code, out, err = run(capsys, "analyze", k5_file, "--budget", "64", "--min-cycle-len", "1")
     assert code == EXIT_USAGE and out == "" and err == "error: min_len must be >= 2\n"
 
 
-def test_analyze_enumerates_the_cycles_once(k5_file, capsys, monkeypatch):
-    passes = []
-    enumerate_cycles = kernelkit.cycles.enumerate_cycles
+def test_analyze_at_the_default_length_searches_no_cycles(k5_file, capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a cycle search")
 
-    def counted(*args, **kwargs):
-        passes.append(kwargs.get("min_len", 2))
-        return enumerate_cycles(*args, **kwargs)
-
-    for module in (kernelkit, kernelkit.cycles, kernelkit.cli):
-        if hasattr(module, "enumerate_cycles"):
-            monkeypatch.setattr(module, "enumerate_cycles", counted)
+    monkeypatch.setattr(kernelkit.cycles, "enumerate_cycles", no_search)
     code, out, _ = run(capsys, "analyze", k5_file)
-    assert code == EXIT_PASS and "cycles: 84\n" in out
-    assert passes == [2]
+    assert code == EXIT_PASS
+    # the first violation, the digon (0, 1), comes from the walk
+    assert "cycle_hypothesis_two_consecutive.violations: [{'vertices': [0, 1], " in out
+    # the patch reaches the checks: past length 2 they search
+    with pytest.raises(AssertionError, match="a cycle search"):
+        main(["analyze", k5_file, "--min-cycle-len", "3"])
 
 
 def test_package_runs_as_a_module(tmp_path):

@@ -1,21 +1,24 @@
-"""Cycle enumeration, the circuit check and the chord-condition predicates.
+"""Cycle enumeration, the hypothesis checks and the chord-condition predicates.
 
-The circuit search lives here as the reference: `single_pass_circuits`, a
-closed-trail search with a step budget that returns the circuits in
-length-then-lex order, compared with `naive_circuits`, an oracle written
-differently (it walks raw arc sequences and dedupes by rotation at the
-end).  `check_circuit_hypothesis` returns only the first violation, the
-least shortest cycle of length != 0 mod 3 (README "Reported findings"), and
-must equal the reference report cut to its first violation.  Simple cycles
-are compared with networkx's `simple_cycles`, and `check_cycle_hypothesis`'s
-`stop_at_first` report with the full report.
+Every hypothesis check reports its first violation in length-then-lex
+order alone.  The circuit search lives here as the reference:
+`single_pass_circuits`, a closed-trail search with a step budget that
+returns the circuits in length-then-lex order, compared with
+`naive_circuits`, an oracle written differently (it walks raw arc sequences
+and dedupes by rotation at the end).  Simple cycles are compared with
+networkx's `simple_cycles`.  `check_circuit_hypothesis`, Duchet's check and
+the cycle checks at minimum length 2 walk to the least shortest cycle of
+some digraph (README "Reported findings"), and must equal the reference
+report cut to its first violation (`cut_to_first`); the cycle checks past
+length 2 search, and must equal the reference report on the cycles up to
+the first violation (`searched_to_first`).
 
 The library decides the chord hypotheses on chord-position masks.  The
 chord-object API it replaced lives here as the reference: `Chord`,
 `short_chords`, `are_consecutive` and `are_crossed`, with `short_chords`
 compared with the short chords of `chords_of`, an all-pairs chord scan.
-The three hypothesis checks must give the full reports that the
-reference violations built on them give.
+The mask predicate must give the reference violation on every cycle, and
+the reference reports are built on those references.
 
 The circuit class is the class of digraphs whose cycle lengths are all
 = 0 mod 3 (README "Reported findings").  `CLASSES["circuit"]` decides it by
@@ -30,8 +33,9 @@ distances, never on the kernel engine.
 Duchet's class is the class of digraphs whose one-way arcs form an acyclic
 digraph (README "Reported findings").  `CLASSES["duchet"]` decides it by
 `_one_way_arcs_acyclic`, a peeling pass on masks, which is compared with
-the full report of `every_cycle_has_symmetric_arc` (the reference) and with
-`one_way_arcs_are_acyclic`, networkx's acyclicity test on the one-way arcs.
+the reference report over `enumerate_cycles` (`reference_duchet_report`),
+with Duchet's check and with `one_way_arcs_are_acyclic`, networkx's
+acyclicity test on the one-way arcs.
 """
 
 from collections import deque
@@ -45,7 +49,6 @@ from dataclasses import dataclass
 
 from kernelkit import (
     CampaignParams,
-    ClosedWalk,
     CycleHypothesisVariant,
     HypothesisReport,
     build_digraph,
@@ -61,7 +64,7 @@ from kernelkit.campaigns import CLASSES
 from kernelkit.cycles import (
     Violation,
     _cycle_lengths_0_mod_3,
-    _cycle_reports,
+    _cycle_ok,
     _one_way_arcs_acyclic,
     _short_chords,
 )
@@ -151,15 +154,15 @@ FIGURE_EIGHT = build_digraph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]
 
 def test_cycles_of_directed_cycle():
     cycles = list(enumerate_cycles(directed_cycle(6)))
-    assert cycles == [ClosedWalk((0, 1, 2, 3, 4, 5))]
+    assert cycles == [(0, 1, 2, 3, 4, 5)]
 
 
 def test_cycles_of_complete_symmetric_triangle():
     cycles = list(enumerate_cycles(complete_symmetric(3)))
     # three digons plus the two directed triangles
     assert [len(c) for c in cycles] == [2, 2, 2, 3, 3]
-    assert cycles[0] == ClosedWalk((0, 1))
-    assert ClosedWalk((0, 1, 2)) in cycles and ClosedWalk((0, 2, 1)) in cycles
+    assert cycles[0] == (0, 1)
+    assert (0, 1, 2) in cycles and (0, 2, 1) in cycles
 
 
 def test_cycles_min_max_len_bounds():
@@ -185,12 +188,12 @@ def test_cycles_match_networkx_in_length_lex_order(d, min_len, max_len):
         (rotated(c) for c in nx.simple_cycles(g) if min_len <= len(c) <= max_len),
         key=lambda seq: (len(seq), seq),
     )
-    assert [c.vertices for c in enumerate_cycles(d, min_len, max_len)] == expected
+    assert list(enumerate_cycles(d, min_len, max_len)) == expected
 
 
 def test_first_cycle_comes_before_any_longer_one_is_searched():
     # K12* has billions of simple cycles; only the digon pass runs here
-    assert next(enumerate_cycles(complete_symmetric(12))).vertices == (0, 1)
+    assert next(enumerate_cycles(complete_symmetric(12))) == (0, 1)
 
 
 def cycle_pass_steps(d, min_len):
@@ -235,8 +238,8 @@ def test_cycle_budget_bounds_the_steps_of_each_pass(d, min_len, budget):
 
 def recursive_cycle_pass(d, min_len=2, budget=10**6):
     """Reference: the cycle search with one recursive call per path, leaves
-    included, that `enumerate_cycles` inlines the leaves of; it yields vertex
-    tuples and counts a step on entry to each call."""
+    included, that `enumerate_cycles` inlines the leaves of; it counts a step
+    on entry to each call."""
     if min_len < 2:
         raise ValueError("min_len must be >= 2")
     out_masks, in_masks = d.out_masks, d.in_masks
@@ -295,7 +298,7 @@ def assert_cycle_pass_matches_the_recursive_one(d, min_len):
     while True:
         expected = drain(recursive_cycle_pass(d, min_len, budget))
         cycles, message = drain(enumerate_cycles(d, min_len, budget=budget))
-        assert ([c.vertices for c in cycles], message) == expected, (d.arcs, budget)
+        assert (cycles, message) == expected, (d.arcs, budget)
         if expected[1] is None:
             return
         budget += 1
@@ -319,15 +322,19 @@ def test_cycle_pass_matches_the_recursive_one_on_random_digraphs(d, min_len):
 def test_cycle_budget_reaches_the_cycle_checks():
     k5 = complete_symmetric(5)  # its length-5 pass extends 65 paths
     assert cycle_pass_steps(k5, 2)[5] == 65
-    for check in (
-        lambda budget: every_cycle_has_symmetric_arc(k5, budget=budget),
-        lambda budget: check_cycle_hypothesis(
-            k5, CycleHypothesisVariant.THREE_WITH_CROSSING, 3, budget=budget
-        ),
-    ):
-        assert check(65).satisfied
-        with pytest.raises(BudgetExceededError):
-            check(64)
+    variant = CycleHypothesisVariant.THREE_WITH_CROSSING
+    assert check_cycle_hypothesis(k5, variant, 3, budget=65).satisfied
+    with pytest.raises(BudgetExceededError):
+        check_cycle_hypothesis(k5, variant, 3, budget=64)
+    # minimum length 2 searches nothing, yet the budget is checked there too
+    assert not check_cycle_hypothesis(k5, variant, 2, budget=1).satisfied
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        check_cycle_hypothesis(k5, variant, 2, budget=0)
+    with pytest.raises(ValueError, match="min_len must be >= 2"):
+        check_cycle_hypothesis(k5, variant, 1)
+    # the budget is keyword-only: a positional True does not become a budget of 1
+    with pytest.raises(TypeError):
+        check_cycle_hypothesis(k5, variant, 3, True)
     with pytest.raises(ValueError):
         list(enumerate_cycles(k5, budget=0))
 
@@ -377,7 +384,7 @@ def test_circuits_match_naive_oracle_in_length_lex_order(d, max_len):
 
 def test_every_cycle_is_a_circuit():
     d = build_digraph(5, [(0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (4, 1)])
-    cycles = {c.vertices for c in enumerate_cycles(d)}
+    cycles = set(enumerate_cycles(d))
     assert cycles <= naive_circuits(d, len(d.arcs))
 
 
@@ -397,15 +404,19 @@ class Chord:
     length: int
 
 
-def short_chords(d, c):
-    """Reference: the chords of length 2, sorted by position, by one arc
-    test per position.  The walk-arc test matters on circuits, whose
-    vertices can repeat."""
-    seq = c.vertices
+def arcs_of_walk(seq):
+    """The arcs of the closed walk that visits the vertices of `seq` in turn."""
+    return {(seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq))}
+
+
+def short_chords(d, seq):
+    """Reference: the chords of length 2 of the cycle or circuit `seq`,
+    sorted by position, by one arc test per position.  The walk-arc test
+    matters on circuits, whose vertices can repeat."""
     n = len(seq)
     if n < 3:
         return []
-    walk_arcs = c.arcs()
+    walk_arcs = arcs_of_walk(seq)
     result = []
     for i in range(n):
         arc = (seq[i], seq[(i + 2) % n])
@@ -420,20 +431,19 @@ def are_consecutive(a, b):
     return a.head_pos == b.tail_pos
 
 
-def are_crossed(a, b, c):
+def are_crossed(a, b, seq):
     """True iff some rotation lift satisfies j < j' < j+k < j'+k'."""
-    n = len(c.vertices)
+    n = len(seq)
     gap_tail = (b.tail_pos - a.tail_pos) % n
     gap_head = (a.head_pos - b.tail_pos) % n
     return 0 < gap_tail < a.length and 0 < gap_head < b.length
 
 
-def chords_of(d, c):
-    """Reference: all position-indexed chords of the cycle/circuit, sorted
-    by position, from a scan of every position pair."""
-    seq = c.vertices
+def chords_of(d, seq):
+    """Reference: all position-indexed chords of the cycle/circuit `seq`,
+    sorted by position, from a scan of every position pair."""
     n = len(seq)
-    walk_arcs = c.arcs()
+    walk_arcs = arcs_of_walk(seq)
     result = []
     for i in range(n):
         for j in range(n):
@@ -463,7 +473,7 @@ def test_chords_positions_and_lengths():
 @example(complete_symmetric(3))
 @settings(max_examples=100, deadline=None)
 def test_short_chords_match_the_short_chords_of_chords_of(d):
-    walks = [*enumerate_cycles(d), *map(ClosedWalk, single_pass_circuits(d, 6, 10**6))]
+    walks = [*enumerate_cycles(d), *single_pass_circuits(d, 6, 10**6)]
     for c in walks:
         assert short_chords(d, c) == [ch for ch in chords_of(d, c) if is_short_chord(ch)]
 
@@ -480,9 +490,7 @@ def zip_short_chords(out_masks, seq):
 
 def assert_short_chord_masks_match_the_zip_formula(d):
     for cyc in enumerate_cycles(d):
-        assert _short_chords(d.out_masks, cyc.vertices) == zip_short_chords(
-            d.out_masks, cyc.vertices
-        ), cyc
+        assert _short_chords(d.out_masks, cyc) == zip_short_chords(d.out_masks, cyc), cyc
 
 
 def test_short_chord_masks_match_the_zip_formula_on_every_digraph_up_to_4():
@@ -490,7 +498,7 @@ def test_short_chord_masks_match_the_zip_formula_on_every_digraph_up_to_4():
     for n in range(5):
         for d in enumerate_labeled_digraphs(n):
             assert_short_chord_masks_match_the_zip_formula(d)
-            chorded += any(_short_chords(d.out_masks, c.vertices) for c in enumerate_cycles(d))
+            chorded += any(_short_chords(d.out_masks, c) for c in enumerate_cycles(d))
     assert chorded > 0  # positive control: some cycle has a short chord
 
 
@@ -504,7 +512,7 @@ def test_short_chord_masks_match_the_zip_formula_on_random_digraphs(d):
 def test_short_chords_skip_arcs_of_the_circuit_itself():
     # every (seq[i], seq[i+2]) of this closed trail of K3* is an arc of the
     # trail or a loop, so it has no chord at all
-    circuit = ClosedWalk((0, 1, 2, 0, 2, 1))
+    circuit = (0, 1, 2, 0, 2, 1)
     assert short_chords(complete_symmetric(3), circuit) == []
 
 
@@ -516,7 +524,7 @@ def test_cycle_arcs_are_not_chords():
 
 def test_consecutive_and_crossed():
     n = 9
-    cyc = ClosedWalk(tuple(range(n)))
+    cyc = tuple(range(n))
     a = Chord(0, 2, 2)
     b = Chord(2, 4, 2)
     c = Chord(1, 3, 2)
@@ -528,7 +536,7 @@ def test_consecutive_and_crossed():
 
 
 def test_crossed_wraps_around_rotation():
-    cyc = ClosedWalk(tuple(range(6)))
+    cyc = tuple(range(6))
     late = Chord(5, 1, 2)
     early = Chord(0, 2, 2)
     assert are_crossed(late, early, cyc)
@@ -552,15 +560,16 @@ def test_complete_symmetric_triangle_satisfies_both_variants():
 
 
 def test_digons_can_never_satisfy_chord_demands():
-    # a 2-cycle has no chord positions, so min_cycle_len=2 dooms any digon
+    # a 2-cycle has no chord positions, so min_cycle_len=2 dooms any digon;
+    # the check reports the first of them alone
     k3 = complete_symmetric(3)
-    report = check_cycle_hypothesis(k3, CycleHypothesisVariant.TWO_CONSECUTIVE, min_cycle_len=2)
-    assert not report.satisfied
-    assert all(len(v.subject) == 2 for v in report.violations)
-    first = check_cycle_hypothesis(
-        k3, CycleHypothesisVariant.TWO_CONSECUTIVE, min_cycle_len=2, stop_at_first=True
-    )
-    assert first == HypothesisReport(False, report.violations[:1], 1)
+    variant = CycleHypothesisVariant.TWO_CONSECUTIVE
+    digons = [cyc for cyc in enumerate_cycles(k3) if len(cyc) == 2]
+    assert len(digons) == 3
+    assert all(reference_cycle_violation(k3, cyc, variant) for cyc in digons)
+    first = Violation((0, 1), "length != 0 mod 3 but no two consecutive short chords")
+    report = check_cycle_hypothesis(k3, variant, min_cycle_len=2)
+    assert report == HypothesisReport(False, (first,), 1)
 
 
 def test_cycle_hypotheses_at_min_length_two_hold_exactly_on_acyclic_digraphs():
@@ -581,42 +590,59 @@ def test_cycle_hypotheses_at_min_length_two_hold_exactly_on_acyclic_digraphs():
             assert check_cycle_hypothesis(d, variant, min_cycle_len=2).satisfied == acyclic
 
 
-def assert_first_violation_only(check, *args):
-    full, first = check(*args), check(*args, stop_at_first=True)
-    assert first.satisfied == full.satisfied
-    assert first.violations == full.violations[:1]
-    assert first.cycles_examined <= full.cycles_examined
+CYCLE_CLASSES = {
+    CycleHypothesisVariant.THREE_WITH_CROSSING: "theorem1",
+    CycleHypothesisVariant.TWO_CONSECUTIVE: "two-consecutive",
+}
 
 
-@given(digraphs)
+def assert_checks_give_the_first_violations_of_the_references(d):
+    """Duchet's check and the cycle checks at minimum lengths 2 and 3 against
+    the reference violations on every cycle of `enumerate_cycles`.  The walks
+    (Duchet's, and the cycle checks' at length 2) report the reference
+    report cut to its first violation; the search at length 3 reports the
+    reference report on the cycles up to its first violation; and the cycle
+    classes of `CLASSES` are satisfied where the references are."""
+    cycles = list(enumerate_cycles(d))
+    for variant, name in CYCLE_CLASSES.items():
+        full = reference_report(cycles, lambda cyc: reference_cycle_violation(d, cyc, variant))
+        assert check_cycle_hypothesis(d, variant, 2) == cut_to_first(full), (d.arcs, variant)
+        expected = searched_to_first(
+            [cyc for cyc in cycles if len(cyc) >= 3],
+            lambda cyc: reference_cycle_violation(d, cyc, variant),
+        )
+        assert check_cycle_hypothesis(d, variant, 3) == expected, (d.arcs, variant)
+        # the class table answers as the references do at both lengths
+        assert CLASSES[name](d, 10**6, 2) is full.satisfied, (d.arcs, name)
+        assert CLASSES[name](d, 10**6, 3) is expected.satisfied, (d.arcs, name)
+    expected = cut_to_first(reference_duchet_report(d))
+    assert every_cycle_has_symmetric_arc(d) == expected, d.arcs
+
+
+def test_first_violation_checks_match_the_references_on_every_digraph_up_to_4():
+    duchet_violated = searched_on = 0
+    for n in range(5):
+        for d in enumerate_labeled_digraphs(n):
+            assert_checks_give_the_first_violations_of_the_references(d)
+            duchet_violated += not every_cycle_has_symmetric_arc(d).satisfied
+            report = check_cycle_hypothesis(d, CycleHypothesisVariant.TWO_CONSECUTIVE, 3)
+            searched_on += not report.satisfied and report.cycles_examined > 1
+    # positive controls: Duchet's answers differ, and some length-3 search
+    # passes cycles before its first violation
+    assert 0 < duchet_violated < 4166 and searched_on > 0
+
+
+@given(
+    st.sampled_from([random_digraph, random_strongly_connected]),
+    st.integers(1, 8),
+    st.sampled_from([0.03, 0.1, 0.2, 0.35, 0.6]),
+    st.integers(0, 2**32 - 1),
+)
+@example(random_strongly_connected, 5, 1.0, 0)  # K5*: every check satisfied past length 2
+@example(random_strongly_connected, 8, 0.35, 0)
 @settings(max_examples=150, deadline=None)
-def test_cycle_checks_stopping_at_first_agree_with_the_full_reports(d):
-    for variant in CycleHypothesisVariant:
-        for m in (2, 3):
-            assert_first_violation_only(check_cycle_hypothesis, d, variant, m)
-
-
-@given(digraphs, st.integers(1, 7), st.sampled_from([1, 5, 30, 300, 10**6]))
-@example(complete_symmetric(5), 1, 64)
-@example(complete_symmetric(5), 3, 65)
-@settings(max_examples=150, deadline=None)
-def test_one_cycle_enumeration_gives_the_three_full_reports(d, min_cycle_len, budget):
-    try:
-        expected = [every_cycle_has_symmetric_arc(d, budget=budget)]
-    except BudgetExceededError:
-        # the min_len 2 run is the one that runs out first
-        with pytest.raises(BudgetExceededError):
-            _cycle_reports(d, min_cycle_len, budget)
-        return
-    if min_cycle_len < 2:
-        with pytest.raises(ValueError, match="min_len must be >= 2"):
-            _cycle_reports(d, min_cycle_len, budget)
-        return
-    expected += [
-        check_cycle_hypothesis(d, variant, min_cycle_len, budget=budget)
-        for variant in CycleHypothesisVariant
-    ]
-    assert _cycle_reports(d, min_cycle_len, budget) == expected
+def test_cycle_checks_stopping_at_first_agree_with_the_full_reports(model, n, prob, seed):
+    assert_checks_give_the_first_violations_of_the_references(model(n, prob, seed))
 
 
 def test_circuit_hypothesis_vacuous_when_lengths_divide_three():
@@ -632,10 +658,14 @@ def test_circuit_hypothesis_flags_short_chord_deficit():
 
 
 def test_symmetric_arc_hypothesis():
-    assert every_cycle_has_symmetric_arc(complete_symmetric(4)).satisfied
+    assert every_cycle_has_symmetric_arc(complete_symmetric(4)) == HypothesisReport(True, (), 0)
     report = every_cycle_has_symmetric_arc(directed_cycle(3))
-    assert not report.satisfied
-    assert report.violations[0].subject == (0, 1, 2)
+    assert report == HypothesisReport(
+        False, (Violation((0, 1, 2), "cycle without symmetric arc"),), 1
+    )
+    # the digon (0, 1) comes first in D's order, but both its arcs are symmetric
+    d = build_digraph(4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 1)])
+    assert every_cycle_has_symmetric_arc(d).violations[0].subject == (1, 2, 3)
 
 
 # -- the mask checks against the chord-object references ---------------------
@@ -647,10 +677,10 @@ def reference_cycle_violation(d, cyc, variant):
     if len(cyc) % 3 == 0:
         if shorts:
             return None
-        return Violation(cyc.vertices, "length = 0 mod 3 but no short chord")
+        return Violation(cyc, "length = 0 mod 3 but no short chord")
     pairs = [(a, b) for a in shorts for b in shorts if a is not b and are_consecutive(a, b)]
     if not pairs:
-        return Violation(cyc.vertices, "length != 0 mod 3 but no two consecutive short chords")
+        return Violation(cyc, "length != 0 mod 3 but no two consecutive short chords")
     if variant is CycleHypothesisVariant.TWO_CONSECUTIVE:
         return None
     for a, b in pairs:
@@ -665,21 +695,20 @@ def reference_cycle_violation(d, cyc, variant):
             ):
                 return None
     return Violation(
-        cyc.vertices, "length != 0 mod 3 but no third short chord crossing the consecutive pair"
+        cyc, "length != 0 mod 3 but no third short chord crossing the consecutive pair"
     )
 
 
 def reference_circuit_violation(d, circ):
     if len(circ) % 3 == 0 or len(shorts := short_chords(d, circ)) >= 4:
         return None
-    return Violation(circ.vertices, f"length != 0 mod 3 with only {len(shorts)} short chords")
+    return Violation(circ, f"length != 0 mod 3 with only {len(shorts)} short chords")
 
 
 def reference_asymmetric_cycle(d, cyc):
-    seq, n = cyc.vertices, len(cyc)
-    if any((seq[(i + 1) % n], seq[i]) in d.arcs for i in range(n)):
+    if any((v, u) in d.arcs for u, v in arcs_of_walk(cyc)):
         return None
-    return Violation(seq, "cycle without symmetric arc")
+    return Violation(cyc, "cycle without symmetric arc")
 
 
 def reference_report(walks, violation):
@@ -687,18 +716,37 @@ def reference_report(walks, violation):
     return HypothesisReport(not violations, violations, len(walks))
 
 
-def first_violation_of(d, circuits):
-    """Reference: the circuit hypothesis's report on `circuits`, in order,
-    cut to its first violation, which is all `check_circuit_hypothesis`
-    reports (and all it examines)."""
-    full = reference_report(circuits, lambda circ: reference_circuit_violation(d, circ))
+def cut_to_first(full):
+    """Reference: a full report cut to its first violation, which is all a
+    walk-based check reports (and all it examines)."""
     first = full.violations[:1]
     return HypothesisReport(not first, first, len(first))
 
 
+def searched_to_first(cycles, violation):
+    """Reference: the report of a search over `cycles`, in order, that stops
+    at its first violation: `reference_report` on the cycles up to it."""
+    for i, cyc in enumerate(cycles):
+        if violation(cyc) is not None:
+            return reference_report(cycles[: i + 1], violation)
+    return reference_report(cycles, violation)
+
+
+def reference_duchet_report(d, budget=10**6):
+    """Reference: Duchet's full report on every cycle of `enumerate_cycles`."""
+    cycles = list(enumerate_cycles(d, budget=budget))
+    return reference_report(cycles, lambda cyc: reference_asymmetric_cycle(d, cyc))
+
+
+def first_violation_of(d, circuits):
+    """Reference: the circuit hypothesis's report on `circuits`, in order,
+    cut to its first violation."""
+    return cut_to_first(reference_report(circuits, lambda circ: reference_circuit_violation(d, circ)))
+
+
 def reference_circuit_report(d, max_len, budget=10**6):
     """`first_violation_of` the reference circuit search up to max_len arcs."""
-    return first_violation_of(d, list(map(ClosedWalk, single_pass_circuits(d, max_len, budget))))
+    return first_violation_of(d, single_pass_circuits(d, max_len, budget))
 
 
 def expected_circuit_report(d, max_len):
@@ -737,23 +785,18 @@ REPEATED_VERTEX = build_digraph(
 @example(REPEATED_VERTEX, 8)
 @settings(max_examples=200, deadline=None)
 def test_mask_checks_give_the_reports_of_the_chord_references(d, max_len):
-    for m in (2, 3):
-        cycles = list(enumerate_cycles(d, min_len=m))
+    # the mask predicate is compared on every cycle, not only up to a first violation
+    for cyc in enumerate_cycles(d):
         for variant in CycleHypothesisVariant:
-            expected = reference_report(
-                cycles, lambda cyc: reference_cycle_violation(d, cyc, variant)
-            )
-            assert check_cycle_hypothesis(d, variant, m) == expected
-    expected = reference_report(
-        list(enumerate_cycles(d)), lambda cyc: reference_asymmetric_cycle(d, cyc)
-    )
-    assert every_cycle_has_symmetric_arc(d) == expected
+            mask_violation = _cycle_ok(cyc, _short_chords(d.out_masks, cyc), variant)
+            assert mask_violation == reference_cycle_violation(d, cyc, variant), (cyc, variant)
+    assert_checks_give_the_first_violations_of_the_references(d)
     assert check_circuit_hypothesis(d, max_len) == expected_circuit_report(d, max_len)
 
 
 def test_circuit_short_chords_count_positions_not_arcs():
     # one extra arc, the short chord at two positions of a repeated-vertex circuit
-    circuit = ClosedWalk(REPEATED_VERTEX_CIRCUIT)
+    circuit = REPEATED_VERTEX_CIRCUIT
     assert REPEATED_VERTEX_CIRCUIT in single_pass_circuits(REPEATED_VERTEX, 8, 10**6)
     assert short_chords(REPEATED_VERTEX, circuit) == [Chord(0, 2, 2), Chord(4, 6, 2)]
     expected = Violation(REPEATED_VERTEX_CIRCUIT, "length != 0 mod 3 with only 2 short chords")
@@ -772,7 +815,7 @@ def test_circuit_check_is_the_first_violation_of_the_search_on_every_digraph_up_
     for n in range(5):
         for d in enumerate_labeled_digraphs(n):
             m = len(d.arcs)
-            circuits = list(map(ClosedWalk, single_pass_circuits(d, m, 10**6)))
+            circuits = single_pass_circuits(d, m, 10**6)
             for max_len in range(2, max(m, 2) + 1):
                 expected = first_violation_of(d, [c for c in circuits if len(c) <= max_len])
                 report = check_circuit_hypothesis(d, max_len)
@@ -968,6 +1011,7 @@ def one_way_arcs_are_acyclic(d):
 
 def assert_one_way_tests_give(d, expected):
     assert _one_way_arcs_acyclic(d) is expected, d.arcs
+    assert every_cycle_has_symmetric_arc(d).satisfied is expected, d.arcs
     assert CLASSES["duchet"](d, 10**6, 2) is expected, d.arcs
     assert one_way_arcs_are_acyclic(d) is expected, d.arcs
 
@@ -976,7 +1020,7 @@ def test_one_way_peel_is_duchets_class_on_every_digraph_up_to_4():
     members = 0
     for n in range(5):
         for d in enumerate_labeled_digraphs(n):
-            expected = every_cycle_has_symmetric_arc(d).satisfied
+            expected = reference_duchet_report(d).satisfied
             assert_one_way_tests_give(d, expected)
             members += expected
     assert 0 < members < 4166  # positive control: both answers occur
@@ -994,7 +1038,7 @@ def test_one_way_peel_is_duchets_class_on_every_digraph_up_to_4():
 def test_one_way_peel_is_duchets_class_on_random_digraphs(model, n, prob, seed):
     d = model(n, prob, seed)
     try:
-        expected = every_cycle_has_symmetric_arc(d, budget=10**4).satisfied
+        expected = reference_duchet_report(d, budget=10**4).satisfied
     except BudgetExceededError:
         # too many cycles for the reference search: the networkx test decides
         expected = one_way_arcs_are_acyclic(d)

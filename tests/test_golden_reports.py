@@ -1,8 +1,7 @@
 """Golden report bodies: every campaign, at fixed small parameters, must
 reproduce its committed `body_json()` byte for byte, `substitute --trace`
 its committed trace document, `analyze --format json` its committed
-summary (the full cycle-hypothesis reports, every violation listed, and the
-circuit hypothesis's first violation), and
+summary (each hypothesis check's first violation, or none), and
 `kernel --format json` its committed payloads (witness and subsets examined).
 
 The files in tests/golden/ lock the campaigns' observable behaviour, so a
@@ -188,7 +187,7 @@ def test_the_duchet_campaigns_search_no_cycles(name, tmp_path, monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("cycle search reached from a duchet campaign")
 
-    monkeypatch.setattr(kernelkit.cycles, "_cycle_tuples", no_search)
+    monkeypatch.setattr(kernelkit.cycles, "enumerate_cycles", no_search)
     expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert body(name, tmp_path) == expected
 

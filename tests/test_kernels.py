@@ -315,6 +315,40 @@ def test_random_digraphs_without_a_kernel_still_have_a_quasi_kernel():
         assert find_kl_kernel(d, QUASI_KERNEL).found, d.arcs
 
 
+# -- a digraph without odd cycles has a kernel (Richardson) --------------------
+
+# Richardson (1953) showed that a digraph without odd cycles has a kernel, a
+# (2,1)-kernel, and the class is hereditary.  Each draw below keeps only the
+# arcs of a random model that cross a 2-colouring of the vertices, so every
+# cycle alternates colours and is even.
+
+
+def crossing_arcs_only(d, colours):
+    """D with only its arcs between the two colour classes of the bitmask
+    `colours`."""
+    arcs = [(u, v) for u, v in d.arcs if (colours >> u ^ colours >> v) & 1]
+    return build_digraph(d.vertex_count, arcs)
+
+
+@given(st.sampled_from(MODELS), st.integers(1, 12), st.sampled_from([*PROBS, 0.9]),
+       st.integers(0, 2**32 - 1), st.integers(0, 2**12 - 1))
+@example(random_strongly_connected, 12, 0.9, 0, 0b010101010101)
+@settings(max_examples=200, deadline=None)
+def test_every_digraph_without_odd_cycles_has_a_kernel(model, n, prob, seed, colours):
+    d = crossing_arcs_only(model(n, prob, seed), colours)
+    g = nx.Graph(list(d.arcs))
+    assert nx.is_bipartite(g)  # no odd cycle, even ignoring directions
+    result = find_kl_kernel(d, KERNEL)
+    assert result.found and is_kl_kernel(d, result.witness, KERNEL), d.arcs
+    assert is_kernel_perfect(d) == (True, None), d.arcs
+
+
+def test_an_odd_cycle_leaves_a_digraph_without_a_kernel():
+    # the control: Richardson's hypothesis is needed, since C3 has no kernel
+    assert not find_kl_kernel(directed_cycle(3), KERNEL).found
+    assert is_kernel_perfect(directed_cycle(3)) == (False, (0, 1, 2))
+
+
 # -- on-demand balls against balls built up front -----------------------------
 
 ENGINE_QUERIES = [KernelQuery(2, 1), KernelQuery(3, 2), KernelQuery(4, 3), KernelQuery(3, 1),

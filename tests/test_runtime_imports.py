@@ -115,7 +115,7 @@ def test_a_gc_import_is_flagged():
 
 # `kernelkit.__all__` is every name its __init__ binds, the submodules among them.
 PUBLIC_NAMES = [
-    "CampaignParams", "ClosedWalk", "CycleHypothesisVariant", "Digraph", "HypothesisReport",
+    "CampaignParams", "CycleHypothesisVariant", "Digraph", "HypothesisReport",
     "KERNEL", "KernelQuery", "KernelResult", "MethodOutcome", "Road", "SplitMix64",
     "SubstitutionTrace", "THREE_KERNEL", "VerificationReport", "as_vertex_set",
     "assemble_pre_3_kernel", "build_digraph", "build_substitution_sequence", "campaigns",
