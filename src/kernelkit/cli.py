@@ -80,12 +80,9 @@ def _emit(payload: dict, fmt: str, out: str | None) -> None:
 
 
 def _hypothesis_summary(report) -> dict:
-    return {
-        "satisfied": report.satisfied,
-        "violations": [
-            {"vertices": list(v.subject), "reason": v.reason} for v in report.violations
-        ],
-    }
+    v = report.violation
+    violations = [] if v is None else [{"vertices": list(v.subject), "reason": v.reason}]
+    return {"satisfied": report.satisfied, "violations": violations}
 
 
 def _cmd_analyze(args) -> int:

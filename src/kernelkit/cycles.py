@@ -48,9 +48,14 @@ class Violation:
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    satisfied: bool
-    violations: tuple[Violation, ...]
+    """A check's first violation, if any, and how many cycles it examined."""
+
+    violation: Violation | None
     cycles_examined: int
+
+    @property
+    def satisfied(self) -> bool:
+        return self.violation is None
 
 
 class CycleHypothesisVariant(enum.Enum):
@@ -258,8 +263,8 @@ def check_cycle_hypothesis(
         examined += 1
         violation = _cycle_ok(seq, _short_chords(out_masks, seq), variant)
         if violation is not None:
-            return HypothesisReport(False, (violation,), examined)
-    return HypothesisReport(True, (), examined)
+            return HypothesisReport(violation, examined)
+    return HypothesisReport(None, examined)
 
 
 def check_circuit_hypothesis(d: Digraph, max_len: int) -> HypothesisReport:
@@ -270,10 +275,9 @@ def check_circuit_hypothesis(d: Digraph, max_len: int) -> HypothesisReport:
     cycle alone, from `_least_cycle`, or nothing, and examines only it."""
     seq = _least_cycle(d.out_masks, d.in_masks, max_len, True)
     if seq is None:
-        return HypothesisReport(True, (), 0)
+        return HypothesisReport(None, 0)
     chords = _short_chords(d.out_masks, seq).bit_count()
-    reason = f"length != 0 mod 3 with only {chords} short chords"
-    return HypothesisReport(False, (Violation(seq, reason),), 1)
+    return HypothesisReport(Violation(seq, f"length != 0 mod 3 with only {chords} short chords"), 1)
 
 
 def _cycle_lengths_0_mod_3(d: Digraph) -> bool:
@@ -341,5 +345,5 @@ def every_cycle_has_symmetric_arc(d: Digraph) -> HypothesisReport:
     one_way_out = [outs & ~ins for outs, ins in pairs]
     seq = _least_cycle(one_way_out, [ins & ~outs for outs, ins in pairs], d.vertex_count, False)
     if seq is None:
-        return HypothesisReport(True, (), 0)
-    return HypothesisReport(False, (Violation(seq, "cycle without symmetric arc"),), 1)
+        return HypothesisReport(None, 0)
+    return HypothesisReport(Violation(seq, "cycle without symmetric arc"), 1)

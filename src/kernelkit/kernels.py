@@ -251,14 +251,17 @@ def _check_perfection_bound(n: int) -> None:
 _SetCheck = Callable[[int, list[int], list[int]], bool]
 
 
-def _every_connected_set(d: Digraph, query: KernelQuery, ok: _SetCheck) -> int | None:
-    """The first nonempty weakly connected vertex set C of D, as a mask,
-    without ok(C, conflict, absorbed_by), or None when every such set is ok;
-    each C is asked once, and the walk stops at the first no.  The sets whose
-    least vertex is v grow from v by the neighbours above v that are not yet
-    adjacent to the set (Wernicke's ESU), so no set is reached twice and no
-    disconnected set is visited.  The order: sets by least vertex, ascending;
-    each set before its extensions; extensions lowest vertex first.
+def _every_connected_set(
+    d: Digraph, query: KernelQuery, ok: _SetCheck
+) -> tuple[bool, VertexSet | None]:
+    """(False, the first nonempty weakly connected vertex set C of D without
+    ok(C as a mask, conflict, absorbed_by)), or (True, None) when every such
+    set is ok; each C is asked once, and the walk stops at the first no.
+    The sets whose least vertex is v grow from v by the neighbours above v
+    that are not yet adjacent to the set (Wernicke's ESU), so no set is
+    reached twice and no disconnected set is visited.  The order: sets by
+    least vertex, ascending; each set before its extensions; extensions
+    lowest vertex first.
 
     `conflict` and `absorbed_by` hold, for each member of C, its balls in
     D[C] for `query` (l = k - 1 <= 2), as `_kernel_balls`'s filler builds
@@ -322,20 +325,10 @@ def _every_connected_set(d: Digraph, query: KernelQuery, ok: _SetCheck) -> int |
             below = (2 << v) - 1  # v and the vertices below it
             failing = grow(1 << v, neighbours & ~below, neighbours | below, conflict, absorbed_by)
             if failing is not None:
-                return failing
+                return False, _members(failing)
     finally:
         del grow
-    return None
-
-
-def _first_failing_set(
-    d: Digraph, query: KernelQuery, ok: _SetCheck
-) -> tuple[bool, VertexSet | None]:
-    """(False, the first weakly connected vertex set C of D in
-    `_every_connected_set`'s order without ok(C as a mask, its balls)), or
-    (True, None)."""
-    failing = _every_connected_set(d, query, ok)
-    return (True, None) if failing is None else (False, _members(failing))
+    return True, None
 
 
 def _perfection_scan(
@@ -356,7 +349,7 @@ def _perfection_scan(
     without a kernel is a counterexample that is its own weak component."""
     _check_perfection_bound(d.vertex_count)
     whole = (1 << d.vertex_count) - 1
-    return _first_failing_set(
+    return _every_connected_set(
         d,
         query,
         lambda c, conflict, absorbed_by: proper_only and c == whole
@@ -405,7 +398,7 @@ def is_kernel_perfect(d: Digraph) -> tuple[bool, VertexSet | None]:
         del walk
     if 0 not in has_kernel:
         return True, None
-    return _first_failing_set(d, KERNEL, lambda c, *balls: has_kernel[c])
+    return _every_connected_set(d, KERNEL, lambda c, *balls: has_kernel[c])
 
 
 def is_quasi_3_kernel_perfect(d: Digraph) -> tuple[bool, VertexSet | None]:

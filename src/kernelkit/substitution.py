@@ -6,13 +6,14 @@ each round's sets are unions of in-neighbour masks and of
 `Digraph.in_balls2` (u reaches v within 2 exactly when bit u of v's ball is
 set), a witness path between two such vertices is an arc or runs through
 the least vertex of u's out-mask and v's in-mask, and hop counts from x0
-come from one `digraph._hops` walk per trace.  The trace keeps its labels
-as masks too, one (N_i, N'_i) pair per index i = 0..3p+2, filled by the
-construction from the masks it computes each round; the trace invariants
-are checked on those masks, and the road layer (`find_road`,
-`validate_road`, `label_of`, `check_unique_short_chord`) tests label bits
-of those masks and arc bits of the out-masks.  A road is
-its path only; `label_of` gives a position's display label on request.
+come from one `digraph._hops` walk per trace.  The trace stores each set
+once, in its labels: one (N_i, N'_i) mask pair per index i = 0..3p+2, the
+masks the construction computes each round.  Its set tuples (`added`,
+`removed_one`, ...) are read from those masks, the trace invariants are
+checked on them, and the road layer (`find_road`, `validate_road`,
+`label_of`, `check_unique_short_chord`) tests their bits and the arc bits
+of the out-masks.  A road is its path only; `label_of` gives a position's
+display label on request.
 
 A road search extends a path by the out-mask bits off the path, lowest
 first, and drops each candidate as soon as the positions a road condition
@@ -55,68 +56,65 @@ from .kernels import (
 )
 
 
+def _sets_of(r: int, primed: int) -> property:
+    """The read-only tuple of N_{3k+r} (of N'_{3k+r} when `primed`) over
+    the rounds k that have one: k = 0..p, or k = 0..p-1 for the primed sets."""
+    return property(
+        lambda trace: tuple(
+            _members(trace.labels[3 * k + r][primed]) for k in range(trace.p + 1 - primed)
+        )
+    )
+
+
 @dataclass(frozen=True)
 class SubstitutionTrace:
     """Full record of one 3-substitution run.
 
-    added[k] = N_{3k}, removed_one[k] = N_{3k+1}, removed_two[k] = N_{3k+2},
-    m_sets[k] = M_{3k}, for k = 0..p.  The terminal round p has empty
-    removed sets.  primed_one[k] = N'_{3k+1} and primed_two[k] = N'_{3k+2}
-    for k = 0..p-1.
+    labels[i] = (N_i, N'_i) as vertex masks, i = 0..3p+2, as the
+    construction computes them, and m_sets[k] = M_{3k}, k = 0..p.  The
+    terminal round p has empty removed sets, and N'_i is empty at i = 3k and
+    in round p.  The set tuples are read from the masks: added[k] = N_{3k},
+    removed_one[k] = N_{3k+1}, removed_two[k] = N_{3k+2} for k = 0..p, and
+    primed_one[k] = N'_{3k+1}, primed_two[k] = N'_{3k+2} for k = 0..p-1.
     """
 
     digraph: Digraph
     x0: int
     base_kernel: VertexSet
-    added: tuple[VertexSet, ...]
-    removed_one: tuple[VertexSet, ...]
-    removed_two: tuple[VertexSet, ...]
+    labels: tuple[tuple[int, int], ...]
     m_sets: tuple[VertexSet, ...]
-    primed_one: tuple[VertexSet, ...]
-    primed_two: tuple[VertexSet, ...]
-    p: int
+
+    added = _sets_of(0, 0)
+    removed_one = _sets_of(1, 0)
+    removed_two = _sets_of(2, 0)
+    primed_one = _sets_of(1, 1)
+    primed_two = _sets_of(2, 1)
+
+    @property
+    def p(self) -> int:
+        return len(self.labels) // 3 - 1
+
+    def _labels_at(self, i: int) -> tuple[int, int]:
+        """The masks of N_i and N'_i, empty beyond the sequence."""
+        return self.labels[i] if 0 <= i < len(self.labels) else (0, 0)
 
     def set_at(self, i: int) -> VertexSet:
         """N_i, empty beyond the sequence."""
-        k, r = divmod(i, 3)
-        if i < 0 or k > self.p:
-            return ()
-        return (self.added, self.removed_one, self.removed_two)[r][k]
+        return _members(self._labels_at(i)[0])
 
-    @_table
-    def _added_index(self) -> dict[int, int]:
-        return {v: k for k, vs in enumerate(self.added) for v in vs}
+    def intermediate_at(self, i: int) -> VertexSet:
+        """N'_i (i = 3k+1 or 3k+2 with k < p), empty outside that range."""
+        return _members(self._labels_at(i)[1])
+
+    def added_round(self, v: int) -> int | None:
+        """k such that v is in N_{3k}, if any."""
+        rounds = enumerate(self.labels[::3])
+        return next((k for k, (n_i, _) in rounds if v >= 0 and n_i >> v & 1), None)
 
     @_table
     def _hops_from_x0(self) -> tuple[int | None, ...]:
         """Entry v: d(x0, v), or None when x0 does not reach v."""
         return _hops(self.digraph.out_masks, self.x0)
-
-    def added_round(self, v: int) -> int | None:
-        """k such that v is in N_{3k}, if any."""
-        return self._added_index.get(v)
-
-    def intermediate_at(self, i: int) -> VertexSet:
-        """N'_i (i = 3k+1 or 3k+2 with k < p), empty outside that range."""
-        k, r = divmod(i, 3)
-        if r == 0 or not 0 <= k < self.p:
-            return ()
-        return (self.primed_one, self.primed_two)[r - 1][k]
-
-    @_table
-    def _label_masks(self) -> tuple[tuple[int, int], ...]:
-        """Entry i, for i = 0..3p+2: the masks of N_i and N'_i.
-        `build_substitution_sequence` stores them as it computes them; this
-        builds them from the set tuples of a trace made otherwise."""
-        return tuple(
-            (_mask(self.set_at(i)), _mask(self.intermediate_at(i)))
-            for i in range(3 * self.p + 3)
-        )
-
-    def _labels_at(self, i: int) -> tuple[int, int]:
-        """The masks of N_i and N'_i, empty beyond the sequence."""
-        masks = self._label_masks
-        return masks[i] if 0 <= i < len(masks) else (0, 0)
 
     def label_of(self, v: int, i: int) -> str:
         """Display label of v relative to position/index i."""
@@ -128,10 +126,13 @@ class SubstitutionTrace:
         return "-"
 
 
-def _union(masks: tuple[int, ...], vs: VertexSet) -> int:
+def _union(masks: tuple[int, ...], vs: int) -> int:
+    """The union of masks[v] over the vertices v of the mask `vs`."""
     out = 0
-    for v in vs:
-        out |= masks[v]
+    while vs:
+        low = vs & -vs
+        out |= masks[low.bit_length() - 1]
+        vs ^= low
     return out
 
 
@@ -150,78 +151,56 @@ def build_substitution_sequence(d: Digraph, x0: int, kernel: VertexSet) -> Subst
 
     in_masks, balls = d.in_masks, d.in_balls2
     kernel_mask = _mask(kernel)
-    added: list[VertexSet] = [(x0,)]
-    removed_one: list[VertexSet] = []
-    removed_two: list[VertexSet] = []
-    primed_one: list[VertexSet] = []
-    primed_two: list[VertexSet] = []
     m_sets: list[VertexSet] = [(x0,)]
     labels: list[tuple[int, int]] = []  # (N_i, N'_i), i = 0..3p+2
     removed = 0
     current = added_union = 1 << x0
-    outside_m = ((1 << d.vertex_count) - 1) ^ current
+    outside_m = rest
 
-    k = 0
     while True:
         labels.append((current, 0))
-        near = _union(in_masks, added[k]) & ~current
-        far = 0
-        for v in added[k]:
+        near = _union(in_masks, current) & ~current
+        far, members = 0, current
+        while members:
+            low = members & -members
+            members ^= low
+            v = low.bit_length() - 1
             far |= balls[v] & ~in_masks[v] & ~current
         n1 = near & kernel_mask & ~removed
         n2 = far & kernel_mask & ~removed & ~n1
-        removed_one.append(_members(n1))
-        removed_two.append(_members(n2))
         if not n1 | n2:
             labels += ((0, 0), (0, 0))
-            p = k
             break
         labels += ((n1, near & ~n1), (n2, far & ~n2))
-        primed_one.append(_members(near & ~n1))
-        primed_two.append(_members(far & ~n2))
         removed |= n1 | n2
 
-        reach = _union(balls, _members(kernel_mask & ~removed | added_union))
+        reach = _union(balls, kernel_mask & ~removed | added_union)
         m_next = _members(outside_m & ~reach)
         n_next = find_kl_kernel(d, THREE_KERNEL, within=m_next).witness
         if n_next is None:
             raise SubkernelMissingError(f"D[{m_next}] has no 3-kernel")
         m_sets.append(m_next)
-        added.append(n_next)
         outside_m &= reach
         current = _mask(n_next)
         added_union |= current
-        k += 1
 
-    trace = SubstitutionTrace(
-        digraph=d,
-        x0=x0,
-        base_kernel=kernel,
-        added=tuple(added),
-        removed_one=tuple(removed_one),
-        removed_two=tuple(removed_two),
-        m_sets=tuple(m_sets),
-        primed_one=tuple(primed_one),
-        primed_two=tuple(primed_two),
-        p=p,
-    )
-    trace.__dict__["_label_masks"] = tuple(labels)
+    trace = SubstitutionTrace(d, x0, kernel, tuple(labels), tuple(m_sets))
     _check_trace_invariants(trace)
     return trace
 
 
 def _check_trace_invariants(trace: SubstitutionTrace) -> None:
     """The five invariants of a trace, read from its label masks.  The sets
-    are disjoint, with no vertex repeated inside one, exactly when their
-    sizes add up to the size of the union of their masks."""
-    labels, p = trace._label_masks, trace.p
-    rounds = trace.added[: p + 1] + trace.removed_one[: p + 1] + trace.removed_two[: p + 1]
-    union = 0
+    are disjoint exactly when their sizes add up to the size of the union of
+    their masks."""
+    labels, p = trace.labels, trace.p
+    union = size = 0
     for n_i, _ in labels:
         union |= n_i
-    if sum(map(len, rounds)) != union.bit_count():
+        size += n_i.bit_count()
+    if size != union.bit_count():
         raise TraceInvariantError("substitution sets must be disjoint")
-    if not trace.added[0] == (trace.x0,) == trace.m_sets[0]:
+    if labels[0][0] != 1 << trace.x0 or trace.m_sets[0] != (trace.x0,):
         raise TraceInvariantError("round 0 must add exactly x0")
     kernel_mask = _mask(trace.base_kernel)
     for k in range(p + 1):
@@ -233,10 +212,20 @@ def _check_trace_invariants(trace: SubstitutionTrace) -> None:
         raise TraceInvariantError(f"terminal round {p} removes vertices")
 
 
+def _pre_3_kernel(trace: SubstitutionTrace) -> int:
+    """The mask of (K minus all removed sets) union all added sets."""
+    added = removed = 0
+    for i, (n_i, _) in enumerate(trace.labels):
+        if i % 3:
+            removed |= n_i
+        else:
+            added |= n_i
+    return _mask(trace.base_kernel) & ~removed | added
+
+
 def assemble_pre_3_kernel(trace: SubstitutionTrace) -> VertexSet:
     """(K minus all removed sets) union all added sets."""
-    removed = {v for vs in trace.removed_one + trace.removed_two for v in vs}
-    return as_vertex_set((set(trace.base_kernel) - removed).union(*trace.added))
+    return _members(_pre_3_kernel(trace))
 
 
 # -- roads ------------------------------------------------------------------
@@ -278,7 +267,7 @@ def _allowed_skips(trace: SubstitutionTrace, s: int) -> list[int]:
     """Entry u: the vertices w for which a skip arc (t_i, t_{i-2}) = (u, w)
     on a length-s road meets condition 12, that is w in N'_{3j-1} for some
     j = 1..p-1 with 3j < s and u in N'_{3j+1}, whatever i is."""
-    labels = trace._label_masks
+    labels = trace.labels
     allowed = [0] * trace.digraph.vertex_count
     for j in range(1, trace.p):
         if 3 * j < s:
@@ -294,7 +283,7 @@ def validate_road(trace: SubstitutionTrace, path: tuple[int, ...]) -> RoadValida
     n, out_masks = d.vertex_count, d.out_masks
     s = len(path) - 1
     bits = [1 << v if 0 <= v < n else 0 for v in reversed(path)]  # bits[i]: t_i's bit
-    labels = trace._label_masks
+    labels = trace.labels
     labels += ((0, 0),) * (s + 1 - len(labels))  # empty beyond the sequence
 
     bad_arcs = []
@@ -343,9 +332,9 @@ def find_road(trace: SubstitutionTrace, v: int, s: int) -> Road:
     Raises NoRoadFoundError when no labeled path satisfies the conditions;
     for a valid trace that is itself a lemma violation worth reporting.
     """
-    if v not in trace.set_at(s):
+    if not trace._labels_at(s)[0] >> v & 1:
         raise ValueError(f"vertex {v} is not in N_{s}")
-    out_masks, labels = trace.digraph.out_masks, trace._label_masks
+    out_masks, labels = trace.digraph.out_masks, trace.labels
     allowed = _allowed_skips(trace, s)
     path = [v]  # built far-end first
 
@@ -418,10 +407,11 @@ def check_pre_kernel_properties(trace: SubstitutionTrace) -> PreKernelReport:
     """2-absorbence of the pre-3-kernel, plus the restricted shape of
     internal paths of length at most two."""
     d = trace.digraph
-    pre = assemble_pre_3_kernel(trace)
+    pre_mask = _pre_3_kernel(trace)
     balls = d.in_balls2
-    absorbed = _union(balls, pre)
+    absorbed = _union(balls, pre_mask)
     absorption = tuple(u for u in d.vertices() if not absorbed >> u & 1)
+    pre = _members(pre_mask)
 
     shape = []
     for a in pre:
@@ -509,8 +499,8 @@ def start_substitution(d: Digraph, x0: int) -> SubstitutionTrace:
     when D - x0 has none, SubkernelMissingError when some D[M_i] has none."""
     d.check_vertex(x0)
     _check_search_bound(d.vertex_count - 1)
-    rest = as_vertex_set(v for v in d.vertices() if v != x0)
-    base = find_kl_kernel(d, THREE_KERNEL, within=rest).witness
+    rest = ((1 << d.vertex_count) - 1) ^ (1 << x0)
+    base = find_kl_kernel(d, THREE_KERNEL, within=_members(rest)).witness
     if base is None:
         raise NoBaseKernelError(f"D - {x0} has no 3-kernel")
     return build_substitution_sequence(d, x0, base)
@@ -520,9 +510,10 @@ def run_substitution_method(d: Digraph, x0: int) -> MethodOutcome:
     """Full pipeline: base kernel of D - x0, substitution trace, pre-3-kernel,
     and the (3,2)-kernel verdict with a witness path on failure."""
     trace = start_substitution(d, x0)
-    pre = assemble_pre_3_kernel(trace)
+    pre_mask = _pre_3_kernel(trace)
+    pre = _members(pre_mask)
     balls = d.in_balls2
     close = next(((a, b) for a in pre for b in pre if a != b and balls[b] >> a & 1), None)
     witness = None if close is None else _close_path(d, *close)
-    absorbing = _union(balls, pre) == (1 << d.vertex_count) - 1
+    absorbing = _union(balls, pre_mask) == (1 << d.vertex_count) - 1
     return MethodOutcome(pre, witness is None and absorbing, trace, witness)

@@ -34,6 +34,7 @@ from kernelkit import (
 )
 from kernelkit import campaigns, cli
 from kernelkit.campaigns import CAMPAIGNS, CLASSES, PARAMETER_READERS
+from kernelkit.cycles import Violation
 from kernelkit.errors import BudgetExceededError
 from kernelkit.generators import (
     derive_trial_seed,
@@ -85,7 +86,7 @@ def test_reverse_path_reports_every_arc_without_a_short_return(monkeypatch):
     # the lemma's failures away (at minimum length 3, where the class check
     # searches; at length 2 it is the acyclicity peel)
     monkeypatch.setattr(
-        campaigns, "check_cycle_hypothesis", lambda *args, **kw: HypothesisReport(True, (), 0)
+        campaigns, "check_cycle_hypothesis", lambda *args, **kw: HypothesisReport(None, 0)
     )
     params = CampaignParams(n=4, exhaustive=True, max_failures=10**6, min_cycle_len=3)
     report = run_campaign("reverse-path", params)
@@ -178,7 +179,7 @@ def test_criterion_10_budget_instance_is_decided_by_its_first_layer():
     d = criterion_10_trial_14()
     report = check_circuit_hypothesis(d, 22)
     assert report.satisfied is CLASSES["circuit"](d, 1000, 2) is False
-    assert len(report.violations) == 1 and len(report.violations[0].subject) == 2
+    assert len(report.violation.subject) == 2
     params = CampaignParams(n=6, trials=30, seed=20260823, extra_arc_prob=0.3)
     occupancy = run_campaign("theorem4", params).occupancy
     assert occupancy["accepted"] == 2
@@ -191,7 +192,7 @@ def test_the_circuit_class_ignores_the_budget():
     parts = [range(0, 3), range(3, 6), range(6, 9)]
     d = build_digraph(9, [(u, v) for i in range(3) for u in parts[i] for v in parts[(i + 1) % 3]])
     assert len(d.arcs) == 27
-    assert check_circuit_hypothesis(d, 27) == HypothesisReport(True, (), 0)
+    assert check_circuit_hypothesis(d, 27) == HypothesisReport(None, 0)
     assert CLASSES["circuit"](d, 1, 2) is True
     assert CLASSES["circuit"](criterion_10_trial_14(), 1, 2) is False
 
@@ -222,7 +223,7 @@ def test_duchet_ignores_the_budget():
     with pytest.raises(BudgetExceededError):
         list(enumerate_cycles(k5, budget=64))
     assert CLASSES["duchet"](k5, 64, 2) is True
-    assert every_cycle_has_symmetric_arc(k5) == HypothesisReport(True, (), 0)
+    assert every_cycle_has_symmetric_arc(k5) == HypothesisReport(None, 0)
     assert CLASSES["duchet"](directed_cycle(3), 1, 3) is False
     assert complete_symmetric_occupancy("duchet", 64, 2) == {"tried": 3, "accepted": 3}
 
@@ -255,7 +256,7 @@ def test_class_table_looks_its_checks_up_at_call_time(monkeypatch, answer):
     def check(*args, **kw):
         if answer is None:
             raise BudgetExceededError("budget")
-        return HypothesisReport(answer, (), 0)
+        return HypothesisReport(None if answer else Violation((0, 1, 2), "stub"), 0)
 
     monkeypatch.setattr(campaigns, "check_cycle_hypothesis", check)
     d = directed_cycle(3)
@@ -316,7 +317,7 @@ def test_trace_campaigns_build_no_distance_matrix(monkeypatch):
     # accept every strongly connected digraph, so reverse-path writes the
     # hop count of every arc without a short return
     monkeypatch.setattr(
-        campaigns, "check_cycle_hypothesis", lambda *args, **kw: HypothesisReport(True, (), 0)
+        campaigns, "check_cycle_hypothesis", lambda *args, **kw: HypothesisReport(None, 0)
     )
     for property_id, params in [
         ("roads", CampaignParams(n=6, trials=6, seed=1)),
@@ -418,7 +419,7 @@ def test_the_early_exits_leave_no_reference_cycles():
         report = check_cycle_hypothesis(
             c4_chord, CycleHypothesisVariant.THREE_WITH_CROSSING, 3
         )
-        assert report.violations[0].subject == (0, 2, 3) and report.cycles_examined == 1
+        assert report.violation.subject == (0, 2, 3) and report.cycles_examined == 1
         assert list(enumerate_cycles(c4_chord, 4)) == [(0, 1, 2, 3)]
         assert gc.collect() == 0
         with pytest.raises(BudgetExceededError, match="at length 3"):

@@ -370,8 +370,7 @@ def test_circuit_canonical_rotation_is_lex_least():
     # the 4-cycle 0 -> 3 -> 1 -> 2 -> 0, arcs listed from vertex 2
     d = build_digraph(4, [(2, 0), (0, 3), (3, 1), (1, 2)])
     assert single_pass_circuits(d, 4, 10**6) == [(0, 3, 1, 2)]
-    (violation,) = check_circuit_hypothesis(d, 4).violations
-    assert violation.subject == (0, 3, 1, 2)
+    assert check_circuit_hypothesis(d, 4).violation.subject == (0, 3, 1, 2)
 
 
 @given(digraphs, st.integers(2, 5))
@@ -550,7 +549,7 @@ def test_bare_cycle_violates_cycle_hypothesis():
     report = check_cycle_hypothesis(directed_cycle(6), CycleHypothesisVariant.TWO_CONSECUTIVE)
     assert not report.satisfied
     assert report.cycles_examined == 1
-    assert "no short chord" in report.violations[0].reason
+    assert "no short chord" in report.violation.reason
 
 
 def test_complete_symmetric_triangle_satisfies_both_variants():
@@ -569,7 +568,7 @@ def test_digons_can_never_satisfy_chord_demands():
     assert all(reference_cycle_violation(k3, cyc, variant) for cyc in digons)
     first = Violation((0, 1), "length != 0 mod 3 but no two consecutive short chords")
     report = check_cycle_hypothesis(k3, variant, min_cycle_len=2)
-    assert report == HypothesisReport(False, (first,), 1)
+    assert report == HypothesisReport(first, 1)
 
 
 def test_cycle_hypotheses_at_min_length_two_hold_exactly_on_acyclic_digraphs():
@@ -647,25 +646,23 @@ def test_cycle_checks_stopping_at_first_agree_with_the_full_reports(model, n, pr
 
 def test_circuit_hypothesis_vacuous_when_lengths_divide_three():
     d = directed_cycle(6)
-    assert check_circuit_hypothesis(d, max_len=len(d.arcs)) == HypothesisReport(True, (), 0)
+    assert check_circuit_hypothesis(d, max_len=len(d.arcs)) == HypothesisReport(None, 0)
 
 
 def test_circuit_hypothesis_flags_short_chord_deficit():
     d = directed_cycle(5)
     report = check_circuit_hypothesis(d, max_len=5)
     assert not report.satisfied
-    assert "only 0 short chords" in report.violations[0].reason
+    assert "only 0 short chords" in report.violation.reason
 
 
 def test_symmetric_arc_hypothesis():
-    assert every_cycle_has_symmetric_arc(complete_symmetric(4)) == HypothesisReport(True, (), 0)
+    assert every_cycle_has_symmetric_arc(complete_symmetric(4)) == HypothesisReport(None, 0)
     report = every_cycle_has_symmetric_arc(directed_cycle(3))
-    assert report == HypothesisReport(
-        False, (Violation((0, 1, 2), "cycle without symmetric arc"),), 1
-    )
+    assert report == HypothesisReport(Violation((0, 1, 2), "cycle without symmetric arc"), 1)
     # the digon (0, 1) comes first in D's order, but both its arcs are symmetric
     d = build_digraph(4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 1)])
-    assert every_cycle_has_symmetric_arc(d).violations[0].subject == (1, 2, 3)
+    assert every_cycle_has_symmetric_arc(d).violation.subject == (1, 2, 3)
 
 
 # -- the mask checks against the chord-object references ---------------------
@@ -711,25 +708,39 @@ def reference_asymmetric_cycle(d, cyc):
     return Violation(cyc, "cycle without symmetric arc")
 
 
+@dataclass(frozen=True)
+class FullReport:
+    """Reference: every violation on the walks examined, in order."""
+
+    violations: tuple[Violation, ...]
+    cycles_examined: int
+
+    @property
+    def satisfied(self):
+        return not self.violations
+
+
 def reference_report(walks, violation):
     violations = tuple(v for v in map(violation, walks) if v is not None)
-    return HypothesisReport(not violations, violations, len(walks))
+    return FullReport(violations, len(walks))
 
 
 def cut_to_first(full):
     """Reference: a full report cut to its first violation, which is all a
     walk-based check reports (and all it examines)."""
     first = full.violations[:1]
-    return HypothesisReport(not first, first, len(first))
+    return HypothesisReport(first[0] if first else None, len(first))
 
 
 def searched_to_first(cycles, violation):
     """Reference: the report of a search over `cycles`, in order, that stops
-    at its first violation: `reference_report` on the cycles up to it."""
+    at its first violation: `reference_report` on the cycles up to it, whose
+    only violation is its last cycle's."""
     for i, cyc in enumerate(cycles):
-        if violation(cyc) is not None:
-            return reference_report(cycles[: i + 1], violation)
-    return reference_report(cycles, violation)
+        found = violation(cyc)
+        if found is not None:
+            return HypothesisReport(found, i + 1)
+    return HypothesisReport(None, len(cycles))
 
 
 def reference_duchet_report(d, budget=10**6):
@@ -803,8 +814,8 @@ def test_circuit_short_chords_count_positions_not_arcs():
     assert reference_circuit_violation(REPEATED_VERTEX, circuit) == expected
     # a shorter cycle violates first, and the check reports that one alone
     first = Violation((0, 1, 2, 4), "length != 0 mod 3 with only 1 short chords")
-    assert check_circuit_hypothesis(REPEATED_VERTEX, max_len=8).violations == (first,)
-    assert reference_circuit_report(REPEATED_VERTEX, 8).violations == (first,)
+    assert check_circuit_hypothesis(REPEATED_VERTEX, max_len=8).violation == first
+    assert reference_circuit_report(REPEATED_VERTEX, 8).violation == first
 
 
 # -- the circuit check is the circuit search's first violation -----------------

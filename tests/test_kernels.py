@@ -17,6 +17,7 @@ carried balls, must never ask it to build one.
 """
 
 import math
+import random
 from itertools import chain, combinations
 
 import networkx as nx
@@ -349,6 +350,54 @@ def test_an_odd_cycle_leaves_a_digraph_without_a_kernel():
     assert is_kernel_perfect(directed_cycle(3)) == (False, (0, 1, 2))
 
 
+# -- a digraph whose cycle lengths are all 0 mod k has a k-kernel --------------
+
+# The mod-k theorem: when every cycle length is 0 mod k, D has a
+# (k, k-1)-kernel; k = 2 is Richardson's.  A residue draw gives each vertex
+# a residue r(v) in Z_k and allows only the arcs u -> v with r(v) = r(u) + 1,
+# so r rises by one along each arc and every cycle length is 0 mod k.  By
+# README's residue proof, each residue class of a strongly connected draw
+# with n >= 2 is a (k, k-1)-kernel.
+
+
+@st.composite
+def residue_digraphs(draw):
+    """(k, r, D): k in {2, 3, 4}, residues r of n <= 12 vertices, and D with
+    each allowed arc kept with probability p."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(1, 12))
+    r = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    prob = draw(st.sampled_from([*PROBS, 0.9]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    allowed = [(u, v) for u in range(n) for v in range(n) if r[v] == (r[u] + 1) % k]
+    return k, r, build_digraph(n, [arc for arc in allowed if rng.random() < prob])
+
+
+CYCLE_8 = [(i, (i + 1) % 8) for i in range(8)]
+
+
+@given(residue_digraphs())
+@example((2, [0, 1, 0, 1], directed_cycle(4)))
+@example((3, [0, 1, 2, 0, 1, 2], build_digraph(6, [*CYCLE_8[:5], (5, 0), (0, 4)])))
+@example((4, [i % 4 for i in range(8)], build_digraph(8, [*CYCLE_8, (0, 5), (2, 7)])))
+@settings(max_examples=300, deadline=None)
+def test_every_digraph_whose_cycle_lengths_are_0_mod_k_has_a_k_kernel(draw):
+    k, r, d = draw
+    query = KernelQuery(k, k - 1)
+    result = find_kl_kernel(d, query)
+    assert result.found and is_kl_kernel(d, result.witness, query), (k, d.arcs)
+    if d.vertex_count >= 2 and d.is_strongly_connected():
+        for c in range(k):
+            residue_class = [v for v in d.vertices() if r[v] == c]
+            assert is_kl_kernel(d, residue_class, query), (k, r, d.arcs, c)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_a_cycle_of_length_k_plus_1_has_no_k_kernel(k):
+    # the control: the hypothesis is needed (k = 2 is Richardson's C3 above)
+    assert not find_kl_kernel(directed_cycle(k + 1), KernelQuery(k, k - 1)).found
+
+
 # -- on-demand balls against balls built up front -----------------------------
 
 ENGINE_QUERIES = [KernelQuery(2, 1), KernelQuery(3, 2), KernelQuery(4, 3), KernelQuery(3, 1),
@@ -495,7 +544,7 @@ def assert_scan_matches_brute_force(d, scan, query, proper_only):
         lambda mask, *balls: proper_only and mask == (1 << n) - 1
         or has_kernel_by_brute_force(d, _members(mask), query),
     )
-    assert counterexample == _members(first)
+    assert first == (False, counterexample)
 
 
 def assert_scans_match_brute_force(d):
@@ -649,13 +698,15 @@ def test_passing_scan_searches_each_weakly_connected_subset_once(d, searched):
 @settings(max_examples=150, deadline=None)
 def test_connected_set_walk_asks_each_weakly_connected_set_once(d):
     asked = []
-    assert _every_connected_set(d, KERNEL, lambda mask, *balls: asked.append(mask) or True) is None
+    assert _every_connected_set(
+        d, KERNEL, lambda mask, *balls: asked.append(mask) or True
+    ) == (True, None)
     assert sorted(asked) == sorted(sum(1 << v for v in s) for s in weakly_connected_subsets(d))
     # the radius-2 walk, which updates the balls it carries, asks the same sets in the same order
     at_radius_2 = []
     assert _every_connected_set(
         d, THREE_KERNEL, lambda mask, *balls: at_radius_2.append(mask) or True
-    ) is None
+    ) == (True, None)
     assert at_radius_2 == asked
     # sets by least vertex, ascending; each set after the set it extends by one vertex
     least = [mask & -mask for mask in asked]
@@ -669,7 +720,7 @@ def test_connected_set_walk_asks_each_weakly_connected_set_once(d):
         failing = _every_connected_set(
             d, KERNEL, lambda mask, *balls: seen.append(mask) or len(seen) <= stop
         )
-        assert seen == asked[: stop + 1] and failing == asked[stop]
+        assert seen == asked[: stop + 1] and failing == (False, _members(asked[stop]))
 
 
 def assert_carried_balls_match_kernel_balls(d):
@@ -685,7 +736,7 @@ def assert_carried_balls_match_kernel_balls(d):
                 assert absorbed_by[v] & mask == expected_absorbed_by[v], (query, members, v)
             return True
 
-        assert _every_connected_set(d, query, ok) is None
+        assert _every_connected_set(d, query, ok) == (True, None)
 
 
 def test_carried_balls_match_kernel_balls_on_every_digraph_up_to_4():

@@ -1,9 +1,11 @@
 """The runtime uses the standard library only: networkx and the other test
 tools stay test-only oracles, never imports of `src/kernelkit`.  The public
-names are pinned, so adding or removing one is a declared change.  No module
-imports `gc`: the library leaves its host's cyclic collector alone."""
+names and the fields of the public result types are pinned, so adding,
+removing or renaming one is a declared change.  No module imports `gc`:
+the library leaves its host's cyclic collector alone."""
 
 import ast
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -134,3 +136,21 @@ PUBLIC_NAMES = [
 
 def test_public_names_match_the_snapshot():
     assert sorted(kernelkit.__all__) == PUBLIC_NAMES
+
+
+# The fields of the public result types, in order.
+PUBLIC_FIELDS = {
+    "SubstitutionTrace": ["digraph", "x0", "base_kernel", "labels", "m_sets"],
+    "HypothesisReport": ["violation", "cycles_examined"],
+    "KernelResult": ["found", "witness", "subsets_examined"],
+    "MethodOutcome": ["pre_3_kernel", "is_3_kernel", "trace", "failure_witness"],
+    "VerificationReport": [
+        "property_id", "parameters", "instances_checked", "failures", "failures_total",
+        "occupancy", "vacuous", "wall_time",
+    ],
+}
+
+
+def test_public_result_fields_match_the_snapshot():
+    for name, fields in PUBLIC_FIELDS.items():
+        assert [f.name for f in dataclasses.fields(getattr(kernelkit, name))] == fields, name

@@ -14,9 +14,10 @@ sorted out-lists kept here as references.  The road conditions, the labels
 and the unique-chord checker read the trace's label masks; the references
 here test membership in the trace's sorted set tuples and arcs in
 `Digraph.arcs`, and the reference road search checks only whole paths.
-The label masks the construction stores must equal those the set tuples
-give, and the trace invariants, checked on those masks, must reject a
-hand-broken C6 trace of each of their five kinds.
+A trace stores its sets as label masks; the hand-built traces here are
+written as set tuples that `labels_of` turns into those masks, and the
+trace invariants must reject a hand-broken C6 trace of each of their five
+kinds.
 
 Three small strongly connected digraphs (A, B, C at the bottom) are frozen
 as regression inputs for the lemma checkers: on each of them one of the
@@ -267,18 +268,42 @@ def test_skip_arc_condition_reads_every_round_not_the_skip_position():
         assert reference_road_conditions(t, path) == expected
 
 
+SET_READS = ("added", "removed_one", "removed_two", "primed_one", "primed_two")
+
+
+def labels_of(added, removed_one, removed_two, primed_one, primed_two):
+    """The (N_i, N'_i) mask pairs, i = 0..3p+2, of a trace with these set
+    tuples: added[k] = N_{3k}, removed_one[k] = N_{3k+1} and so on, with
+    the primed sets of round k < p."""
+    def mask(vs):
+        return sum(1 << v for v in set(vs))
+
+    labels = []
+    for k, n_3k in enumerate(added):
+        labels.append((mask(n_3k), 0))
+        for removed, primed in ((removed_one, primed_one), (removed_two, primed_two)):
+            labels.append((mask(removed[k]), mask(primed[k]) if k < len(primed) else 0))
+    return tuple(labels)
+
+
+def with_sets(trace, **changes):
+    """`trace` with the named fields and set tuples replaced, its labels
+    rebuilt from the set tuples."""
+    sets = {name: changes.pop(name, getattr(trace, name)) for name in SET_READS}
+    return dataclasses.replace(trace, labels=labels_of(**sets), **changes)
+
+
 def skip_arc_trace():
     """A hand-built trace (p = 3) whose only length-7 path from 7 to x0 = 0,
     7 6 5 4 3 2 1 0, has the skip arc (4, 2) at position 4.  Round j = 2
     allows it (4 in N'_7, 2 in N'_5); round j = 1, the one with 3j + 1 = 4,
     does not (N'_4 is empty)."""
     d = build_digraph(8, [(v, v - 1) for v in range(1, 8)] + [(4, 2)])
-    return SubstitutionTrace(
-        digraph=d, x0=0, base_kernel=(7,),
+    labels = labels_of(
         added=((0,), (3,), (6,), ()), removed_one=((), (), (7,), ()),
-        removed_two=((), (), (), ()), m_sets=((0,), (3,), (6,), ()),
-        primed_one=((), (), (4,)), primed_two=((), (2,), ()), p=3,
+        removed_two=((), (), (), ()), primed_one=((), (), (4,)), primed_two=((), (2,), ()),
     )
+    return SubstitutionTrace(d, 0, (7,), labels, m_sets=((0,), (3,), (6,), ()))
 
 
 def test_road_search_allows_a_skip_arc_from_another_round():
@@ -295,7 +320,7 @@ def test_road_search_allows_a_skip_arc_from_another_round():
 
 
 def test_road_search_refuses_a_skip_arc_no_round_allows():
-    t = dataclasses.replace(skip_arc_trace(), primed_two=((), (), ()))  # N'_5 emptied
+    t = with_sets(skip_arc_trace(), primed_two=((), (), ()))  # N'_5 emptied
     with pytest.raises(NoRoadFoundError):
         find_road(t, 7, 7)
     assert reference_find_road(t, 7, 7) is None
@@ -394,10 +419,10 @@ def test_trace_invariants_are_checked_under_python_O():
         from kernelkit.substitution import _check_trace_invariants
 
         assert not __debug__, "expected to run under python -O"
+        # N_0 = {0}, N_1 = N_2 = {3}
         overlapping = SubstitutionTrace(
             digraph=directed_cycle(6), x0=0, base_kernel=(0, 3),
-            added=((0,),), removed_one=((3,),), removed_two=((3,),),
-            m_sets=((0,),), primed_one=(), primed_two=(), p=0,
+            labels=((1, 0), (8, 0), (8, 0)), m_sets=((0,),),
         )
         try:
             _check_trace_invariants(overlapping)
@@ -479,32 +504,13 @@ def test_trace_sets_match_the_set_equations(d):
         assert trace.m_sets == reference_m_sets(trace)
 
 
-@given(
-    st.builds(
-        random_strongly_connected, st.integers(1, 10), st.floats(0, 1), st.integers(0, 2**32)
-    )
-)
-@example(directed_cycle(6))
-@example(DIGRAPH_B)
-@example(build_digraph(1, []))
-@settings(max_examples=120, deadline=None)
-def test_construction_fills_the_label_masks_the_set_tuples_give(d):
-    for x0 in d.vertices():
-        try:
-            trace = start_substitution(d, x0)
-        except (NoBaseKernelError, SubkernelMissingError):
-            continue
-        assert "_label_masks" in vars(trace)  # filled by the construction, not on first read
-        assert trace._label_masks == SubstitutionTrace._label_masks.func(trace)
-
-
 @pytest.mark.parametrize(
     "broken, message",
     [
         # 5 is in N_1 and in N_2
         ({"removed_two": ((5,), (), ())}, "substitution sets must be disjoint"),
-        # 3 twice in N_3: the masks alone cannot tell, the set sizes can
-        ({"added": ((0,), (3, 3), ())}, "substitution sets must be disjoint"),
+        # 5 is in N_1 and in N_4: removed again in a later round
+        ({"removed_one": ((5,), (2, 5), ())}, "substitution sets must be disjoint"),
         ({"m_sets": ((1,), (3,), ())}, "round 0 must add exactly x0"),
         ({"removed_one": ((5,), (4,), ())}, "round 1 removes vertices outside the base kernel"),
         (
@@ -520,7 +526,7 @@ def test_construction_fills_the_label_masks_the_set_tuples_give(d):
 def test_trace_invariants_reject_each_hand_broken_trace(c6_trace, broken, message):
     _check_trace_invariants(c6_trace)  # the C6 trace itself holds every invariant
     with pytest.raises(TraceInvariantError) as raised:
-        _check_trace_invariants(dataclasses.replace(c6_trace, **broken))
+        _check_trace_invariants(with_sets(c6_trace, **broken))
     assert str(raised.value) == message
 
 
