@@ -295,19 +295,22 @@ def _trace_campaign(
     counters: tuple[str, ...] = (),
     class_name: str | None = None,
 ) -> dict:
-    """One (D, x0) attempt per trial: D is skipped when it is not a member
-    of `CLASSES[class_name]` (a class decided without a budget), else its
-    substitution starts and `check` runs on the trace.  `check` adds to the
-    named counters; the campaign is vacuous when the last of them
-    (traces_built when there are none) stays 0."""
+    """One (D, x0) attempt per trial, both drawn from the trial's derived
+    seed: D is skipped when it is not a member of `CLASSES[class_name]` (a
+    class decided without a budget), else its substitution starts and
+    `check` runs on the trace.  `check` adds to the named counters; the
+    campaign is vacuous when the last of them (traces_built when there are
+    none) stays 0."""
     if params.exhaustive:
         raise ValueError("the trace campaigns have no exhaustive mode")
     occupancy = Counter(dict.fromkeys(("tried", "traces_built", *counters), 0))
     if class_name:
         occupancy["accepted"] = 0
     skips: Counter = Counter()
-    for trial, d in enumerate(_sc_stream(params)):
-        x0 = SplitMix64(derive_trial_seed(params.seed, trial) + 1).next_u64() % params.n
+    for trial in range(params.trials):
+        seed = derive_trial_seed(params.seed, trial)
+        d = random_strongly_connected(params.n, params.extra_arc_prob, seed)
+        x0 = SplitMix64(seed + 1).next_u64() % params.n
         occupancy["tried"] += 1
         if class_name:
             if not CLASSES[class_name](d, params.budget, params.min_cycle_len):

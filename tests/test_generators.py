@@ -1,10 +1,11 @@
 """Seeded generation: PRNG reference vectors, determinism, and enumeration.
 
-Batched draws (`SplitMix64.next_u64s`) are checked against repeated
-`next_u64()` calls, the integer arc threshold against the float compare it
-replaces, both random models against per-pair-draw references, and
-enumeration, which joins cached half arc sets, against one comprehension per
-arc bitmask and against `build_digraph`.
+Batched draws (`SplitMix64.next_u64s`, the decoder of `_packed`) are checked
+against repeated `next_u64()` calls, the integer arc threshold against the
+float compare it replaces, the threshold test inside the packed word
+(`_split`) at its boundary lanes, both random models against per-pair-draw
+references, and enumeration, which joins cached half arc sets, against one
+comprehension per arc bitmask and against `build_digraph`.
 """
 
 import inspect
@@ -21,7 +22,12 @@ from kernelkit import (
     random_strongly_connected,
 )
 from kernelkit.digraph import iter_arc_pairs
-from kernelkit.generators import _half_arc_sets, _threshold, derive_trial_seed
+from kernelkit.generators import (
+    _half_arc_sets,
+    _split,
+    _threshold,
+    derive_trial_seed,
+)
 from kernelkit.errors import SizeBoundError, VertexOutOfRangeError
 
 
@@ -90,6 +96,35 @@ def test_threshold_is_the_float_compare(p):
 def test_threshold_excludes_draws_that_round_to_one():
     assert _threshold(0.0) == 0
     assert _threshold(1.0) == 2**64 - 2**10
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(1, 40))
+@settings(max_examples=30, deadline=None)
+def test_packed_lanes_hold_the_draws_with_bits_64_to_96_clear(seed, count):
+    z = SplitMix64(seed)._packed(count)
+    for i, value in enumerate(SplitMix64(seed).next_u64s(count)):
+        lane = z >> 128 * i & 2**128 - 1
+        assert lane & 2**64 - 1 == value
+        assert lane >> 64 & 2**33 - 1 == 0
+    assert z >> 128 * count - 31 == 0  # nothing above the last lane's value
+
+
+def packed(values):
+    """Lanes 128 bits apart holding `values`, with bits 97-127 of each lane
+    set, where `SplitMix64._packed` leaves bits of the next lane."""
+    return sum((value | (2**31 - 1) << 97) << 128 * i for i, value in enumerate(values))
+
+
+@pytest.mark.parametrize("cut", [0, 1, 2**63, _threshold(1.0)])
+def test_the_lane_threshold_test_is_z_below_cut_with_no_carry_between_lanes(cut):
+    values = [z for z in (0, cut - 1, cut, 2**64 - 1) if 0 <= z < 2**64]
+    arc_lanes = values + values[::-1]  # each value next to every other
+    skip, count = len(values), len(values) + len(arc_lanes)
+    shuffle, selector = _split(packed(values + arc_lanes), count, skip, cut)
+    assert shuffle == tuple(values)  # lanes below `skip` are not lifted
+    assert list(selector) == [int(z < cut) for z in arc_lanes]
+    for z, verdict in zip(arc_lanes, selector):  # the same verdict alone
+        assert _split(packed([z]), 1, 0, cut) == ((), bytes([verdict]))
 
 
 def test_derive_trial_seed_spreads():
@@ -163,7 +198,15 @@ def per_pair_random_strongly_connected(n, extra_arc_prob, seed):
     return build_digraph(n, sorted(backbone) + extras)
 
 
-@given(st.integers(1, 12), st.floats(0, 1), st.integers(0, 2**64 - 1))
+def boundary_examples(test):
+    for n in (1, 2, 24):
+        for p in (0.0, 5e-324, 1 - 2**-53, 1.0):
+            test = example(n, p, 20260823 + n)(test)
+    return test
+
+
+@given(st.integers(1, 24), st.floats(0, 1), st.integers(0, 2**64 - 1))
+@boundary_examples
 @settings(max_examples=150, deadline=None)
 def test_random_models_match_per_pair_draws(n, p, seed):
     assert random_digraph(n, p, seed) == per_pair_random_digraph(n, p, seed)
@@ -173,7 +216,7 @@ def test_random_models_match_per_pair_draws(n, p, seed):
 @pytest.mark.parametrize("model", [random_digraph, random_strongly_connected])
 def test_a_random_instance_is_one_batched_draw(model, monkeypatch):
     calls = []
-    for name in ("next_u64", "next_u64s"):
+    for name in ("next_u64", "next_u64s", "_packed"):
         method = getattr(SplitMix64, name)
 
         def counted(self, *args, _name=name, _method=method):
@@ -184,7 +227,7 @@ def test_a_random_instance_is_one_batched_draw(model, monkeypatch):
     for n in range(1, 13):
         calls.clear()
         model(n, 0.3, 20260823 + n)
-        assert calls == ["next_u64s"]
+        assert calls == ["_packed"]
 
 
 # -- exhaustive enumeration --------------------------------------------------
