@@ -15,10 +15,9 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import chain
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .cycles import (
     DEFAULT_BUDGET,
@@ -60,8 +59,7 @@ from .substitution import (
 from .textio import format_digraph_text
 
 
-@dataclass
-class CampaignParams:
+class _CampaignFields(NamedTuple):
     n: int = 6
     trials: int = 100
     seed: int = 0
@@ -72,7 +70,12 @@ class CampaignParams:
     arc_prob: float = 0.3
     extra_arc_prob: float = 0.15
 
-    def __post_init__(self) -> None:
+
+class CampaignParams(_CampaignFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> CampaignParams:
+        self = super().__new__(cls, *args, **kwargs)
         for name, least in (
             ("budget", 1), ("trials", 0), ("max_failures", 0), ("min_cycle_len", 2)
         ):
@@ -81,10 +84,15 @@ class CampaignParams:
         for name in ("arc_prob", "extra_arc_prob"):
             if not 0 <= getattr(self, name) <= 1:
                 raise ValueError(f"{name} must be in [0, 1]")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> CampaignParams:
+        """Through `__new__`, so `_replace` validates too."""
+        return cls(*iterable)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     property_id: str
     parameters: dict
     instances_checked: int
@@ -462,7 +470,7 @@ def run_campaign(property_id: str, params: CampaignParams) -> VerificationReport
     elapsed = time.perf_counter() - start
     return VerificationReport(
         property_id=property_id,
-        parameters=asdict(params),
+        parameters=params._asdict(),
         instances_checked=summary["instances_checked"],
         failures=failures.items,
         failures_total=failures.total,

@@ -31,8 +31,7 @@ on the way out of a BudgetExceededError.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .digraph import Digraph, _ball
 from .errors import BudgetExceededError
@@ -40,14 +39,12 @@ from .errors import BudgetExceededError
 DEFAULT_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     subject: tuple[int, ...]
     reason: str
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     """A check's first violation, if any, and how many cycles it examined."""
 
     violation: Violation | None

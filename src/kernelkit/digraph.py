@@ -24,7 +24,6 @@ callers that need them as a vertex set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -64,12 +63,34 @@ class _table:
         return value
 
 
-@dataclass(frozen=True)
 class Digraph:
-    """A loopless simple directed graph on vertices 0..vertex_count-1."""
+    """A loopless simple directed graph on vertices 0..vertex_count-1.
 
-    vertex_count: int
-    arcs: frozenset  # frozenset[Arc]
+    Frozen: `vertex_count` and `arcs` (a frozenset of arcs) live in the
+    instance `__dict__` beside the tables, assignment raises AttributeError,
+    and equality and hashing read the two fields alone."""
+
+    def __init__(self, vertex_count: int, arcs: frozenset) -> None:
+        fields = self.__dict__
+        fields["vertex_count"] = vertex_count
+        fields["arcs"] = arcs
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertex_count, self.arcs) == (other.vertex_count, other.arcs)
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_count, self.arcs))
+
+    def __repr__(self) -> str:
+        return f"Digraph(vertex_count={self.vertex_count!r}, arcs={self.arcs!r})"
 
     def _adjacency(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The out- and in-masks, from one pass over the arcs."""

@@ -36,8 +36,7 @@ and reference counting frees the search as soon as the owner returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .digraph import Digraph, VertexSet, _ball, _mask, _members, as_vertex_set
 from .errors import SizeBoundError
@@ -46,24 +45,33 @@ SUBSET_SEARCH_BOUND = 24
 PERFECTION_BOUND = 16
 
 
-@dataclass(frozen=True)
-class KernelQuery:
-    """Independence radius k and absorption radius l."""
-
+class _KernelQueryFields(NamedTuple):
     k: int
     l: int
 
-    def __post_init__(self) -> None:
+
+class KernelQuery(_KernelQueryFields):
+    """Independence radius k and absorption radius l."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> KernelQuery:
+        self = super().__new__(cls, *args, **kwargs)
         if self.k < 2 or self.l < 1:
             raise ValueError(f"a (k,l)-kernel needs k >= 2 and l >= 1, got ({self.k},{self.l})")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> KernelQuery:
+        """Through `__new__`, so `_replace` validates too."""
+        return cls(*iterable)
 
 
 KERNEL = KernelQuery(2, 1)
 THREE_KERNEL = KernelQuery(3, 2)
 
 
-@dataclass(frozen=True)
-class KernelResult:
+class KernelResult(NamedTuple):
     found: bool
     witness: VertexSet | None
     subsets_examined: int

@@ -31,14 +31,14 @@ round k; positions on a road count from x0 (position 0) to the far end
 (position s).
 
 The road search is a nested function that calls itself, and a closure that
-holds itself is cyclic garbage; `find_road` deletes its name in a `finally`,
-so reference counting frees the search when `find_road` returns or raises.
+holds itself is cyclic garbage; `_road_search`, which `find_road` and
+`roads_of` share, deletes its name in a `finally`, so reference counting
+frees the search when it returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .digraph import Digraph, VertexSet, _hops, _mask, _members, _table, as_vertex_set
 from .errors import (
@@ -66,8 +66,15 @@ def _sets_of(r: int, primed: int) -> property:
     )
 
 
-@dataclass(frozen=True)
-class SubstitutionTrace:
+class _TraceFields(NamedTuple):
+    digraph: Digraph
+    x0: int
+    base_kernel: VertexSet
+    labels: tuple[tuple[int, int], ...]
+    m_sets: tuple[VertexSet, ...]
+
+
+class SubstitutionTrace(_TraceFields):
     """Full record of one 3-substitution run.
 
     labels[i] = (N_i, N'_i) as vertex masks, i = 0..3p+2, as the
@@ -76,13 +83,9 @@ class SubstitutionTrace:
     in round p.  The set tuples are read from the masks: added[k] = N_{3k},
     removed_one[k] = N_{3k+1}, removed_two[k] = N_{3k+2} for k = 0..p, and
     primed_one[k] = N'_{3k+1}, primed_two[k] = N'_{3k+2} for k = 0..p-1.
+    The fields are a NamedTuple's; unlike the other records, this subclass
+    keeps an instance `__dict__`, where `_hops_from_x0` is stored.
     """
-
-    digraph: Digraph
-    x0: int
-    base_kernel: VertexSet
-    labels: tuple[tuple[int, int], ...]
-    m_sets: tuple[VertexSet, ...]
 
     added = _sets_of(0, 0)
     removed_one = _sets_of(1, 0)
@@ -231,8 +234,7 @@ def assemble_pre_3_kernel(trace: SubstitutionTrace) -> VertexSet:
 # -- roads ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Road:
+class Road(NamedTuple):
     """A (v, x0)-path, stored far-end first."""
 
     path: tuple[int, ...]  # (t_s, ..., t_0)
@@ -248,14 +250,12 @@ class Road:
         return self.path[self.length - i]
 
 
-@dataclass(frozen=True)
-class ConditionResult:
+class ConditionResult(NamedTuple):
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class RoadValidation:
+class RoadValidation(NamedTuple):
     conditions: tuple[ConditionResult, ConditionResult, ConditionResult, ConditionResult]
 
     @property
@@ -263,16 +263,20 @@ class RoadValidation:
         return all(c.ok for c in self.conditions)
 
 
+def _grant_skips(allowed: list[int], labels: tuple[tuple[int, int], ...], j: int) -> None:
+    """Add round j's skip arcs to `allowed`: a skip arc (u, w) with u in
+    N'_{3j+1} and w in N'_{3j-1} meets condition 12."""
+    for u in _members(labels[3 * j + 1][1]):
+        allowed[u] |= labels[3 * j - 1][1]
+
+
 def _allowed_skips(trace: SubstitutionTrace, s: int) -> list[int]:
     """Entry u: the vertices w for which a skip arc (t_i, t_{i-2}) = (u, w)
     on a length-s road meets condition 12, that is w in N'_{3j-1} for some
     j = 1..p-1 with 3j < s and u in N'_{3j+1}, whatever i is."""
-    labels = trace.labels
     allowed = [0] * trace.digraph.vertex_count
-    for j in range(1, trace.p):
-        if 3 * j < s:
-            for u in _members(labels[3 * j + 1][1]):
-                allowed[u] |= labels[3 * j - 1][1]
+    for j in range(1, min(trace.p, (s + 2) // 3)):
+        _grant_skips(allowed, trace.labels, j)
     return allowed
 
 
@@ -323,19 +327,12 @@ def validate_road(trace: SubstitutionTrace, path: tuple[int, ...]) -> RoadValida
     return RoadValidation((c9, c10, c11, c12))
 
 
-def find_road(trace: SubstitutionTrace, v: int, s: int) -> Road:
-    """Backtracking search for a length-s road from v down to x0.
-
-    Each candidate for position q is dropped as soon as a road condition
-    fails on the placed positions (see the module docstring), so the first
-    full path is the first road in depth-first, lowest-vertex-first order.
-    Raises NoRoadFoundError when no labeled path satisfies the conditions;
-    for a valid trace that is itself a lemma violation worth reporting.
-    """
-    if not trace._labels_at(s)[0] >> v & 1:
-        raise ValueError(f"vertex {v} is not in N_{s}")
+def _road_search(
+    trace: SubstitutionTrace, v: int, s: int, allowed: list[int]
+) -> tuple[int, ...] | None:
+    """The first length-s road from v down to x0, far-end first, or None;
+    `allowed` is `_allowed_skips(trace, s)`."""
     out_masks, labels = trace.digraph.out_masks, trace.labels
-    allowed = _allowed_skips(trace, s)
     path = [v]  # built far-end first
 
     def descend(pos: int, on_path: int):
@@ -361,24 +358,41 @@ def find_road(trace: SubstitutionTrace, v: int, s: int) -> Road:
         return None
 
     try:
-        found = descend(s, 1 << v)
+        return descend(s, 1 << v)
     finally:
         del descend
+
+
+def find_road(trace: SubstitutionTrace, v: int, s: int) -> Road:
+    """Backtracking search for a length-s road from v down to x0.
+
+    Each candidate for position q is dropped as soon as a road condition
+    fails on the placed positions (see the module docstring), so the first
+    full path is the first road in depth-first, lowest-vertex-first order.
+    Raises NoRoadFoundError when no labeled path satisfies the conditions;
+    for a valid trace that is itself a lemma violation worth reporting.
+    """
+    if not trace._labels_at(s)[0] >> v & 1:
+        raise ValueError(f"vertex {v} is not in N_{s}")
+    found = _road_search(trace, v, s, _allowed_skips(trace, s))
     if found is None:
         raise NoRoadFoundError(f"no road of length {s} from {v} to {trace.x0}")
     return Road(found)
 
 
 def roads_of(trace: SubstitutionTrace) -> Iterator[tuple[int, int, Road | None]]:
-    """(s, v, road) for every v in N_s, s = 0..3p; road is None when
-    `find_road` finds none."""
+    """(s, v, road) for every v in N_s, s = 0..3p; road is `find_road`'s,
+    or None when it finds none.  The skips allowed at length s change only
+    where s passes 3j, so one table serves every s and takes round j's
+    skips at s = 3j + 1."""
+    labels = trace.labels
+    allowed = [0] * trace.digraph.vertex_count
     for s in range(3 * trace.p + 1):
+        if s % 3 == 1 and 1 <= s // 3 < trace.p:
+            _grant_skips(allowed, labels, s // 3)
         for v in trace.set_at(s):
-            try:
-                road = find_road(trace, v, s)
-            except NoRoadFoundError:
-                road = None
-            yield s, v, road
+            found = _road_search(trace, v, s, allowed)
+            yield s, v, None if found is None else Road(found)
 
 
 # -- lemma checkers ---------------------------------------------------------
@@ -393,8 +407,7 @@ def _close_path(d: Digraph, a: int, b: int) -> tuple[int, ...]:
     return a, (middle & -middle).bit_length() - 1, b
 
 
-@dataclass(frozen=True)
-class PreKernelReport:
+class PreKernelReport(NamedTuple):
     absorption_violations: tuple[int, ...]
     shape_violations: tuple[tuple, ...]  # (a, b, path, reason)
 
@@ -427,8 +440,7 @@ def check_pre_kernel_properties(trace: SubstitutionTrace) -> PreKernelReport:
     return PreKernelReport(absorption, tuple(shape))
 
 
-@dataclass(frozen=True)
-class UniqueChordReport:
+class UniqueChordReport(NamedTuple):
     skip_positions: tuple[int, ...]  # all i with (t_i, t_{i-2}) an arc
     inner_positions: tuple[int, ...]  # those with 2 < i < s
     violations: tuple[str, ...]
@@ -458,8 +470,7 @@ def check_unique_short_chord(trace: SubstitutionTrace, road: Road) -> UniqueChor
     return UniqueChordReport(skips, inner, tuple(violations))
 
 
-@dataclass(frozen=True)
-class AdditiveInverseReport:
+class AdditiveInverseReport(NamedTuple):
     violations: tuple[tuple[int, int | None], ...]  # (position, distance or None)
 
     @property
@@ -474,10 +485,10 @@ def check_additive_inverse_property(
     congruent to -s mod 3."""
     hops = trace._hops_from_x0
     violations = []
-    for pos in range(road.length + 1):
+    for pos, v in enumerate(reversed(road.path)):
         if pos == 1:
             continue
-        dist = hops[road.vertex_at(pos)]
+        dist = hops[v]
         if dist is None or dist % 3 != (-pos) % 3:
             violations.append((pos, dist))
     return AdditiveInverseReport(tuple(violations))
@@ -486,8 +497,7 @@ def check_additive_inverse_property(
 # -- end-to-end -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MethodOutcome:
+class MethodOutcome(NamedTuple):
     pre_3_kernel: VertexSet
     is_3_kernel: bool
     trace: SubstitutionTrace

@@ -1,6 +1,8 @@
 """Acceptance gate: one test per published criterion, one printed verdict line
 each.  Criteria 01-06 and 10 assert their claim with exact thresholds (zero
-failures, byte equality); no tolerances.
+failures, byte equality); no tolerances.  A second criterion-05 test, which
+prints no line, asserts what its PASS rests on: each of the 149 accepted
+instances has a one-vertex 3-kernel and a digon.
 
 The per-trace claims of criteria 07, 08 and 09 are false: they have genuine
 counterexamples (frozen in test_substitution.py) that seeded sampling
@@ -27,7 +29,6 @@ never silently accepted; a checker that stopped finding them fails the gate.
 import math
 import re
 from collections import Counter
-from dataclasses import replace
 
 import networkx as nx
 
@@ -36,6 +37,7 @@ from kernelkit import (
     Digraph,
     THREE_KERNEL,
     assemble_pre_3_kernel,
+    build_digraph,
     directed_cycle,
     find_kl_kernel,
     format_digraph_text,
@@ -45,6 +47,7 @@ from kernelkit import (
     run_substitution_method,
     validate_road,
 )
+from kernelkit import campaigns
 from kernelkit.campaigns import _Failures, _trace_campaign
 from kernelkit.generators import derive_trial_seed, random_digraph
 
@@ -128,6 +131,37 @@ def test_criterion_05_three_chord_kernel_theorem():
     verdict(5, failures == 0, f"500 trials, {accepted} accepted, {failures} without a (3,2)-kernel")
 
 
+def test_criterion_05_accepts_only_instances_with_a_one_vertex_3_kernel(monkeypatch):
+    # theorem2 searches for a 3-kernel of each accepted instance only.  Each
+    # has a vertex v that every vertex reaches within 2 arcs, so {v} is a
+    # 3-kernel found without a search, and each has a digon: the criterion
+    # has never met an instance whose 3-kernel is hard to find
+    asked = []
+
+    def has_3_kernel_step(d, query):
+        asked.append(d)
+        return find_kl_kernel(d, query)
+
+    monkeypatch.setattr(campaigns, "find_kl_kernel", has_3_kernel_step)
+    for n, trials, prob in REVERSE_BATCHES:
+        run_campaign(
+            "theorem2",
+            CampaignParams(n=n, trials=trials, seed=SEED, extra_arc_prob=prob, min_cycle_len=3),
+        )
+    assert len(asked) == 149
+    for d in asked:
+        assert (1 << d.vertex_count) - 1 in d.in_balls2, d.arcs
+        g = nx.DiGraph(list(d.arcs))
+        reach = [dict(nx.single_target_shortest_path_length(g, v, cutoff=2)) for v in g]
+        assert d.vertex_count in map(len, reach), d.arcs
+        assert any((v, u) in d.arcs for u, v in d.arcs), d.arcs
+    # the control: the class does not force it, since the symmetric path on
+    # 7 vertices is a strong member with no such vertex
+    path_7 = build_digraph(7, [arc for i in range(6) for arc in ((i, i + 1), (i + 1, i))])
+    assert path_7.is_strongly_connected() and campaigns.CLASSES["theorem1"](path_7, 10**6, 3)
+    assert (1 << 7) - 1 not in path_7.in_balls2
+
+
 def test_criterion_06_fixed_worked_instances():
     checks = []
     checks.append(find_kl_kernel(directed_cycle(3), THREE_KERNEL).witness == (0,))
@@ -178,7 +212,7 @@ def retained_base_kernel(trace) -> set:
 def every_failure(property_id: str, params: CampaignParams, report) -> list:
     """The failures of a campaign rerun with a cap that embeds them all.  The
     cap only limits the embedded list, so nothing else may move."""
-    full = run_campaign(property_id, replace(params, max_failures=report.failures_total))
+    full = run_campaign(property_id, params._replace(max_failures=report.failures_total))
     assert full.failures_total == report.failures_total == len(full.failures)
     assert full.occupancy == report.occupancy
     assert full.failures[: len(report.failures)] == report.failures

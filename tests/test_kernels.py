@@ -305,6 +305,19 @@ def test_every_random_digraph_has_a_quasi_kernel(model, n, prob, seed):
     assert result.found and is_kl_kernel(d, result.witness, QUASI_KERNEL), d.arcs
 
 
+@given(st.sampled_from(MODELS), st.integers(1, 12), st.sampled_from(PROBS),
+       st.integers(0, 2**32 - 1))
+@example(random_strongly_connected, 3, 0.05, 0)
+@settings(max_examples=100, deadline=None)
+def test_every_random_digraph_lists_its_quasi_kernels(model, n, prob, seed):
+    # the same theorem through the listing, which runs the search to the end
+    d = model(n, prob, seed)
+    listed = kl_kernels(d, QUASI_KERNEL)
+    assert listed, d.arcs
+    assert all(is_kl_kernel(d, q, QUASI_KERNEL) for q in listed), d.arcs
+    assert listed[0] == find_kl_kernel(d, QUASI_KERNEL).witness
+
+
 def test_random_digraphs_without_a_kernel_still_have_a_quasi_kernel():
     draws = [
         model(n, prob, seed)
@@ -361,11 +374,11 @@ def test_an_odd_cycle_leaves_a_digraph_without_a_kernel():
 
 
 @st.composite
-def residue_digraphs(draw):
-    """(k, r, D): k in {2, 3, 4}, residues r of n <= 12 vertices, and D with
+def residue_digraphs(draw, ks=(2, 3, 4), max_n=12):
+    """(k, r, D): k in `ks`, residues r of n <= max_n vertices, and D with
     each allowed arc kept with probability p."""
-    k = draw(st.sampled_from([2, 3, 4]))
-    n = draw(st.integers(1, 12))
+    k = draw(st.sampled_from(ks))
+    n = draw(st.integers(1, max_n))
     r = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
     prob = draw(st.sampled_from([*PROBS, 0.9]))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
@@ -390,6 +403,16 @@ def test_every_digraph_whose_cycle_lengths_are_0_mod_k_has_a_k_kernel(draw):
         for c in range(k):
             residue_class = [v for v in d.vertices() if r[v] == c]
             assert is_kl_kernel(d, residue_class, query), (k, r, d.arcs, c)
+
+
+@given(residue_digraphs(ks=(3,), max_n=10))
+@example((3, [0, 1, 2, 0, 1, 2], build_digraph(6, [*CYCLE_8[:5], (5, 0), (0, 4)])))
+@settings(max_examples=150, deadline=None)
+def test_every_digraph_whose_cycle_lengths_are_0_mod_3_is_3_kernel_perfect(draw):
+    # an induced subdigraph keeps only cycles of D, so the class is
+    # hereditary and the theorem gives each one a 3-kernel
+    _, _, d = draw
+    assert is_3_kernel_perfect(d) == (True, None), d.arcs
 
 
 @pytest.mark.parametrize("k", [3, 4])

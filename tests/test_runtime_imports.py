@@ -2,10 +2,12 @@
 tools stay test-only oracles, never imports of `src/kernelkit`.  The public
 names and the fields of the public result types are pinned, so adding,
 removing or renaming one is a declared change.  No module imports `gc`:
-the library leaves its host's cyclic collector alone."""
+the library leaves its host's cyclic collector alone.  No module imports
+`dataclasses`, and a cold start of the package and its CLI parser loads
+neither it nor `inspect`."""
 
 import ast
-import dataclasses
+import subprocess
 import sys
 from pathlib import Path
 
@@ -82,22 +84,22 @@ def test_a_cached_property_import_is_flagged():
     assert cached_property_uses(snippet) == [2, 3, 6]
 
 
-def gc_imports(source: str) -> list[int]:
-    """Lines that import the `gc` module or a name from it.  A library must
-    leave its host's collector alone; the searches free themselves by
-    reference counting instead."""
+def module_imports(source: str, module: str) -> list[int]:
+    """Lines that import `module` or a name from it."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            if any(alias.name == "gc" for alias in node.names):
+            if any(alias.name == module for alias in node.names):
                 found.append(node.lineno)
-        elif isinstance(node, ast.ImportFrom) and node.module == "gc" and node.level == 0:
+        elif isinstance(node, ast.ImportFrom) and node.module == module and node.level == 0:
             found.append(node.lineno)
     return found
 
 
+# A library must leave its host's collector alone; the searches free
+# themselves by reference counting instead.
 def test_kernelkit_imports_no_gc():
-    uses = {path.name: gc_imports(path.read_text()) for path in SOURCES}
+    uses = {path.name: module_imports(path.read_text(), "gc") for path in SOURCES}
     assert {name: lines for name, lines in uses.items() if lines} == {}
 
 
@@ -112,7 +114,47 @@ def test_a_gc_import_is_flagged():
         "def f():\n"
         "    import gc\n"
     )
-    assert gc_imports(snippet) == [1, 2, 3, 8]
+    assert module_imports(snippet, "gc") == [1, 2, 3, 8]
+
+
+# `dataclasses` imports `inspect`, and each dataclass runs `exec` for every
+# method it generates, which together were most of a cold start; the records
+# are NamedTuples and `Digraph` a plain class instead.
+def test_kernelkit_imports_no_dataclasses():
+    uses = {path.name: module_imports(path.read_text(), "dataclasses") for path in SOURCES}
+    assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+def test_a_dataclasses_import_is_flagged():
+    snippet = (
+        "from dataclasses import dataclass\n"
+        "import dataclasses as dc, json\n"
+        "from .dataclasses import record\n"
+        "import dataclasses_json\n"
+        "from typing import NamedTuple\n"
+        "def f():\n"
+        "    import dataclasses\n"
+    )
+    assert module_imports(snippet, "dataclasses") == [1, 2, 7]
+
+
+COLD_START = (
+    "import sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "import kernelkit, kernelkit.cli\n"
+    "kernelkit.cli.build_parser()\n"
+    "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+)
+
+
+def test_a_cold_start_loads_neither_dataclasses_nor_inspect():
+    # -S: a site hook that loads either module itself cannot fail the test
+    src = str(SOURCES[0].parents[1])
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", COLD_START, src],
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "[]\n", done.stderr
 
 
 # `kernelkit.__all__` is every name its __init__ binds, the submodules among them.
@@ -153,4 +195,4 @@ PUBLIC_FIELDS = {
 
 def test_public_result_fields_match_the_snapshot():
     for name, fields in PUBLIC_FIELDS.items():
-        assert [f.name for f in dataclasses.fields(getattr(kernelkit, name))] == fields, name
+        assert list(getattr(kernelkit, name)._fields) == fields, name

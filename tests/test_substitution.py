@@ -14,6 +14,8 @@ sorted out-lists kept here as references.  The road conditions, the labels
 and the unique-chord checker read the trace's label masks; the references
 here test membership in the trace's sorted set tuples and arcs in
 `Digraph.arcs`, and the reference road search checks only whole paths.
+`roads_of`, which builds one skip table for every road length, must give
+`find_road`'s road, or none, for every set member.
 A trace stores its sets as label masks; the hand-built traces here are
 written as set tuples that `labels_of` turns into those masks, and the
 trace invariants must reject a hand-broken C6 trace of each of their five
@@ -25,7 +27,6 @@ method's claimed properties genuinely fails, and the checkers must *report*
 that rather than mask it.  See the README section on reported findings.
 """
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -290,7 +291,7 @@ def with_sets(trace, **changes):
     """`trace` with the named fields and set tuples replaced, its labels
     rebuilt from the set tuples."""
     sets = {name: changes.pop(name, getattr(trace, name)) for name in SET_READS}
-    return dataclasses.replace(trace, labels=labels_of(**sets), **changes)
+    return trace._replace(labels=labels_of(**sets), **changes)
 
 
 def skip_arc_trace():
@@ -765,6 +766,25 @@ def reference_find_road(trace, v, s):
     return descend(s)
 
 
+def find_road_or_none(trace, v, s):
+    try:
+        return find_road(trace, v, s)
+    except NoRoadFoundError:
+        return None
+
+
+def test_roads_of_matches_find_road_on_the_skip_arc_traces():
+    # p = 3: the length-7 road needs round 2's skip, which roads_of's table
+    # takes at s = 7, after round 1's at s = 4; emptied, no road is left
+    allowed = skip_arc_trace()
+    refused = with_sets(allowed, primed_two=((), (), ()))
+    for trace in (allowed, refused):
+        for s, v, road in roads_of(trace):
+            assert road == find_road_or_none(trace, v, s), (s, v)
+    assert (7, 7, find_road(allowed, 7, 7)) in roads_of(allowed)
+    assert (7, 7, None) in roads_of(refused)
+
+
 # the golden traces of tests/test_golden_reports.py: p = 2 at x0 = 1, p = 4 at x0 = 6
 N12_S0 = random_strongly_connected(12, 0.08, 0)
 N12_S39 = random_strongly_connected(12, 0.08, 39)
@@ -789,6 +809,7 @@ def test_mask_road_search_matches_the_list_search(d):
         except (NoBaseKernelError, SubkernelMissingError):
             continue
         for s, v, road in roads_of(trace):
+            assert road == find_road_or_none(trace, v, s)  # roads_of's shared skip table
             expected = reference_find_road(trace, v, s)
             if expected is None:
                 assert road is None
